@@ -11,7 +11,7 @@ Subcommands:
   bec        - two-mode condensate phase-map check over a coupling sweep
 
 Exit codes: 0 success, 1 numerical failure, 2 usage or config error.
-All outputs are deterministic for a fixed config and seed: floats are
+All outputs are deterministic for a fixed config: floats are
 serialized with full round-trip precision and JSON keys are sorted.
 """
 
@@ -83,7 +83,6 @@ class ExperimentConfig:
     oracle_dt: float | None = None
     record_stride: int = 0
     basic_c: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
@@ -125,7 +124,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
         "mode": cfg.mode,
         "record_stride": cfg.record_stride,
         "basic_c": cfg.basic_c,
-        "seed": cfg.seed,
     }
     if cfg.kernel is not None:
         out["kernel"] = cfg.kernel.to_json_dict()
@@ -166,7 +164,6 @@ def config_from_dict(d: dict, base_dir: str = ".") -> ExperimentConfig:
             oracle_dt=float(d["oracle_dt"]) if "oracle_dt" in d else None,
             record_stride=int(d.get("record_stride", 0)),
             basic_c=int(d.get("basic_c", 1)),
-            seed=int(d.get("seed", 0)),
         )
     except ConfigError:
         raise
@@ -274,6 +271,12 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 
 def run_compare(cfg: ExperimentConfig, out_dir: str, halvings: int = 0) -> dict:
+    if halvings < 0:
+        raise ConfigError(f"halvings must be >= 0, got {halvings}")
+    if halvings and evolution.n_steps_for(cfg.t, cfg.eps) == 0:
+        # every row must take a step: a zero-step row has zero error and
+        # the ratio over it would divide by zero
+        raise ConfigError(f"halvings need t >= eps, got t {cfg.t}, eps {cfg.eps}")
     f = build_coupling(cfg)
     a0 = build_initial_amplitudes(cfg)
     r0 = statevec.init_from_amplitudes(a0)
@@ -342,6 +345,12 @@ def run_resources(
     out_dir: str,
     instrument: bool = False,
 ) -> dict:
+    if not 1 <= n_min <= n_max:
+        raise ConfigError(f"need 1 <= n-min <= n-max, got n-min {n_min}, n-max {n_max}")
+    if n_steps < 0:
+        raise ConfigError(f"steps must be >= 0, got {n_steps}")
+    if basic_c < 1:
+        raise ConfigError(f"basic-c must be >= 1, got {basic_c}")
     rows = []
     for n in range(n_min, n_max + 1):
         tally = nlcompiler.estimate_resources(n, n_steps, basic_c=basic_c)
@@ -461,8 +470,6 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         updates["t"] = args.steps * eps
     if args.mode is not None:
         updates["mode"] = args.mode
-    if args.seed is not None:
-        updates["seed"] = args.seed
     return replace(cfg, **updates) if updates else cfg
 
 
@@ -480,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--steps", type=int, default=None,
                        help="override step count (sets t = steps * eps)")
         p.add_argument("--mode", choices=evolution.MODES, default=None)
-        p.add_argument("--seed", type=int, default=None)
 
     add_common(sub.add_parser("simulate", help="run the gate-level evolution"))
     p_cmp = sub.add_parser("compare", help="gate-level run vs classical reference")

@@ -166,14 +166,15 @@ def evolve(
     """Run n = floor(t/eps) steps from r0; r0 itself is left untouched.
 
     Snapshots are taken at step 0, every record_stride steps, and at the end
-    (record_stride = 0 disables intermediate snapshots). The tally counts the
-    potential-step gates actually executed (in direct mode, the counts of the
-    equivalent compiled sequence).
+    (record_stride = 0 disables intermediate snapshots). The tally is the
+    closed form on the schedule's nonzero angles, the gates a compiled step
+    executes; direct mode counts them without building the gate list.
     """
     plan = TrotterPlan(eps, n_steps_for(t, eps), mode, record_stride)
     r = r0.copy()
-    sequence = nlcompiler.compile_w(f, eps)
-    per_step = sequence.counts()
+    sparsity = nlcompiler.gammas_from_coupling(f, eps).sparsity()
+    tally = nlcompiler.estimate_resources(r.n, plan.n_steps, *sparsity, basic_c=basic_c)
+    sequence = nlcompiler.compile_w(f, eps) if mode == "compiled" else None
     snapshots: list[Snapshot] = []
 
     def record(step: int):
@@ -185,7 +186,6 @@ def evolve(
         trotter_step(r, f, spec, eps, mode=mode, sequence=sequence)
         if record_stride > 0 and (step % record_stride == 0 or step == plan.n_steps):
             record(step)
-    tally = ResourceTally(per_step, plan.n_steps, r.n, basic_c)
     drift = abs(r.norm() - 1.0)
     if not np.isfinite(drift) or drift > NORM_DRIFT_TOL:
         raise SimulationError(
@@ -235,7 +235,8 @@ def write_trajectory_csv(path, snapshots: list[Snapshot], density_only: bool = F
                 for k in range(a0.shape[0]):
                     amp = a0[k]
                     writer.writerow(
-                        [snap.step, repr(snap.time), k, repr(amp.real), repr(amp.imag)]
+                        [snap.step, repr(snap.time), k,
+                         repr(float(amp.real)), repr(float(amp.imag))]
                     )
 
 

@@ -23,14 +23,20 @@ This calibration is not taken on faith: the test suite checks the compiled
 sequence against the directly applied diagonal (`apply_w_direct`) on random
 states and couplings to 1e-12.
 
-Resource accounting treats each ancilla flip as one multi-controlled NOT,
-expanded into basic_c * n**2 basic gates when converting to basic-gate
-counts; N and P count as one gate each.
+The schedule (`GammaSchedule`) is plain arrays: the single angles and the
+nonzero pair angles with their indices. Zero-angle blocks are never emitted,
+so a sparse stencil compiles to O(N) blocks rather than O(N^2).
+
+Resource accounting is the closed form on the schedule's nonzero angles
+(`estimate_resources` with `GammaSchedule.sparsity()`): it treats each
+ancilla flip as one multi-controlled NOT, expanded into basic_c * n**2 basic
+gates when converting to basic-gate counts; N and P count as one gate each.
+A direct-mode evolution therefore never builds a gate list. Compiled
+sequences serialize to a text format of MCX, NL and APH lines.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,25 +81,25 @@ class CouplingMatrix:
 
 @dataclass(frozen=True)
 class GammaSchedule:
-    """Calibrated rotation angles: one per index, one per index pair (k < l)."""
+    """Calibrated rotation angles: one per index, one per nonzero pair.
+
+    gamma_k holds one angle per index. gamma_kl holds only the nonzero pair
+    angles, at indices pair_k < pair_l, in row-major (k, l) order.
+    """
 
     gamma_k: np.ndarray
-    gamma_kl: dict[tuple[int, int], float]
+    pair_k: np.ndarray
+    pair_l: np.ndarray
+    gamma_kl: np.ndarray
 
     def __post_init__(self):
-        for (k, l), g in self.gamma_kl.items():
-            if not k < l:
-                raise ValueError(f"pair angles are keyed with k < l, got {(k, l)}")
-            if not math.isfinite(g):
-                raise ValueError(f"non-finite pair angle at {(k, l)}")
-        if not np.all(np.isfinite(self.gamma_k)):
-            raise ValueError("non-finite single-index angle")
+        finite = np.all(np.isfinite(self.gamma_k)) and np.all(np.isfinite(self.gamma_kl))
+        if not finite:
+            raise ValueError("non-finite rotation angle")
 
     def sparsity(self) -> tuple[int, int]:
         """(number of nonzero single angles, number of nonzero pair angles)."""
-        singles = int(np.count_nonzero(self.gamma_k))
-        pairs = sum(1 for g in self.gamma_kl.values() if g != 0.0)
-        return singles, pairs
+        return int(np.count_nonzero(self.gamma_k)), int(np.count_nonzero(self.gamma_kl))
 
 
 @dataclass(frozen=True)
@@ -101,15 +107,12 @@ class GateOp:
     """One primitive operation of a compiled sequence.
 
     kind is one of "MCX" (ancilla flip on index k), "NL" (branch-probability
-    phase, angle), "APH" (ancilla-|1> phase, angle), "DIAG" (principal
-    diagonal phases), "DFT" (principal Fourier transform, direction).
+    phase, angle) or "APH" (ancilla-|1> phase, angle).
     """
 
     kind: str
     k: int | None = None
     angle: float | None = None
-    phases: tuple[float, ...] | None = None
-    inverse: bool = False
 
     @classmethod
     def mcx(cls, k: int) -> "GateOp":
@@ -122,14 +125,6 @@ class GateOp:
     @classmethod
     def aph(cls, angle: float) -> "GateOp":
         return cls("APH", angle=float(angle))
-
-    @classmethod
-    def diag(cls, phases) -> "GateOp":
-        return cls("DIAG", phases=tuple(float(p) for p in phases))
-
-    @classmethod
-    def dft(cls, inverse: bool = False) -> "GateOp":
-        return cls("DFT", inverse=inverse)
 
 
 @dataclass(frozen=True)
@@ -146,10 +141,8 @@ class GateSequence:
         return iter(self.ops)
 
     def counts(self) -> "GateCounts":
-        c = GateCounts()
-        for op in self.ops:
-            c = c.add_op(op.kind)
-        return c
+        kinds = [op.kind for op in self.ops]
+        return GateCounts(kinds.count("MCX"), kinds.count("NL"), kinds.count("APH"))
 
 
 @dataclass(frozen=True)
@@ -159,13 +152,6 @@ class GateCounts:
     mcx: int = 0
     nonlinear: int = 0
     ancilla_phase: int = 0
-
-    def add_op(self, kind: str) -> "GateCounts":
-        return GateCounts(
-            self.mcx + (kind == "MCX"),
-            self.nonlinear + (kind == "NL"),
-            self.ancilla_phase + (kind == "APH"),
-        )
 
     def __add__(self, other: "GateCounts") -> "GateCounts":
         return GateCounts(
@@ -240,44 +226,34 @@ def gammas_from_coupling(f: CouplingMatrix, eps: float) -> GammaSchedule:
 
     See the module docstring for the derivation; the pair angle carries half
     the off-diagonal coupling and the single angle compensates the |a_k|^2
-    contribution that every pair block involving k leaks onto index k.
+    contribution that every pair block involving k leaks onto index k. Each
+    row of pair angles is summed left to right (cumsum; np.sum sums pairwise
+    and changes the last bits), as a scalar loop over l would.
     """
-    mat = f.f
-    dim = f.dim
-    gamma_kl: dict[tuple[int, int], float] = {}
-    for k in range(dim):
-        for l in range(k + 1, dim):
-            gamma_kl[(k, l)] = -eps * mat[k, l] / 2.0
-    gamma_k = np.empty(dim)
-    for k in range(dim):
-        pair_sum = 0.0
-        for l in range(dim):
-            if l != k:
-                pair_sum += gamma_kl[(k, l) if k < l else (l, k)]
-        gamma_k[k] = -eps * mat[k, k] / 2.0 - pair_sum
-    return GammaSchedule(gamma_k, gamma_kl)
+    half = np.multiply(f.f, -eps)
+    half /= 2.0
+    diag = half.diagonal().copy()
+    np.fill_diagonal(half, 0.0)
+    gamma_k = diag - np.cumsum(half, axis=1)[:, -1]
+    pair_k, pair_l = np.nonzero(np.triu(half != 0.0, 1))
+    return GammaSchedule(gamma_k, pair_k, pair_l, half[pair_k, pair_l])
 
 
-def schedule_blocks(
-    schedule: GammaSchedule, prune: bool = True
-) -> list[tuple[GateOp, ...]]:
-    """Gate blocks for a schedule: singles by ascending k, then pairs in
-    lexicographic (k, l) order. Zero-angle blocks are dropped when pruning.
+def schedule_blocks(schedule: GammaSchedule) -> list[tuple[GateOp, ...]]:
+    """Gate blocks for a schedule: nonzero singles by ascending k, then the
+    pairs in their row-major (k, l) order. Zero-angle blocks are never emitted.
 
     The order is immaterial for the resulting state (all constituents are
     modulus-preserving) but fixed for reproducibility.
     """
-    blocks: list[tuple[GateOp, ...]] = []
-    for k, g in enumerate(schedule.gamma_k):
-        if prune and g == 0.0:
-            continue
-        blocks.append(
-            (GateOp.mcx(k), GateOp.nl(g), GateOp.aph(g), GateOp.mcx(k))
-        )
-    for (k, l) in sorted(schedule.gamma_kl):
-        g = schedule.gamma_kl[(k, l)]
-        if prune and g == 0.0:
-            continue
+    blocks: list[tuple[GateOp, ...]] = [
+        (GateOp.mcx(k), GateOp.nl(g), GateOp.aph(g), GateOp.mcx(k))
+        for k, g in enumerate(schedule.gamma_k.tolist())
+        if g != 0.0
+    ]
+    for k, l, g in zip(
+        schedule.pair_k.tolist(), schedule.pair_l.tolist(), schedule.gamma_kl.tolist()
+    ):
         blocks.append(
             (
                 GateOp.mcx(k),
@@ -291,11 +267,10 @@ def schedule_blocks(
     return blocks
 
 
-def compile_w(f: CouplingMatrix, eps: float, prune: bool = True) -> GateSequence:
+def compile_w(f: CouplingMatrix, eps: float) -> GateSequence:
     """Compile the one-step nonlinear-potential diagonal into gate blocks."""
-    schedule = gammas_from_coupling(f, eps)
     ops: list[GateOp] = []
-    for block in schedule_blocks(schedule, prune=prune):
+    for block in schedule_blocks(gammas_from_coupling(f, eps)):
         ops.extend(block)
     return GateSequence(f.n_qubits, tuple(ops))
 
@@ -311,10 +286,6 @@ def execute(seq: GateSequence, r: Register) -> Register:
             statevec.apply_nonlinear(r, op.angle)
         elif op.kind == "APH":
             statevec.apply_ancilla_phase(r, op.angle)
-        elif op.kind == "DIAG":
-            statevec.apply_principal_diagonal(r, np.array(op.phases))
-        elif op.kind == "DFT":
-            statevec.dft_principal(r, inverse=op.inverse)
         else:
             raise ValueError(f"unknown gate kind {op.kind!r}")
     return r
@@ -401,10 +372,9 @@ def tensor_square(r: Register, max_result_qubits: int = 24) -> Register:
 def sequence_to_text(seq: GateSequence) -> str:
     """Serialize a sequence, one op per line.
 
-    Formats: ``MCX <k>``, ``NL <angle>``, ``APH <angle>``,
-    ``DIAG <p0> <p1> ...``, ``DFT 1`` (forward) / ``DFT -1`` (inverse).
-    Angles are radians printed with full round-trip precision and a
-    locale-independent decimal point.
+    Formats: ``MCX <k>``, ``NL <angle>``, ``APH <angle>``. Angles are radians
+    printed with full round-trip precision and a locale-independent decimal
+    point.
     """
     lines = []
     for op in seq.ops:
@@ -412,10 +382,6 @@ def sequence_to_text(seq: GateSequence) -> str:
             lines.append(f"MCX {op.k}")
         elif op.kind in ("NL", "APH"):
             lines.append(f"{op.kind} {op.angle!r}")
-        elif op.kind == "DIAG":
-            lines.append("DIAG " + " ".join(repr(p) for p in op.phases))
-        elif op.kind == "DFT":
-            lines.append(f"DFT {-1 if op.inverse else 1}")
         else:
             raise ValueError(f"unknown gate kind {op.kind!r}")
     return "\n".join(lines) + ("\n" if lines else "")
@@ -437,10 +403,6 @@ def sequence_from_text(text: str, n: int) -> GateSequence:
                 ops.append(GateOp.nl(float(args[0])))
             elif kind == "APH":
                 ops.append(GateOp.aph(float(args[0])))
-            elif kind == "DIAG":
-                ops.append(GateOp.diag(float(a) for a in args))
-            elif kind == "DFT":
-                ops.append(GateOp.dft(inverse=int(args[0]) < 0))
             else:
                 raise ValueError(f"unknown op {kind!r}")
         except (IndexError, ValueError) as exc:

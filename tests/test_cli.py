@@ -24,7 +24,6 @@ def hartree_config_dict(**overrides):
         "t": 0.4,
         "eps": 0.1,
         "mode": "direct",
-        "seed": 7,
     }
     base.update(overrides)
     return base
@@ -234,6 +233,30 @@ class TestResources:
         report = json.loads((tmp_path / "resources.json").read_text())
         a, b = report["rows"]
         assert b["nonlinear_per_step"] / a["nonlinear_per_step"] == pytest.approx(4.0, abs=0.1)
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resources", "--n-min", "4", "--n-max", "2"],
+            ["resources", "--n-min", "0"],
+            ["resources", "--steps", "-1"],
+            ["resources", "--basic-c", "0"],
+            ["compare", "--halvings", "2", "--steps", "0"],
+            ["compare", "--halvings", "-1"],
+        ],
+    )
+    def test_exit_2_with_one_line(self, tmp_path, capsys, argv):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(hartree_config_dict()))
+        if argv[0] == "compare":
+            argv = argv + ["--config", str(cfg_path)]
+        rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1
+        assert err[0].startswith("config error: ")
 
 
 class TestBec:

@@ -140,6 +140,16 @@ class TestEvolve:
         assert result.tally.total == expected.total
         assert result.tally.n_steps == 10
 
+    def test_direct_mode_builds_no_gate_list(self, grid, spec, rng, monkeypatch):
+        def no_compile(*args, **kwargs):
+            raise AssertionError("direct mode compiled a gate sequence")
+
+        monkeypatch.setattr(nlcompiler, "compile_w", no_compile)
+        f = random_coupling(rng, 4)
+        result = evolve(random_register(rng, 4), f, spec, 1.0, 0.1, mode="direct")
+        singles, pairs = nlcompiler.gammas_from_coupling(f, 0.1).sparsity()
+        assert result.tally == estimate_resources(4, 10, singles=singles, pairs=pairs)
+
     def test_mode_equivalence(self, grid, spec, rng):
         f = random_coupling(rng, 4, scale=0.3)
         r0 = random_register(rng, 4)
@@ -262,6 +272,16 @@ class TestTrajectoryExport:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "step,time,k,re,im"
         assert len(lines) == 1 + 16 * len(result.snapshots)
+
+    def test_fields_are_plain_numbers(self, tmp_path, grid, spec, rng):
+        f = random_coupling(rng, 4)
+        result = evolve(random_register(rng, 4), f, spec, 0.3, 0.1, record_stride=1)
+        for density_only in (False, True):
+            path = tmp_path / "traj.csv"
+            write_trajectory_csv(path, result.snapshots, density_only=density_only)
+            for line in path.read_text().splitlines()[1:]:
+                for field in line.split(","):
+                    float(field)
 
     def test_density_csv(self, tmp_path, grid, spec, rng):
         r0 = random_register(rng, 4)
