@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -87,6 +88,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise ConfigError(f"unknown problem {self.problem!r}")
+        for name, value in (
+            ("t", self.t), ("eps", self.eps), ("g", self.g), ("rho0", self.rho0),
+            ("dx", self.grid.dx), ("x0", self.grid.x0), ("c_T", self.c_T),
+            ("oracle_dt", self.oracle_dt),
+        ):
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.t < 0:
             raise ConfigError(f"t must be >= 0, got {self.t}")
         if not self.eps > 0:
@@ -210,6 +218,22 @@ def build_coupling(cfg: ExperimentConfig) -> CouplingMatrix:
     return problems.coupling_from_triplet_csv(path, cfg.grid.size)
 
 
+def build_problem(cfg: ExperimentConfig) -> tuple[CouplingMatrix, statevec.Register]:
+    """Coupling and initial register of a config.
+
+    The builders validate the physics and the referenced files (a kernel
+    table shorter than the grid, a non-positive rho0, a state file of the
+    wrong size or unreadable), so their ValueError or OSError is a config
+    error like any other.
+    """
+    try:
+        f = build_coupling(cfg)
+        r0 = statevec.init_from_amplitudes(build_initial_amplitudes(cfg))
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
+    return f, r0
+
+
 def build_initial_amplitudes(cfg: ExperimentConfig) -> np.ndarray:
     spec = cfg.initial_state
     grid = cfg.grid
@@ -243,8 +267,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: str) -> dict:
-    f = build_coupling(cfg)
-    r0 = statevec.init_from_amplitudes(build_initial_amplitudes(cfg))
+    f, r0 = build_problem(cfg)
     spec = KineticSpec(cfg.kinetic_prefactor, cfg.grid)
     stride = cfg.record_stride
     result = evolution.evolve(
@@ -277,9 +300,7 @@ def run_compare(cfg: ExperimentConfig, out_dir: str, halvings: int = 0) -> dict:
         # every row must take a step: a zero-step row has zero error and
         # the ratio over it would divide by zero
         raise ConfigError(f"halvings need t >= eps, got t {cfg.t}, eps {cfg.eps}")
-    f = build_coupling(cfg)
-    a0 = build_initial_amplitudes(cfg)
-    r0 = statevec.init_from_amplitudes(a0)
+    f, r0 = build_problem(cfg)
     spec = KineticSpec(cfg.kinetic_prefactor, cfg.grid)
     rule = build_oracle_potential(cfg, f)
     phi0 = FieldState.from_amplitudes(r0.ancilla0.copy(), cfg.grid)

@@ -18,7 +18,6 @@ step are tallied exactly and must match the closed-form estimate.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -50,10 +49,21 @@ class KineticSpec:
 
     c_T: float
     grid: GridSpec
+    _propagators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.c_T):
             raise ValueError("kinetic prefactor must be finite")
+
+    def propagator(self, eps: float) -> np.ndarray:
+        """Read-only factors exp(i * kinetic_phases(self, eps)), built once
+        per step size, so a run exponentiates them once instead of every step."""
+        factors = self._propagators.get(eps)
+        if factors is None:
+            factors = np.exp(1j * kinetic_phases(self, eps))
+            factors.flags.writeable = False
+            self._propagators[eps] = factors
+        return factors
 
     def momentum_sq(self) -> np.ndarray:
         """p^2 per composite principal index (row-major over grid axes)."""
@@ -124,7 +134,7 @@ def apply_kinetic(r: Register, spec: KineticSpec, eps: float) -> Register:
     """Kinetic propagator: transform, apply dispersion phases, transform back."""
     shape = spec.grid.points
     statevec.dft_principal(r, inverse=False, axes_shape=shape)
-    statevec.apply_principal_diagonal(r, kinetic_phases(spec, eps))
+    statevec.apply_principal_factors(r, spec.propagator(eps))
     statevec.dft_principal(r, inverse=True, axes_shape=shape)
     return r
 
@@ -215,29 +225,29 @@ def observables(
 
 
 def write_trajectory_csv(path, snapshots: list[Snapshot], density_only: bool = False):
-    """Write snapshots as rows (step, time, k, re, im) or (step, time, k, density)."""
+    """Write snapshots as rows (step, time, k, re, im) or (step, time, k, density).
+
+    The bytes are those of a default ``csv.writer`` with every float written
+    as its repr: comma-separated, CRLF-terminated, no quoting (no field can
+    contain a comma, quote or line break). Each snapshot is one write.
+    """
+    header = "step,time,k,density" if density_only else "step,time,k,re,im"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if density_only:
-            writer.writerow(["step", "time", "k", "density"])
-        else:
-            writer.writerow(["step", "time", "k", "re", "im"])
+        fh.write(header + "\r\n")
         for snap in snapshots:
+            lead = f"{snap.step},{snap.time!r},"
             a0 = snap.amps[0::2]
-            a1 = snap.amps[1::2]
             if density_only:
-                dens = np.abs(a0) ** 2 + np.abs(a1) ** 2
-                for k in range(a0.shape[0]):
-                    writer.writerow([snap.step, repr(snap.time), k, repr(float(dens[k]))])
+                dens = np.abs(a0) ** 2 + np.abs(snap.amps[1::2]) ** 2
+                rows = [f"{lead}{k},{d!r}\r\n" for k, d in enumerate(dens.tolist())]
             else:
                 # snapshots are taken at step boundaries, where the ancilla
                 # is clean, so the ancilla-|0> branch is the whole field
-                for k in range(a0.shape[0]):
-                    amp = a0[k]
-                    writer.writerow(
-                        [snap.step, repr(snap.time), k,
-                         repr(float(amp.real)), repr(float(amp.imag))]
-                    )
+                rows = [
+                    f"{lead}{k},{re!r},{im!r}\r\n"
+                    for k, (re, im) in enumerate(zip(a0.real.tolist(), a0.imag.tolist()))
+                ]
+            fh.write("".join(rows))
 
 
 def summary_dict(

@@ -462,6 +462,9 @@ def field_from_csv(path, grid: GridSpec) -> FieldState:
         for row in reader:
             if not row:
                 continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, "
+                                 f"header has {len(header)}")
             values.append(complex(float(row[ncoord]), float(row[ncoord + 1])))
     if len(values) != grid.size:
         raise ValueError(f"{path}: expected {grid.size} samples, got {len(values)}")

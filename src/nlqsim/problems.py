@@ -271,18 +271,16 @@ def navier_stokes_coupling(rho0: float, grid: GridSpec) -> CouplingMatrix:
     if not rho0 > 0:
         raise ValueError(f"reference density must be positive, got {rho0}")
     w = 1.0 / (4.0 * rho0 * grid.dx**2 * grid.cell_volume)
-    size = grid.size
-    f = np.zeros((size, size))
-    shape = grid.points
-    for flat in range(size):
-        idx = np.unravel_index(flat, shape)
-        for axis in range(grid.dims):
-            for step in (-1, 1):
-                nb = list(idx)
-                nb[axis] = (nb[axis] + step) % shape[axis]
-                j = int(np.ravel_multi_index(nb, shape))
-                f[flat, j] += w
-            f[flat, flat] -= 2.0 * w
+    f = np.zeros((grid.size, grid.size))
+    sites = np.arange(grid.size).reshape(grid.points)
+    rows = sites.reshape(-1)
+    for axis in range(grid.dims):
+        for step in (-1, 1):
+            # each site appears once per shift, so += never drops a repeat;
+            # on a 2-point axis both shifts hit the same neighbour, which
+            # then holds w + w
+            f[rows, np.roll(sites, -step, axis=axis).reshape(-1)] += w
+        f[rows, rows] -= 2.0 * w
     return CouplingMatrix(f)
 
 
@@ -398,6 +396,8 @@ def coupling_from_triplet_csv(path, dim: int) -> CouplingMatrix:
         for row in reader:
             if not row:
                 continue
+            if len(row) < 3:
+                raise ValueError(f"{path}: line {reader.line_num} needs k,j,f, got {row!r}")
             k, j, v = int(row[0]), int(row[1]), float(row[2])
             if not (0 <= k < dim and 0 <= j < dim):
                 raise ValueError(f"{path}: index ({k},{j}) out of range for dim {dim}")

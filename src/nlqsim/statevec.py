@@ -14,12 +14,14 @@ bit-reproducible from run to run.
 
 The gate set is deliberately small: the ancilla-flip on a single principal
 index, the branch-probability phase gate, an ancilla-conditioned phase, a
-diagonal phase over the principal index, and the unitary DFT. Nothing else is
+diagonal phase over the principal index (given as phases or as precomputed
+unit factors), and the unitary DFT. Nothing else is
 needed to realize the diagonal nonlinear-potential step and the kinetic step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,11 +163,17 @@ def apply_ancilla_phase(r: Register, lam: float) -> Register:
 def apply_principal_diagonal(r: Register, phases: np.ndarray) -> Register:
     """Apply exp(i*phases[k]) to principal index k on both ancilla branches."""
     phases = np.asarray(phases, dtype=np.float64).ravel()
-    if phases.shape[0] != r.num_states:
-        raise ValueError(
-            f"need {r.num_states} phases, got {phases.shape[0]}"
-        )
-    factors = np.exp(1j * phases)
+    return apply_principal_factors(r, np.exp(1j * phases))
+
+
+def apply_principal_factors(r: Register, factors: np.ndarray) -> Register:
+    """Multiply principal index k by factors[k] on both ancilla branches.
+
+    The factors are taken as given (unit modulus keeps the norm), so a
+    diagonal applied every step can be exponentiated once by the caller.
+    """
+    if factors.shape != (r.num_states,):
+        raise ValueError(f"need {r.num_states} factors, got shape {factors.shape}")
     a0, a1 = r.ancilla0, r.ancilla1
     a0 *= factors
     a1 *= factors
@@ -183,18 +191,21 @@ def dft_principal(
     default is the full one-dimensional transform. Forward uses the
     exp(-2*pi*i*k*m/M) kernel; inverse undoes it exactly (round trip is
     identity to machine precision).
+
+    Each ancilla branch is copied out and transformed as its own contiguous
+    array, bit-identical to one transform of the interleaved register. A
+    branch that is exactly zero is skipped, since its transform is zero; at
+    step boundaries that is the whole ancilla-|1> branch.
     """
     if axes_shape is None:
         axes_shape = (r.num_states,)
-    if int(np.prod(axes_shape)) != r.num_states:
+    if math.prod(axes_shape) != r.num_states:
         raise ValueError(f"axes shape {axes_shape} does not cover 2**{r.n} states")
-    block = r.amps.reshape(*axes_shape, 2)
-    axes = tuple(range(len(axes_shape)))
-    if inverse:
-        out = np.fft.ifftn(block, axes=axes, norm="ortho")
-    else:
-        out = np.fft.fftn(block, axes=axes, norm="ortho")
-    r.amps[:] = out.reshape(-1)
+    transform = np.fft.ifftn if inverse else np.fft.fftn
+    for branch in (r.ancilla0, r.ancilla1):
+        if branch.any():
+            block = np.ascontiguousarray(branch).reshape(axes_shape)
+            branch[:] = transform(block, norm="ortho").reshape(-1)
     return r
 
 

@@ -259,6 +259,72 @@ class TestBadArguments:
         assert err[0].startswith("config error: ")
 
 
+class TestBadPhysics:
+    CONFIGS = {
+        "short-kernel-table": hartree_config_dict(
+            kernel={"form": "tabulated", "samples": [1.0, 0.5]}
+        ),
+        "nan-g": hartree_config_dict(problem="gross-pitaevskii", g=float("nan")),
+        "negative-rho0": hartree_config_dict(problem="navier-stokes", rho0=-1.0),
+        "basis-out-of-range": hartree_config_dict(initial_state={"preset": "basis", "k": 99}),
+    }
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("case", sorted(CONFIGS))
+    def test_exit_2_with_one_line(self, tmp_path, capsys, command, case):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(self.CONFIGS[case]))
+        rc = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1
+        assert err[0].startswith("config error: ")
+
+    @pytest.mark.parametrize("case", ["short-triplet-row", "short-field-row", "csv-is-dir"])
+    def test_bad_input_file_exit_2(self, tmp_path, capsys, case):
+        (tmp_path / "f.csv").write_text("k,j,f\n0,0,1.0\n1,2\n")
+        (tmp_path / "state.csv").write_text("x,re,im\n0.0,1.0,0.0\n0.5,1.0\n")
+        (tmp_path / "adir").mkdir()
+        if case == "short-field-row":
+            payload = hartree_config_dict(initial_state={"preset": "file", "path": "state.csv"})
+        else:
+            csv_name = "f.csv" if case == "short-triplet-row" else "adir"
+            payload = hartree_config_dict(problem="custom-f", coupling_csv=csv_name)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(payload))
+        rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1
+        assert err[0].startswith("config error: ")
+
+    @pytest.mark.parametrize(
+        "field, payload",
+        [
+            ("t", {"t": float("nan")}),
+            ("eps", {"eps": float("inf")}),
+            ("g", {"g": float("nan")}),
+            ("rho0", {"rho0": float("-inf")}),
+            ("dx", {"grid": {"points": [16], "dx": float("inf")}}),
+            ("x0", {"grid": {"points": [16], "dx": 0.5, "x0": float("nan")}}),
+            ("c_T", {"c_T": float("nan")}),
+            ("oracle_dt", {"oracle_dt": float("inf")}),
+        ],
+    )
+    def test_non_finite_parameter_named(self, field, payload):
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            config_from_dict(hartree_config_dict(**payload))
+
+    def test_non_finite_override_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(hartree_config_dict()))
+        rc = cli.main(["simulate", "--config", str(cfg_path), "--eps", "nan",
+                       "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert err == ["config error: eps must be finite, got nan"]
+
+
 class TestBec:
     def test_sweep_deviations(self, tmp_path):
         rc = cli.main([

@@ -1,9 +1,12 @@
+import csv
+
 import numpy as np
 import pytest
 
 from nlqsim import evolution, nlcompiler, oracle, statevec
 from nlqsim.evolution import (
     KineticSpec,
+    Snapshot,
     TrotterPlan,
     apply_kinetic,
     evolve,
@@ -70,6 +73,73 @@ class TestKineticPhases:
         assert psq[1] == pytest.approx(base)       # (0, 1)
         assert psq[4] == pytest.approx(base)       # (1, 0)
         assert psq[5] == pytest.approx(2 * base)   # (1, 1)
+
+
+class TestKineticPropagator:
+    def test_factors_of_the_phases(self, spec):
+        factors = spec.propagator(0.1)
+        assert np.array_equal(factors, np.exp(1j * kinetic_phases(spec, 0.1)))
+        assert not factors.flags.writeable
+        assert spec.propagator(0.1) is factors
+        assert spec == KineticSpec(spec.c_T, spec.grid)
+
+    def test_built_once_per_run(self, grid, spec, rng, monkeypatch):
+        calls = []
+        phases = evolution.kinetic_phases
+
+        def counting(*args):
+            calls.append(args)
+            return phases(*args)
+
+        monkeypatch.setattr(evolution, "kinetic_phases", counting)
+        evolve(random_register(rng, 4), CouplingMatrix.zeros(16), spec, 1.0, 0.1)
+        assert calls == [(spec, 0.1)]
+
+    def test_matches_per_step_phases(self, grid, spec, rng):
+        # the kinetic step with cached factors equals transform, exp of the
+        # phases, inverse transform
+        r = random_register(rng, 4)
+        expected = r.copy()
+        statevec.dft_principal(expected)
+        statevec.apply_principal_diagonal(expected, kinetic_phases(spec, 0.05))
+        statevec.dft_principal(expected, inverse=True)
+        apply_kinetic(r, spec, 0.05)
+        assert np.array_equal(r.amps, expected.amps)
+
+
+class TestTracerSeams:
+    """evolve reaches each layer through its module attribute, once per step,
+    so a wrapper installed on that attribute (as the benchmark's per-layer
+    tracer does) sees every call."""
+
+    SEAMS = [
+        (nlcompiler, "apply_w_direct"),
+        (nlcompiler, "execute"),
+        (evolution, "apply_kinetic"),
+        (statevec, "dft_principal"),
+    ]
+
+    @pytest.mark.parametrize("mode", evolution.MODES)
+    def test_each_seam_called_per_step(self, grid, spec, rng, monkeypatch, mode):
+        counts = {}
+        for module, name in self.SEAMS:
+            key = f"{module.__name__.split('.')[-1]}.{name}"
+            counts[key] = 0
+
+            def wrapper(*args, _fn=getattr(module, name), _key=key, **kwargs):
+                counts[_key] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        steps = 7
+        evolve(random_register(rng, 4), random_coupling(rng, 4, scale=0.3), spec,
+               steps * 0.05, 0.05, mode=mode)
+        assert counts == {
+            "nlcompiler.apply_w_direct": steps if mode == "direct" else 0,
+            "nlcompiler.execute": steps if mode == "compiled" else 0,
+            "evolution.apply_kinetic": steps,
+            "statevec.dft_principal": 2 * steps,
+        }
 
 
 class TestTrotterStep:
@@ -292,3 +362,39 @@ class TestTrajectoryExport:
         assert lines[0] == "step,time,k,density"
         first = lines[1].split(",")
         assert float(first[3]) >= 0.0
+
+    @staticmethod
+    def csv_writer_reference(path, snapshots, density_only):
+        """The row format written by a plain csv.writer, one row at a time."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            if density_only:
+                writer.writerow(["step", "time", "k", "density"])
+            else:
+                writer.writerow(["step", "time", "k", "re", "im"])
+            for snap in snapshots:
+                a0, a1 = snap.amps[0::2], snap.amps[1::2]
+                dens = np.abs(a0) ** 2 + np.abs(a1) ** 2
+                for k in range(a0.shape[0]):
+                    if density_only:
+                        row = [repr(float(dens[k]))]
+                    else:
+                        row = [repr(float(a0[k].real)), repr(float(a0[k].imag))]
+                    writer.writerow([snap.step, repr(snap.time), k, *row])
+
+    @pytest.mark.parametrize("density_only", [False, True])
+    def test_bytes_match_csv_writer(self, tmp_path, rng, density_only):
+        special = np.array([-0.0, 0.0, 1e-300, -2.5e-310, 1.7e150, -3.3e-5, 1.0, 123456.789])
+        amps = np.empty(16, dtype=complex)
+        amps[0::2] = special + 1j * special[::-1]
+        amps[1::2] = 0.0
+        snapshots = [
+            Snapshot(0, 0.0, amps),
+            Snapshot(3, 3 * 0.1, rng.normal(size=16) + 1j * rng.normal(size=16)),
+            Snapshot(12, 12 * 0.1, amps[::-1].copy()),
+        ]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_trajectory_csv(got, snapshots, density_only=density_only)
+        self.csv_writer_reference(want, snapshots, density_only)
+        assert got.read_bytes() == want.read_bytes()
+        assert b"\r\n" in got.read_bytes()

@@ -19,6 +19,7 @@ from nlqsim.nlcompiler import (
     sequence_to_text,
     tensor_square,
 )
+from nlqsim.problems import GridSpec, gross_pitaevskii_coupling, navier_stokes_coupling
 from nlqsim.statevec import fidelity, global_phase_aligned, init_from_amplitudes
 
 from conftest import random_coupling, random_register
@@ -129,6 +130,62 @@ class TestCompile:
         assert kinds == ["MCX", "NL", "APH", "MCX",
                          "MCX", "NL", "APH", "MCX",
                          "MCX", "MCX", "NL", "APH", "MCX", "MCX"]
+
+
+def sparse_random_coupling(rng, dim, fill):
+    """Symmetric coupling with about `fill` of its entries nonzero."""
+    mask = np.triu(rng.random((dim, dim)) < fill / 2.0)
+    m = np.where(mask, rng.normal(size=(dim, dim)), 0.0)
+    return CouplingMatrix(m + np.triu(m, 1).T)
+
+
+class TestSparsePotential:
+    CASES = {
+        "stencil-1d": lambda rng: navier_stokes_coupling(0.8, GridSpec((256,), 0.3)),
+        "stencil-2d": lambda rng: navier_stokes_coupling(1.0, GridSpec((32, 32), 0.5)),
+        "diagonal-gp": lambda rng: gross_pitaevskii_coupling(2.5, GridSpec((128,), 0.25)),
+        "random-5pct": lambda rng: sparse_random_coupling(rng, 256, 0.05),
+        "dense": lambda rng: random_coupling(rng, 6),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_nonzero_entries_match_dense_product(self, rng, monkeypatch, case):
+        # every entry counts as sparse here, so each case runs the
+        # nonzero-entry path whatever its fill
+        monkeypatch.setattr(nlcompiler, "SPARSE_MAX_FILL", 1.0)
+        f = self.CASES[case](rng)
+        dens = rng.random(f.dim)
+        scale = np.max(np.abs(f.f) @ dens)
+        assert f.nonzero_entries is not None
+        assert np.max(np.abs(f.potential(dens) - f.f @ dens)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "case, sparse",
+        [("stencil-1d", True), ("stencil-2d", True), ("diagonal-gp", True),
+         ("random-5pct", False), ("dense", False)],
+    )
+    def test_path_follows_fill(self, rng, case, sparse):
+        f = self.CASES[case](rng)
+        assert (f.nonzero_entries is not None) == sparse
+        dens = rng.random(f.dim)
+        if not sparse:
+            # the dense side is the BLAS product itself, bit for bit
+            assert np.array_equal(f.potential(dens), f.f @ dens)
+
+    def test_entries_found_once(self, rng):
+        f = navier_stokes_coupling(1.0, GridSpec((16, 16), 0.5))
+        assert f.nonzero_entries is f.nonzero_entries
+        rows, cols, vals = f.nonzero_entries
+        assert rows.shape == cols.shape == vals.shape == (5 * 256,)
+
+    def test_direct_step_on_stencil_matches_dense_diagonal(self, rng):
+        f = navier_stokes_coupling(1.0, GridSpec((32, 32), 0.5))
+        r = random_register(rng, 10)
+        dens = np.abs(r.ancilla0) ** 2
+        expected = r.ancilla0 * np.exp(-1j * 0.01 * (f.f @ dens))
+        apply_w_direct(r, f, 0.01)
+        assert np.max(np.abs(r.ancilla0 - expected)) < 1e-14
+        assert r.ancilla_is_clean()
 
 
 class TestOracleEquivalence:

@@ -208,6 +208,29 @@ class TestNavierStokes:
         with pytest.raises(ValueError):
             navier_stokes_coupling(0.0, grid16)
 
+    @staticmethod
+    def loop_stencil(rho0, grid):
+        """Scalar reference: visit each site, add w at both neighbours of
+        each axis, then take 2w off the diagonal."""
+        w = 1.0 / (4.0 * rho0 * grid.dx**2 * grid.cell_volume)
+        f = np.zeros((grid.size, grid.size))
+        for flat in range(grid.size):
+            idx = np.unravel_index(flat, grid.points)
+            for axis in range(grid.dims):
+                for step in (-1, 1):
+                    nb = list(idx)
+                    nb[axis] = (nb[axis] + step) % grid.points[axis]
+                    f[flat, int(np.ravel_multi_index(nb, grid.points))] += w
+                f[flat, flat] -= 2.0 * w
+        return f
+
+    @pytest.mark.parametrize("points", [(2,), (16,), (2, 4), (8, 8), (32, 32)])
+    def test_matches_scalar_loop(self, points):
+        for rho0, dx in ((1.0, 0.5), (0.37, 0.13)):
+            grid = GridSpec(points=points, dx=dx)
+            got = navier_stokes_coupling(rho0, grid).f
+            assert np.array_equal(got, self.loop_stencil(rho0, grid))
+
 
 class TestMadelung:
     def test_real_positive_zero_velocity(self, grid16):

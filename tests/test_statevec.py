@@ -201,6 +201,45 @@ class TestDft:
         with pytest.raises(ValueError):
             dft_principal(random_register(rng, 3), axes_shape=(4, 4))
 
+    SHAPES = [(64,), (1024,), (32, 32), (8, 16)]
+
+    @staticmethod
+    def block_transform(amps, shape, inverse):
+        """Reference: one transform of the interleaved (..., 2) register."""
+        transform = np.fft.ifftn if inverse else np.fft.fftn
+        axes = tuple(range(len(shape)))
+        return transform(amps.reshape(*shape, 2), axes=axes, norm="ortho").reshape(-1)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_clean_register_bit_equal_to_block_transform(self, rng, shape, inverse):
+        r = random_register(rng, int(np.log2(np.prod(shape))))
+        expected = self.block_transform(r.amps, shape, inverse)
+        dft_principal(r, inverse=inverse, axes_shape=shape)
+        assert np.array_equal(r.amps, expected)
+        assert not r.ancilla1.any()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_live_ancilla_branch(self, rng, shape):
+        size = int(np.prod(shape))
+        amps = rng.normal(size=2 * size) + 1j * rng.normal(size=2 * size)
+        r = Register(int(np.log2(size)), amps / np.linalg.norm(amps))
+        before = r.amps.copy()
+        expected = self.block_transform(r.amps, shape, inverse=False)
+        dft_principal(r, axes_shape=shape)
+        assert np.max(np.abs(r.amps - expected)) < 1e-14
+        dft_principal(r, inverse=True, axes_shape=shape)
+        assert np.max(np.abs(r.amps - before)) < 1e-12
+
+    def test_zero_ancilla0_branch(self, rng):
+        # only the ancilla-|1> branch is live: it alone is transformed
+        r = Register(3, np.zeros(16))
+        r.ancilla1[:] = rng.normal(size=8) / np.sqrt(8)
+        expected = self.block_transform(r.amps, (8,), inverse=False)
+        dft_principal(r)
+        assert np.max(np.abs(r.amps - expected)) < 1e-14
+        assert not r.ancilla0.any()
+
 
 class TestFidelity:
     def test_self(self, rng):
