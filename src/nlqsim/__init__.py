@@ -12,7 +12,7 @@ Subpackages:
 """
 
 from . import statevec, nlcompiler, problems, evolution, oracle, cli
-from .evolution import KineticSpec, SimulationError, TrotterPlan, evolve, observables
+from .evolution import KineticSpec, SimulationError, evolve, observables
 from .nlcompiler import (
     CouplingMatrix,
     GammaSchedule,

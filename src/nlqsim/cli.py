@@ -10,7 +10,13 @@ Subcommands:
                optionally cross-checked against an instrumented run
   bec        - two-mode condensate phase-map check over a coupling sweep
 
-Exit codes: 0 success, 1 numerical failure, 2 usage or config error.
+Configs are read and checked in one place, config_from_dict: every section
+accepts only its dataclass's fields (kernel keys per form, in KernelSpec),
+reals must be finite JSON numbers and integers JSON integers within their
+bounds. The --eps/--steps/--mode overrides re-enter config_from_dict.
+
+Exit codes: 0 success, 1 numerical failure, 2 usage or config error, each
+failure reported as one stderr line, never a traceback.
 All outputs are deterministic for a fixed config: floats are
 serialized with full round-trip precision and JSON keys are sorted.
 """
@@ -20,10 +26,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -59,15 +65,11 @@ class InitialStateSpec:
     mode: int = 1
     path: str | None = None
 
-    def __post_init__(self):
-        if self.preset not in PRESETS:
-            raise ConfigError(f"unknown initial-state preset {self.preset!r}")
-        if self.preset == "file" and not self.path:
-            raise ConfigError("file preset needs a path")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A checked experiment config; build it with config_from_dict."""
+
     problem: str
     grid: GridSpec
     t: float
@@ -85,115 +87,128 @@ class ExperimentConfig:
     record_stride: int = 0
     basic_c: int = 1
 
-    def __post_init__(self):
-        if self.problem not in PROBLEMS:
-            raise ConfigError(f"unknown problem {self.problem!r}")
-        for name, value in (
-            ("t", self.t), ("eps", self.eps), ("g", self.g), ("rho0", self.rho0),
-            ("dx", self.grid.dx), ("x0", self.grid.x0), ("c_T", self.c_T),
-            ("oracle_dt", self.oracle_dt),
-        ):
-            if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
-        if self.t < 0:
-            raise ConfigError(f"t must be >= 0, got {self.t}")
-        if not self.eps > 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
-        if self.mode not in evolution.MODES:
-            raise ConfigError(f"mode must be one of {evolution.MODES}")
-        if self.problem == "hartree" and self.kernel is None:
-            raise ConfigError("hartree runs need a kernel")
-        if self.problem == "custom-f" and not self.coupling_csv:
-            raise ConfigError("custom-f runs need coupling_csv")
-        if self.record_stride < 0:
-            raise ConfigError("record_stride must be >= 0")
-
     @property
     def kinetic_prefactor(self) -> float:
         return DEFAULT_CT[self.problem] if self.c_T is None else self.c_T
 
-    def resolved_oracle_dt(self) -> float:
-        # reference step defaults to a twentieth of the run step so the
-        # reference error is negligible against the first-order step error
-        return self.eps / 20.0 if self.oracle_dt is None else self.oracle_dt
+    def oracle_step(self, eps: float) -> float:
+        """Reference step for a run of step eps: oracle_dt if set, else a
+        twentieth of eps, so the reference error is negligible against the
+        first-order step error."""
+        return eps / 20.0 if self.oracle_dt is None else self.oracle_dt
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = {
-        "problem": cfg.problem,
-        "grid": {"points": list(cfg.grid.points), "dx": cfg.grid.dx, "x0": cfg.grid.x0},
-        "t": cfg.t,
-        "eps": cfg.eps,
-        "initial_state": {
-            k: v for k, v in asdict(cfg.initial_state).items() if v is not None
-        },
-        "g": cfg.g,
-        "rho0": cfg.rho0,
-        "mode": cfg.mode,
-        "record_stride": cfg.record_stride,
-        "basic_c": cfg.basic_c,
-    }
+    """The JSON object that config_from_dict reads back to cfg (None fields left out)."""
+    out = asdict(cfg, dict_factory=lambda kv: {k: v for k, v in kv if v is not None})
     if cfg.kernel is not None:
         out["kernel"] = cfg.kernel.to_json_dict()
-    if cfg.coupling_csv is not None:
-        out["coupling_csv"] = cfg.coupling_csv
-    if cfg.c_T is not None:
-        out["c_T"] = cfg.c_T
-    if cfg.oracle_dt is not None:
-        out["oracle_dt"] = cfg.oracle_dt
     return out
 
 
+def _real(key: str, value) -> float:
+    """A finite JSON number (never a bool), as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # also an int too large for a float
+        raise ConfigError(f"{key} must be finite, got {value}")
+    return float(value)
+
+
+def _reals(key: str, value):
+    """A number or a list of numbers (one per axis), kept as given."""
+    for v in value if isinstance(value, list) else [value]:
+        _real(key, v)
+    return value
+
+
+def _integer(key: str, value, lower: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if lower is not None and value < lower:
+        raise ConfigError(f"{key} must be >= {lower}, got {value}")
+    return value
+
+
+def _points(key: str, value) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of integers, got {value!r}")
+    return tuple(_integer(key, m, 2) for m in value)
+
+
+def _string(key: str, value, choices: tuple[str, ...] | None = None) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"unknown {key} {value!r}, choose one of {choices}")
+    return value
+
+
+def _parse(name: str, d, cls, parsers: dict):
+    """The cls built from the config object d, each key checked by its parser."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{name} must be an object, got {d!r}")
+    names = [f.name for f in fields(cls)]
+    for key in d:
+        if key not in names:
+            raise ConfigError(f"unknown {name} key {key!r}")
+    for f in fields(cls):
+        if f.name not in d and f.default is f.default_factory is MISSING:
+            raise ConfigError(f"{name} needs {f.name!r}")
+    return cls(**{key: parsers[key](key, value) for key, value in d.items()})
+
+
+_GRID = {"points": _points, "dx": _real, "x0": _real}
+_INITIAL_STATE = {
+    "preset": partial(_string, choices=PRESETS), "center": _reals, "sigma": _reals,
+    "kappa": _reals, "k": partial(_integer, lower=0), "mode": _integer, "path": _string,
+}
+_CONFIG = {
+    "problem": partial(_string, choices=PROBLEMS),
+    "grid": partial(_parse, cls=GridSpec, parsers=_GRID),
+    "initial_state": partial(_parse, cls=InitialStateSpec, parsers=_INITIAL_STATE),
+    "kernel": lambda key, d: KernelSpec.from_json_dict(d),
+    "coupling_csv": _string, "mode": partial(_string, choices=evolution.MODES),
+    "record_stride": partial(_integer, lower=0), "basic_c": partial(_integer, lower=1),
+    **dict.fromkeys(("t", "eps", "g", "rho0", "c_T", "oracle_dt"), _real),
+}
+
+
 def config_from_dict(d: dict, base_dir: str = ".") -> ExperimentConfig:
+    """The one reader of a simulate/compare config. Unknown keys, wrong JSON
+    types, non-finite reals and out-of-range values raise ConfigError.
+    Top-level reals become floats; initial-state values are kept as given.
+    Referenced files are resolved against base_dir and must exist."""
     try:
-        grid_d = d["grid"]
-        grid = GridSpec(
-            points=tuple(grid_d["points"]),
-            dx=float(grid_d["dx"]),
-            x0=float(grid_d.get("x0", 0.0)),
-        )
-        init_d = dict(d.get("initial_state", {"preset": "uniform"}))
-        init = InitialStateSpec(**init_d)
-        kernel = None
-        if "kernel" in d:
-            kernel = KernelSpec.from_json_dict(d["kernel"])
-        cfg = ExperimentConfig(
-            problem=d["problem"],
-            grid=grid,
-            t=float(d["t"]),
-            eps=float(d["eps"]),
-            initial_state=init,
-            kernel=kernel,
-            g=float(d.get("g", 0.0)),
-            rho0=float(d.get("rho0", 1.0)),
-            coupling_csv=d.get("coupling_csv"),
-            c_T=float(d["c_T"]) if "c_T" in d else None,
-            mode=d.get("mode", "direct"),
-            oracle_dt=float(d["oracle_dt"]) if "oracle_dt" in d else None,
-            record_stride=int(d.get("record_stride", 0)),
-            basic_c=int(d.get("basic_c", 1)),
-        )
+        cfg = _parse("config", d, ExperimentConfig, _CONFIG)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
+    except (ValueError, ArithmeticError) as exc:  # GridSpec, KernelSpec; float() overflow
+        raise ConfigError(str(exc)) from exc
+    if cfg.t < 0:
+        raise ConfigError(f"t must be >= 0, got {cfg.t}")
+    for name, step in (("eps", cfg.eps), ("oracle_dt", cfg.oracle_dt)):
+        if step is not None and not step > 0:
+            raise ConfigError(f"{name} must be positive, got {step}")
+    if cfg.problem == "hartree" and cfg.kernel is None:
+        raise ConfigError("hartree runs need a kernel")
+    if cfg.problem == "custom-f" and not cfg.coupling_csv:
+        raise ConfigError("custom-f runs need coupling_csv")
+    if cfg.initial_state.preset == "file" and not cfg.initial_state.path:
+        raise ConfigError("file preset needs a path")
+
     # referenced files are resolved against the config location and must
     # exist at load time
     def resolve(ref):
         if ref is None:
             return None
-        path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
+        path = os.path.join(base_dir, ref)  # an absolute ref stays as it is
         if not os.path.exists(path):
             raise ConfigError(f"referenced file does not exist: {ref}")
         return path
 
-    coupling_path = resolve(cfg.coupling_csv)
-    state_path = resolve(cfg.initial_state.path)
-    if coupling_path != cfg.coupling_csv:
-        cfg = replace(cfg, coupling_csv=coupling_path)
-    if state_path != cfg.initial_state.path:
-        cfg = replace(cfg, initial_state=replace(cfg.initial_state, path=state_path))
-    return cfg
+    state = replace(cfg.initial_state, path=resolve(cfg.initial_state.path))
+    return replace(cfg, coupling_csv=resolve(cfg.coupling_csv), initial_state=state)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -202,7 +217,7 @@ def load_config(path: str) -> ExperimentConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also non-UTF-8 or too deeply nested
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
@@ -222,15 +237,18 @@ def build_problem(cfg: ExperimentConfig) -> tuple[CouplingMatrix, statevec.Regis
     """Coupling and initial register of a config.
 
     The builders validate the physics and the referenced files (a kernel
-    table shorter than the grid, a non-positive rho0, a state file of the
-    wrong size or unreadable), so their ValueError or OSError is a config
-    error like any other.
+    table shorter than the grid, a non-positive rho0, non-finite couplings,
+    a state file of the wrong size or unreadable), so their ValueError or
+    OSError is a config error like any other, and so is arithmetic that
+    overflows or a grid too large to allocate.
     """
     try:
         f = build_coupling(cfg)
         r0 = statevec.init_from_amplitudes(build_initial_amplitudes(cfg))
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
+    except (ArithmeticError, MemoryError) as exc:
+        raise ConfigError(f"cannot build the problem: {type(exc).__name__}: {exc}") from exc
     return f, r0
 
 
@@ -238,10 +256,7 @@ def build_initial_amplitudes(cfg: ExperimentConfig) -> np.ndarray:
     spec = cfg.initial_state
     grid = cfg.grid
     if spec.preset == "gaussian":
-        center = tuple(spec.center) if isinstance(spec.center, list) else spec.center
-        sigma = tuple(spec.sigma) if isinstance(spec.sigma, list) else spec.sigma
-        kappa = tuple(spec.kappa) if isinstance(spec.kappa, list) else spec.kappa
-        return problems.gaussian_packet(grid, center, sigma, kappa)
+        return problems.gaussian_packet(grid, spec.center, spec.sigma, spec.kappa)
     if spec.preset == "uniform":
         return problems.uniform_amplitudes(grid)
     if spec.preset == "basis":
@@ -309,8 +324,9 @@ def run_compare(cfg: ExperimentConfig, out_dir: str, halvings: int = 0) -> dict:
         n_steps = evolution.n_steps_for(cfg.t, eps)
         t_run = n_steps * eps  # both paths integrate to the same final time
         result = evolution.evolve(r0, f, spec, t_run, eps, mode=cfg.mode)
-        dt = eps / 20.0 if cfg.oracle_dt is None else cfg.oracle_dt
-        ref = oracle.split_step_solve(phi0, rule, cfg.kinetic_prefactor, t_run, dt)
+        ref = oracle.split_step_solve(
+            phi0, rule, cfg.kinetic_prefactor, t_run, cfg.oracle_step(eps)
+        )
         ref_amps = ref.to_amplitudes()
         quantum = result.final.ancilla0.copy()
         ov = np.vdot(ref_amps, quantum)
@@ -435,6 +451,19 @@ def run_bec(
     dt: float = 1e-4,
     sweep: int = 3,
 ) -> dict:
+    if grid_points < 2 or grid_points & (grid_points - 1):
+        raise ConfigError(f"grid-points must be a power of two >= 2, got {grid_points}")
+    for name, value in (("weight", weight), ("g11", g11), ("g22", g22), ("g12", g12),
+                        ("t", t), ("dt", dt)):
+        _real(name, value)
+    if not 0 <= weight <= 1:
+        raise ConfigError(f"weight must be in [0, 1], got {weight}")
+    if t < 0:
+        raise ConfigError(f"t must be >= 0, got {t}")
+    if not dt > 0:
+        raise ConfigError(f"dt must be positive, got {dt}")
+    if sweep < 1:
+        raise ConfigError(f"sweep must be >= 1, got {sweep}")
     grid = GridSpec(points=(grid_points,), dx=extent / grid_points, x0=-extent / 2)
     x = grid.coords(0)
     trap = 0.5 * x**2
@@ -487,11 +516,11 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.eps is not None:
         updates["eps"] = args.eps
     if args.steps is not None:
-        eps = updates.get("eps", cfg.eps)
-        updates["t"] = args.steps * eps
+        updates["t"] = args.steps * updates.get("eps", cfg.eps)
     if args.mode is not None:
         updates["mode"] = args.mode
-    return replace(cfg, **updates) if updates else cfg
+    # overrides re-enter the one config boundary
+    return config_from_dict({**config_to_dict(cfg), **updates}) if updates else cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -543,29 +572,31 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "simulate":
-            cfg = _apply_overrides(load_config(args.config), args)
-            run_simulate(cfg, args.out)
-        elif args.command == "compare":
-            cfg = _apply_overrides(load_config(args.config), args)
-            run_compare(cfg, args.out, halvings=args.halvings)
-        elif args.command == "resources":
-            run_resources(
-                args.n_min, args.n_max, args.steps, args.basic_c,
-                args.out, instrument=args.instrument,
-            )
-        elif args.command == "bec":
-            run_bec(
-                args.out,
-                grid_points=args.grid_points,
-                weight=args.weight,
-                g11=args.g11, g22=args.g22, g12=args.g12,
-                t=args.t, dt=args.dt, sweep=args.sweep,
-            )
+        # non-finite results are checked and reported, so numpy stays quiet
+        with np.errstate(all="ignore"):
+            if args.command == "simulate":
+                cfg = _apply_overrides(load_config(args.config), args)
+                run_simulate(cfg, args.out)
+            elif args.command == "compare":
+                cfg = _apply_overrides(load_config(args.config), args)
+                run_compare(cfg, args.out, halvings=args.halvings)
+            elif args.command == "resources":
+                run_resources(
+                    args.n_min, args.n_max, args.steps, args.basic_c,
+                    args.out, instrument=args.instrument,
+                )
+            elif args.command == "bec":
+                run_bec(
+                    args.out,
+                    grid_points=args.grid_points,
+                    weight=args.weight,
+                    g11=args.g11, g22=args.g22, g12=args.g12,
+                    t=args.t, dt=args.dt, sweep=args.sweep,
+                )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SimulationError, FloatingPointError) as exc:
+    except (SimulationError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     return 0

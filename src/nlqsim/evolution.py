@@ -18,7 +18,6 @@ step are tallied exactly and must match the closed-form estimate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -61,6 +60,8 @@ class KineticSpec:
         factors = self._propagators.get(eps)
         if factors is None:
             factors = np.exp(1j * kinetic_phases(self, eps))
+            if not np.isfinite(factors).all():
+                raise SimulationError(f"non-finite kinetic phase at step {eps}; lower c_T or eps")
             factors.flags.writeable = False
             self._propagators[eps] = factors
         return factors
@@ -74,24 +75,6 @@ class KineticSpec:
             return axes[0] ** 2
         p0, p1 = axes
         return ((p0**2)[:, None] + (p1**2)[None, :]).reshape(-1)
-
-
-@dataclass(frozen=True)
-class TrotterPlan:
-    """Resolved stepping plan: step size, step count, mode, snapshot stride."""
-
-    eps: float
-    n_steps: int
-    mode: str = "direct"
-    record_stride: int = 0
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError(f"step size must be positive, got {self.eps}")
-        if self.n_steps < 0:
-            raise ValueError(f"step count must be >= 0, got {self.n_steps}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -180,10 +163,15 @@ def evolve(
     closed form on the schedule's nonzero angles, the gates a compiled step
     executes; direct mode counts them without building the gate list.
     """
-    plan = TrotterPlan(eps, n_steps_for(t, eps), mode, record_stride)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    n_steps = n_steps_for(t, eps)
     r = r0.copy()
-    sparsity = nlcompiler.gammas_from_coupling(f, eps).sparsity()
-    tally = nlcompiler.estimate_resources(r.n, plan.n_steps, *sparsity, basic_c=basic_c)
+    try:
+        sparsity = nlcompiler.gammas_from_coupling(f, eps).sparsity()
+    except ValueError as exc:  # eps * f overflows: a non-finite rotation angle
+        raise SimulationError(str(exc)) from exc
+    tally = nlcompiler.estimate_resources(r.n, n_steps, *sparsity, basic_c=basic_c)
     sequence = nlcompiler.compile_w(f, eps) if mode == "compiled" else None
     snapshots: list[Snapshot] = []
 
@@ -192,14 +180,14 @@ def evolve(
 
     if record_stride > 0:
         record(0)
-    for step in range(1, plan.n_steps + 1):
+    for step in range(1, n_steps + 1):
         trotter_step(r, f, spec, eps, mode=mode, sequence=sequence)
-        if record_stride > 0 and (step % record_stride == 0 or step == plan.n_steps):
+        if record_stride > 0 and (step % record_stride == 0 or step == n_steps):
             record(step)
     drift = abs(r.norm() - 1.0)
     if not np.isfinite(drift) or drift > NORM_DRIFT_TOL:
         raise SimulationError(
-            f"norm drifted by {drift:.3e} after {plan.n_steps} steps"
+            f"norm drifted by {drift:.3e} after {n_steps} steps"
         )
     return EvolutionResult(final=r, tally=tally, snapshots=snapshots, norm_drift=drift)
 
@@ -269,8 +257,3 @@ def summary_dict(
         out.update(extra)
     return out
 
-
-def write_summary_json(path, summary: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -69,6 +69,8 @@ class CouplingMatrix:
         dim = f.shape[0]
         if dim < 2 or dim & (dim - 1) != 0:
             raise ValueError(f"dimension must be a power of two >= 2, got {dim}")
+        if not np.isfinite(f).all():
+            raise ValueError("coupling matrix entries must be finite")
         if not np.array_equal(f, f.T):
             raise ValueError("coupling matrix must be symmetric")
 

@@ -59,7 +59,7 @@ class GridSpec:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.points))
+        return math.prod(self.points)  # exact: np.prod wraps around for huge grids
 
     @property
     def n_qubits(self) -> int:
@@ -109,11 +109,16 @@ class KernelSpec:
     g: float = 0.0
     samples: tuple[float, ...] | None = None
 
-    _FORMS = ("constant", "gaussian", "contact", "tabulated")
+    #: JSON keys per form besides "form", in the order of the form's constructor
+    _JSON_KEYS = {"constant": ("c",), "gaussian": ("sigma", "amplitude"),
+                  "contact": ("g",), "tabulated": ("samples", "samples_signed")}
 
     def __post_init__(self):
-        if self.form not in self._FORMS:
+        if self.form not in self._JSON_KEYS:
             raise ValueError(f"unknown kernel form {self.form!r}")
+        for name in ("amplitude", "sigma", "g"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"kernel {name} must be finite, got {getattr(self, name)}")
         if self.form == "gaussian" and not self.sigma > 0:
             raise ValueError("gaussian kernel needs sigma > 0")
         if self.form == "tabulated":
@@ -200,18 +205,27 @@ class KernelSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "KernelSpec":
+        """The kernel of its JSON object: unknown keys and values that are not
+        JSON numbers (bools included) are rejected; samples_signed wins."""
+        if not isinstance(d, dict):
+            raise ValueError(f"kernel must be an object, got {d!r}")
         form = d.get("form")
-        if form == "constant":
-            return cls.constant(d["c"])
-        if form == "gaussian":
-            return cls.gaussian(d["sigma"], d["amplitude"])
-        if form == "contact":
-            return cls.contact(d["g"])
+        keys = cls._JSON_KEYS.get(form) if isinstance(form, str) else None
+        if keys is None:
+            raise ValueError(f"unknown kernel form {form!r}")
+        for key in d:
+            if key != "form" and key not in keys:
+                raise ValueError(f"unknown {form} kernel key {key!r}")
+        values = (d.get("samples_signed", d.get("samples")) if form == "tabulated"
+                  else [d.get(key) for key in keys])
+        if not isinstance(values, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+        ):
+            raise ValueError(f"{form} kernel values must be JSON numbers, got {d!r}")
         if form == "tabulated":
-            if "samples_signed" in d:
-                return cls.tabulated_signed(d["samples_signed"])
-            return cls.tabulated(d["samples"])
-        raise ValueError(f"unknown kernel form {form!r}")
+            signed = "samples_signed" in d
+            return cls.tabulated_signed(values) if signed else cls.tabulated(values)
+        return getattr(cls, form)(*values)
 
     @classmethod
     def from_json(cls, text: str) -> "KernelSpec":

@@ -62,12 +62,27 @@ class TestConfig:
 
     def test_oracle_dt_default(self):
         cfg = config_from_dict(hartree_config_dict())
-        assert cfg.resolved_oracle_dt() == pytest.approx(cfg.eps / 20)
+        assert cfg.oracle_step(cfg.eps) == pytest.approx(cfg.eps / 20)
+        # a halving row's reference step follows its own eps
+        assert cfg.oracle_step(cfg.eps / 2) == pytest.approx(cfg.eps / 40)
+        fixed = config_from_dict(hartree_config_dict(oracle_dt=1e-3))
+        assert fixed.oracle_step(cfg.eps / 2) == 1e-3
 
     def test_bad_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="valid JSON"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "text", [b"\xff\xfe{}", b"[" * 100_000, b"1" + b"0" * 5000, b"[1, 2]"]
+    )
+    def test_unreadable_json_is_a_config_error(self, tmp_path, text):
+        # non-UTF-8 bytes, nesting beyond the recursion limit, an integer
+        # beyond the digit limit, and a document that is not an object
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError):
             load_config(str(path))
 
 
@@ -342,3 +357,257 @@ class TestBec:
         report = json.loads((tmp_path / "bec.json").read_text())
         assert report["rows"][0]["measured_relative"] == 0.0
         assert report["rows"][0]["predicted_relative"] == 0.0
+
+
+INF = float("inf")
+
+
+def gp_config_dict(**overrides):
+    """16-point Gross-Pitaevskii run; the base of the config-boundary cases."""
+    base = {
+        "problem": "gross-pitaevskii",
+        "grid": {"points": [16], "dx": 0.5, "x0": -4.0},
+        "g": 1.0,
+        "initial_state": {"preset": "gaussian", "center": 0.0, "sigma": 1.0, "kappa": 0.4},
+        "t": 0.4,
+        "eps": 0.1,
+    }
+    base.update(overrides)
+    return base
+
+
+def gp_kernel_dict(kernel, **overrides):
+    return gp_config_dict(problem="hartree", kernel=kernel, **overrides)
+
+
+def one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err + captured.out
+    err = captured.err.splitlines()
+    assert len(err) == 1, err
+    return err[0]
+
+
+class TestConfigBoundary:
+    # name: (config, exit code, fragment of the one stderr line)
+    CASES = {
+        "misspelled-key": (gp_config_dict(mdoe="compiled"), 2, "unknown config key 'mdoe'"),
+        "grid-extra-key": (
+            gp_config_dict(grid={"points": [16], "dx": 0.5, "spacing": 1.0}), 2,
+            "unknown grid key 'spacing'",
+        ),
+        "initial-state-extra-key": (
+            gp_config_dict(initial_state={"preset": "uniform", "width": 1.0}), 2,
+            "unknown initial_state key 'width'",
+        ),
+        "kernel-extra-key": (
+            gp_kernel_dict({"form": "gaussian", "sigma": 1.0, "amplitude": 2.0, "width": 3.0}),
+            2, "unknown gaussian kernel key 'width'",
+        ),
+        "basic_c-negative": (gp_config_dict(basic_c=-3), 2, "basic_c must be >= 1"),
+        "basic_c-zero": (gp_config_dict(basic_c=0), 2, "basic_c must be >= 1"),
+        "basic_c-fraction": (gp_config_dict(basic_c=2.7), 2, "basic_c must be an integer"),
+        "record_stride-bool": (gp_config_dict(record_stride=True), 2, "record_stride must be an integer"),
+        "record_stride-fraction": (gp_config_dict(record_stride=1.9), 2, "record_stride must be an integer"),
+        "points-fraction": (
+            gp_config_dict(grid={"points": [16.7], "dx": 0.5}), 2, "points must be an integer",
+        ),
+        "plane-wave-mode-fraction": (
+            gp_config_dict(initial_state={"preset": "plane-wave", "mode": 2.5}), 2,
+            "mode must be an integer",
+        ),
+        "plane-wave-mode-string": (
+            gp_config_dict(initial_state={"preset": "plane-wave", "mode": "x"}), 2,
+            "mode must be an integer",
+        ),
+        "basis-k-fraction": (
+            gp_config_dict(initial_state={"preset": "basis", "k": 3.9}), 2, "k must be an integer",
+        ),
+        "basis-k-string": (
+            gp_config_dict(initial_state={"preset": "basis", "k": "3"}), 2, "k must be an integer",
+        ),
+        "kernel-string": (gp_kernel_dict("x"), 2, "kernel must be an object"),
+        "gaussian-amplitude-inf": (
+            gp_kernel_dict({"form": "gaussian", "sigma": 1.0, "amplitude": INF}), 2,
+            "amplitude must be finite",
+        ),
+        "constant-c-inf": (gp_kernel_dict({"form": "constant", "c": INF}), 2, "must be finite"),
+        "coupling_csv-number": (
+            gp_config_dict(problem="custom-f", coupling_csv=5), 2, "coupling_csv must be a string",
+        ),
+        "file-path-number": (
+            gp_config_dict(initial_state={"preset": "file", "path": 7}), 2, "path must be a string",
+        ),
+        "navier-stokes-dx-tiny": (
+            gp_config_dict(problem="navier-stokes", grid={"points": [16], "dx": 1e-200}), 2,
+            "ZeroDivisionError",
+        ),
+        "navier-stokes-dx-huge": (
+            gp_config_dict(problem="navier-stokes", grid={"points": [16], "dx": 1e200}), 2,
+            "OverflowError",
+        ),
+        "navier-stokes-rho0-tiny": (
+            gp_config_dict(problem="navier-stokes", rho0=1e-320), 2,
+            "coupling matrix entries must be finite",
+        ),
+        "gaussian-sigma-tiny": (
+            gp_kernel_dict({"form": "gaussian", "sigma": 1e-200, "amplitude": 2.0}), 2,
+            "coupling matrix entries must be finite",
+        ),
+        "c_T-huge": (gp_config_dict(c_T=1e308), 1, "non-finite kinetic phase"),
+        "constant-c-huge": (
+            gp_kernel_dict({"form": "constant", "c": 1e308}, eps=8.0, t=8.0), 1,
+            "non-finite rotation angle",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_code_and_one_line(self, tmp_path, capsys, command, case):
+        payload, code, fragment = self.CASES[case]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(payload))
+        rc = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        line = one_error_line(capsys)
+        assert rc == code
+        assert line.startswith("config error: " if code == 2 else "numerical failure: ")
+        assert fragment in line
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["--grid-points", "100"], "grid-points must be a power of two"),
+            (["--grid-points", "0"], "grid-points must be a power of two"),
+            (["--dt", "0"], "dt must be positive"),
+            (["--dt", "nan"], "dt must be finite"),
+            (["--t", "-1"], "t must be >= 0"),
+            (["--t", "nan"], "t must be finite"),
+            (["--weight", "1.5"], "weight must be in [0, 1]"),
+            (["--weight=-0.1"], "weight must be in [0, 1]"),
+            (["--weight", "nan"], "weight must be finite"),
+            (["--g11", "inf"], "g11 must be finite"),
+            (["--g22", "nan"], "g22 must be finite"),
+            (["--g12=-inf"], "g12 must be finite"),
+            (["--sweep", "0"], "sweep must be >= 1"),
+        ],
+    )
+    def test_bec_arguments(self, tmp_path, capsys, argv, fragment):
+        rc = cli.main(["bec", "--out", str(tmp_path)] + argv)
+        line = one_error_line(capsys)
+        assert rc == 2
+        assert line.startswith("config error: ")
+        assert fragment in line
+        assert not (tmp_path / "bec.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [(["--steps", "-1"], "t must be >= 0"), (["--eps", "0"], "eps must be positive")],
+    )
+    def test_overrides_reenter_the_boundary(self, tmp_path, capsys, argv, fragment):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(gp_config_dict()))
+        rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)] + argv)
+        assert rc == 2
+        assert fragment in one_error_line(capsys)
+
+    def test_sections_parse_every_field(self):
+        from dataclasses import fields
+
+        for parsers, cls in (
+            (cli._CONFIG, ExperimentConfig),
+            (cli._GRID, GridSpec),
+            (cli._INITIAL_STATE, InitialStateSpec),
+        ):
+            assert set(parsers) == {f.name for f in fields(cls)}
+
+    def test_integer_center_echoes_unchanged(self, tmp_path):
+        payload = gp_config_dict(
+            initial_state={"preset": "gaussian", "center": 1, "sigma": [1], "kappa": 0}
+        )
+        cfg = config_from_dict(payload)
+        echo = config_to_dict(cfg)["initial_state"]
+        assert echo == {"preset": "gaussian", "center": 1, "sigma": [1], "kappa": 0,
+                        "k": 0, "mode": 1}
+        assert type(echo["center"]) is int
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(payload))
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "summary.json").read_text()
+        assert '"center": 1,' in text
+        assert json.loads(text)["config"]["initial_state"]["center"] == 1
+
+
+# values written over a config entry by the property test below
+MUTANTS = [
+    float("nan"), INF, -INF, 1e308, -1e308, 1e-300, 10**400, 2**62, -3, 0, 2.5,
+    True, None, "x", [], {}, [1.0, "x"],
+]
+
+
+def config_entries(node, out):
+    """Every (container, key) below node: object keys and list items."""
+    for key, value in list(node.items() if isinstance(node, dict) else enumerate(node)):
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            config_entries(value, out)
+    return out
+
+
+# a kernel table for separations 0..8, enough for 16 points
+TABLE = [2.0 / (1 + d) for d in range(9)]
+
+
+class TestConfigProperty:
+    @pytest.fixture(scope="class")
+    def bases(self, tmp_path_factory):
+        """Base configs covering every key, with their files in one directory."""
+        base_dir = tmp_path_factory.mktemp("bases")
+        (base_dir / "f.csv").write_text("k,j,f\n0,0,1.0\n0,1,0.5\n")
+        (base_dir / "state.csv").write_text(
+            "x,re,im\n" + "".join(f"{0.5 * i},1.0,0.0\n" for i in range(16))
+        )
+        return str(base_dir), [
+            hartree_config_dict(record_stride=2, basic_c=2, oracle_dt=0.01, c_T=0.5),
+            gp_config_dict(initial_state={"preset": "plane-wave", "mode": 2, "kappa": [0.1]}),
+            gp_config_dict(problem="navier-stokes", rho0=0.5,
+                           initial_state={"preset": "basis", "k": 3}),
+            gp_config_dict(
+                grid={"points": [4, 4], "dx": 0.5},
+                initial_state={"preset": "gaussian", "center": [0.1, 0.2], "sigma": [1, 1]},
+            ),
+            gp_kernel_dict({"form": "tabulated", "samples_signed": TABLE[:0:-1] + TABLE}),
+            gp_kernel_dict({"form": "constant", "c": 1.5}, initial_state={"preset": "uniform"}),
+            gp_kernel_dict({"form": "contact", "g": 2.0}),
+            gp_config_dict(problem="custom-f", coupling_csv="f.csv",
+                           initial_state={"preset": "file", "path": "state.csv"}),
+        ]
+
+    def test_mutated_configs_raise_only_config_error(self, bases):
+        import copy
+
+        from hypothesis import given, settings, strategies as st
+
+        base_dir, configs = bases
+
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(st.data())
+        def check(data):
+            cfg = copy.deepcopy(data.draw(st.sampled_from(configs)))
+            for _ in range(data.draw(st.integers(1, 3))):
+                node, key = data.draw(st.sampled_from(config_entries(cfg, [])))
+                action = data.draw(st.sampled_from(["set", "drop", "add"]))
+                if action == "set":
+                    node[key] = copy.deepcopy(data.draw(st.sampled_from(MUTANTS)))
+                elif action == "drop":
+                    del node[key]
+                elif isinstance(node, dict):
+                    node[f"extra_{key}"] = 1.0
+                else:
+                    node.append(copy.deepcopy(data.draw(st.sampled_from(MUTANTS))))
+            try:
+                with np.errstate(all="ignore"):
+                    cli.build_problem(config_from_dict(cfg, base_dir=base_dir))
+            except ConfigError:
+                pass
+
+        check()

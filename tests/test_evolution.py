@@ -6,8 +6,8 @@ import pytest
 from nlqsim import evolution, nlcompiler, oracle, statevec
 from nlqsim.evolution import (
     KineticSpec,
+    SimulationError,
     Snapshot,
-    TrotterPlan,
     apply_kinetic,
     evolve,
     kinetic_phases,
@@ -82,6 +82,11 @@ class TestKineticPropagator:
         assert not factors.flags.writeable
         assert spec.propagator(0.1) is factors
         assert spec == KineticSpec(spec.c_T, spec.grid)
+
+    def test_non_finite_factors_are_a_simulation_error(self, grid):
+        # eps * c_T * p^2 overflows to inf, whose phase factor is NaN
+        with np.errstate(all="ignore"), pytest.raises(SimulationError, match="kinetic"):
+            KineticSpec(1e308, grid).propagator(0.1)
 
     def test_built_once_per_run(self, grid, spec, rng, monkeypatch):
         calls = []
@@ -243,11 +248,23 @@ class TestEvolve:
         assert steps == [0, 4, 8, 10]
         assert result.snapshots[-1].time == pytest.approx(1.0)
 
-    def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            TrotterPlan(eps=-0.1, n_steps=5)
-        with pytest.raises(ValueError):
-            TrotterPlan(eps=0.1, n_steps=5, mode="magic")
+    def test_plan_validation(self, spec, rng):
+        r0 = random_register(rng, 4)
+        f = CouplingMatrix.zeros(16)
+        with pytest.raises(ValueError, match="step size"):
+            evolve(r0, f, spec, 0.5, -0.1)
+        with pytest.raises(ValueError, match="time"):
+            evolve(r0, f, spec, -0.5, 0.1)
+        # the mode is checked also when the run takes no step
+        for t in (0.5, 0.0):
+            with pytest.raises(ValueError, match="mode"):
+                evolve(r0, f, spec, t, 0.1, mode="magic")
+
+    def test_non_finite_angle_is_a_simulation_error(self, spec, rng):
+        # each entry is finite, but eps * f overflows
+        f = CouplingMatrix(np.full((16, 16), 1e308))
+        with np.errstate(all="ignore"), pytest.raises(SimulationError, match="rotation angle"):
+            evolve(random_register(rng, 4), f, spec, 8.0, 8.0)
 
 
 class TestFirstOrderAccuracy:

@@ -34,6 +34,14 @@ class TestCouplingMatrix:
         with pytest.raises(ValueError):
             CouplingMatrix(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_named_before_symmetry(self, bad):
+        # a NaN diagonal is "asymmetric" bitwise (NaN != NaN); the entry
+        # check runs first and names the real fault
+        for f in (np.diag([bad, 0.0]), np.array([[0.0, bad], [bad, 0.0]])):
+            with pytest.raises(ValueError, match="must be finite"):
+                CouplingMatrix(f)
+
     def test_n_qubits(self):
         assert CouplingMatrix(np.zeros((8, 8))).n_qubits == 3
 

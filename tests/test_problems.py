@@ -113,6 +113,31 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec.from_json('{"form": "cubic"}')
 
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            ("x", "must be an object"),
+            ({"form": ["constant"]}, "unknown kernel form"),
+            ({"form": "constant", "c": 1.0, "sigma": 2.0}, "unknown constant kernel key 'sigma'"),
+            ({"form": "gaussian", "sigma": 1.0, "amplitude": 2.0, "g": 0.0}, "key 'g'"),
+            ({"form": "tabulated", "samples": [1.0], "c": 1.0}, "key 'c'"),
+            ({"form": "constant", "c": "3"}, "JSON numbers"),
+            ({"form": "contact", "g": True}, "JSON numbers"),
+            ({"form": "gaussian", "sigma": 1.0}, "JSON numbers"),
+            ({"form": "tabulated", "samples": 5}, "JSON numbers"),
+            ({"form": "tabulated", "samples": [1.0, None]}, "JSON numbers"),
+            ({"form": "gaussian", "sigma": 1.0, "amplitude": float("inf")}, "amplitude must be finite"),
+            ({"form": "gaussian", "sigma": float("nan"), "amplitude": 1.0}, "sigma must be finite"),
+            ({"form": "contact", "g": float("-inf")}, "g must be finite"),
+        ],
+    )
+    def test_json_rejects(self, payload, match):
+        with pytest.raises(ValueError, match=match):
+            KernelSpec.from_json_dict(payload)
+
+    def test_json_integers_accepted(self):
+        assert KernelSpec.from_json_dict({"form": "constant", "c": 2}) == KernelSpec.constant(2.0)
+
 
 class TestHartreeCoupling:
     def test_symmetric_bitwise(self, grid16):
