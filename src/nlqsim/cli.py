@@ -15,8 +15,9 @@ accepts only its dataclass's fields (kernel keys per form, in KernelSpec),
 reals must be finite JSON numbers and integers JSON integers within their
 bounds. The --eps/--steps/--mode overrides re-enter config_from_dict.
 
-Exit codes: 0 success, 1 numerical failure, 2 usage or config error, each
-failure reported as one stderr line, never a traceback.
+Exit codes: 0 success, 1 numerical failure or an allocation that failed, 2
+usage or config error, each failure reported as one stderr line, never a
+traceback.
 All outputs are deterministic for a fixed config: floats are
 serialized with full round-trip precision and JSON keys are sorted.
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -196,6 +198,7 @@ def config_from_dict(d: dict, base_dir: str = ".") -> ExperimentConfig:
         raise ConfigError("custom-f runs need coupling_csv")
     if cfg.initial_state.preset == "file" and not cfg.initial_state.path:
         raise ConfigError("file preset needs a path")
+    _check_step_counts(cfg, cfg.eps)
 
     # referenced files are resolved against the config location and must
     # exist at load time
@@ -209,6 +212,18 @@ def config_from_dict(d: dict, base_dir: str = ".") -> ExperimentConfig:
 
     state = replace(cfg.initial_state, path=resolve(cfg.initial_state.path))
     return replace(cfg, coupling_csv=resolve(cfg.coupling_csv), initial_state=state)
+
+
+def _check_step_counts(cfg: ExperimentConfig, eps: float, name: str = "eps") -> None:
+    """Refuse a run at step eps whose gate-path or reference step count,
+    t/eps or t/oracle_step(eps), overflows a float: its integer step count
+    would not exist."""
+    ref = "oracle_dt" if cfg.oracle_dt is not None else f"{name}/20"
+    for label, step in ((name, eps), (ref, cfg.oracle_step(eps))):
+        if not (step > 0 and cfg.t / step <= sys.float_info.max):
+            raise ConfigError(
+                f"the step count t / ({label}) overflows: t {cfg.t!r}, {label} = {step!r}"
+            )
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -268,10 +283,16 @@ def build_initial_amplitudes(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def build_oracle_potential(cfg: ExperimentConfig, f: CouplingMatrix):
-    """Reference-solver potential rule: convolution when a kernel defines the
-    physics, coupling-matrix route otherwise."""
+    """Reference-solver potential rule, built from the config's physics and
+    never from f where physics defines it: kernel convolution for hartree,
+    pointwise g*rho for gross-pitaevskii, the rolled-grid Laplacian for
+    navier-stokes. custom-f has only its matrix, so it keeps the matrix route."""
     if cfg.problem == "hartree":
         return oracle.kernel_potential(cfg.kernel, cfg.grid)
+    if cfg.problem == "gross-pitaevskii":
+        return oracle.kernel_potential(KernelSpec.contact(cfg.g), cfg.grid)
+    if cfg.problem == "navier-stokes":
+        return oracle.laplacian_potential(cfg.rho0, cfg.grid)
     return oracle.coupling_potential(f, cfg.grid)
 
 
@@ -315,6 +336,10 @@ def run_compare(cfg: ExperimentConfig, out_dir: str, halvings: int = 0) -> dict:
         # every row must take a step: a zero-step row has zero error and
         # the ratio over it would divide by zero
         raise ConfigError(f"halvings need t >= eps, got t {cfg.t}, eps {cfg.eps}")
+    row_eps = [cfg.eps]
+    for i in range(1, halvings + 1):
+        row_eps.append(math.ldexp(cfg.eps, -i))  # eps/2**i; refused once it underflows
+        _check_step_counts(cfg, row_eps[-1], f"eps/2**{i}")
     f, r0 = build_problem(cfg)
     spec = KineticSpec(cfg.kinetic_prefactor, cfg.grid)
     rule = build_oracle_potential(cfg, f)
@@ -345,9 +370,7 @@ def run_compare(cfg: ExperimentConfig, out_dir: str, halvings: int = 0) -> dict:
             "norm_drift": result.norm_drift,
         }
 
-    rows = [one_comparison(cfg.eps)]
-    for i in range(1, halvings + 1):
-        rows.append(one_comparison(cfg.eps / 2**i))
+    rows = [one_comparison(eps) for eps in row_eps]
     for i in range(len(rows) - 1):
         nxt = rows[i + 1]
         rows[i]["l2_ratio"] = rows[i]["l2_error"] / nxt["l2_error"]
@@ -598,6 +621,9 @@ def main(argv=None) -> int:
         return 2
     except (SimulationError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
     return 0
 

@@ -1,12 +1,17 @@
 """Independent classical reference solvers.
 
 These integrate the same physics as the gate-level path but share none of its
-machinery: fields live in physical normalization (sum |phi|^2 dV = 1), the
-nonlocal potential is evaluated by FFT circular convolution of the kernel
-with the density (never through a coupling matrix), and time stepping is
-symmetric (half kinetic, full potential, half kinetic), second order in dt.
-Benchmarks run the reference at a far smaller step than the run under test so
-its own error is negligible.
+machinery: fields live in physical normalization (sum |phi|^2 dV = 1), and
+the potentials are built from the physics, never through a coupling matrix:
+the nonlocal potential by circular convolution of the kernel with the density
+on real-input FFTs, the contact potential as g*rho pointwise and the
+Navier-Stokes potential from a Laplacian of rolled density grids (only
+coupling_potential, for couplings that have no other definition, takes the
+matrix route). Time stepping is Strang splitting (half kinetic, full
+potential, half kinetic), second order in dt, with the half-kinetic factors
+of neighbouring steps merged into one full factor. Benchmarks run the
+reference at a far smaller step than the run under test so its own error is
+negligible.
 
 Also here: imaginary-time ground-state preparation and the two-component
 condensate check that a weakly coupled, trap-stationary pair of modes
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -89,30 +95,65 @@ def _fft_axes(grid: GridSpec) -> tuple[int, ...]:
     return tuple(range(grid.dims))
 
 
+def _transforms(grid: GridSpec):
+    """(fft, ifft, rfft, irfft) over all axes of a field on the grid.
+
+    A 1-d grid gets the 1-d functions, which skip fftn's axis handling
+    (about half of a 13 us fftn call at 64 points, numpy 2.4); irfft is
+    bound to the grid's shape.
+    """
+    if grid.dims == 1:
+        return np.fft.fft, np.fft.ifft, np.fft.rfft, partial(np.fft.irfft, n=grid.points[0])
+    return np.fft.fft2, np.fft.ifft2, np.fft.rfft2, partial(np.fft.irfft2, s=grid.points)
+
+
 def kernel_potential(kernel: KernelSpec, grid: GridSpec) -> PotentialRule:
     """V = (Phi * rho) evaluated by FFT circular convolution.
 
     The kernel is wrapped to minimal image on the grid; the quadrature weight
-    dV multiplies the convolution sum. Independent of any coupling matrix.
+    dV multiplies the convolution sum and is folded into the kernel's
+    transform. Kernel and density are real, so the convolution runs on
+    real-input transforms. The contact kernel g*delta needs no convolution:
+    its rule is V = g*rho pointwise. Independent of any coupling matrix.
     """
+    if kernel.form == "contact":
+        g = kernel.g
+        return lambda density: g * density
     if grid.dims == 1:
         w = kernel.grid_samples(grid)
     else:
         if kernel.form == "tabulated":
             raise ValueError("tabulated kernels require a 1-d grid")
-        if kernel.form == "contact":
-            w = np.zeros(grid.points)
-            w.reshape(-1)[0] = kernel.g / grid.cell_volume
-        else:
-            deltas = [grid.wrapped_deltas(ax)[0] for ax in range(grid.dims)]
-            rsq = (deltas[0] ** 2)[:, None] + (deltas[1] ** 2)[None, :]
-            w = kernel.radial(np.sqrt(rsq) * grid.dx)
-    w_hat = np.fft.fftn(w, axes=_fft_axes(grid))
+        deltas = [grid.wrapped_deltas(ax)[0] for ax in range(grid.dims)]
+        rsq = (deltas[0] ** 2)[:, None] + (deltas[1] ** 2)[None, :]
+        w = kernel.radial(np.sqrt(rsq) * grid.dx)
+    _, _, rfft, irfft = _transforms(grid)
+    w_hat = rfft(w) * grid.cell_volume
 
     def rule(density: np.ndarray) -> np.ndarray:
-        d_hat = np.fft.fftn(density, axes=_fft_axes(grid))
-        conv = np.fft.ifftn(w_hat * d_hat, axes=_fft_axes(grid)).real
-        return conv * grid.cell_volume
+        return irfft(w_hat * rfft(density))
+
+    return rule
+
+
+def laplacian_potential(rho0: float, grid: GridSpec) -> PotentialRule:
+    """V = lap(rho) / (4 rho0), the Navier-Stokes pressure-cancelling potential.
+
+    The periodic Laplacian sums roll(+1) + roll(-1) - 2*rho over each axis of
+    the field grid, so a 2-point axis counts its one neighbour twice.
+    Independent of any coupling matrix.
+    """
+    if not rho0 > 0:
+        raise ValueError(f"reference density must be positive, got {rho0}")
+    scale = 1.0 / (4.0 * rho0 * grid.dx**2)
+    axes = _fft_axes(grid)
+
+    def rule(density: np.ndarray) -> np.ndarray:
+        lap = -2.0 * grid.dims * density
+        for axis in axes:
+            lap += np.roll(density, 1, axis=axis)
+            lap += np.roll(density, -1, axis=axis)
+        return lap * scale
 
     return rule
 
@@ -137,13 +178,18 @@ def split_step_solve(
     dt: float,
     check_interval: int = 50,
 ) -> FieldState:
-    """Symmetric split-step integration up to time t.
+    """Strang split-step integration up to time t.
 
     Each step is half-kinetic, full-potential (density frozen during the
     phase-only potential step, so that substep is exact), half-kinetic;
-    the scheme is second order in dt. The step count is round(t/dt) and dt
-    is adjusted to land on t exactly. Norm drift beyond 1e-6 or non-finite
-    values abort with an error suggesting a smaller dt.
+    the scheme is second order in dt. The trailing half-kinetic of one step
+    and the leading one of the next merge into one full kinetic factor, so
+    the field stays in momentum space between steps and a step costs one
+    inverse and one forward transform. The step count is round(t/dt) and dt
+    is adjusted to land on t exactly. The norm is checked right after the
+    potential phase every check_interval steps and at the last step; drift
+    beyond 1e-6 or non-finite values abort with an error suggesting a
+    smaller dt.
     """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
@@ -154,20 +200,22 @@ def split_step_solve(
     grid = phi0.grid
     n = max(1, round(t / dt))
     dt = t / n
-    axes = _fft_axes(grid)
+    fft, ifft, _, _ = _transforms(grid)
     half_kin = np.exp(-0.5j * dt * c_T * _momentum_sq(grid))
-    phi = phi0.values.copy()
+    full_kin = half_kin**2
+    phi_hat = half_kin * fft(phi0.values)
     for step in range(1, n + 1):
-        phi = np.fft.ifftn(half_kin * np.fft.fftn(phi, axes=axes), axes=axes)
-        phi = phi * np.exp(-1j * dt * potential(np.abs(phi) ** 2))
-        phi = np.fft.ifftn(half_kin * np.fft.fftn(phi, axes=axes), axes=axes)
+        phi = ifft(phi_hat)
+        phi *= np.exp(-1j * dt * potential(np.abs(phi) ** 2))
         if step % check_interval == 0 or step == n:
             nrm = np.sqrt(np.sum(np.abs(phi) ** 2) * grid.cell_volume)
             if not np.isfinite(nrm) or abs(nrm - 1.0) > 1e-6:
                 raise SimulationError(
                     f"norm drifted to {nrm!r} at step {step}; reduce dt"
                 )
-    return FieldState(phi, grid)
+        phi_hat = fft(phi)
+        phi_hat *= full_kin if step < n else half_kin
+    return FieldState(ifft(phi_hat), grid)
 
 
 @dataclass(frozen=True)

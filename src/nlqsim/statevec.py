@@ -75,7 +75,8 @@ class Register:
 
     def ancilla_is_clean(self, tol: float = NORM_TOL) -> bool:
         """True when all weight sits in the ancilla-|0> branch."""
-        return float(np.sum(np.abs(self.ancilla1) ** 2)) <= tol
+        a1 = self.ancilla1
+        return float(np.vdot(a1, a1).real) <= tol
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from nlqsim import cli
+from nlqsim import cli, problems
 from nlqsim.cli import (
     ConfigError,
     ExperimentConfig,
@@ -12,6 +12,7 @@ from nlqsim.cli import (
     config_to_dict,
     load_config,
 )
+from nlqsim.nlcompiler import CouplingMatrix
 from nlqsim.problems import GridSpec, KernelSpec
 
 
@@ -224,6 +225,27 @@ class TestCompare:
         assert len(rows) == 3
         assert 1.5 <= rows[0]["l2_ratio"] <= 2.7
         assert (tmp_path / "convergence.csv").exists()
+
+    def test_stencil_bug_raises_compare_error(self, tmp_path, monkeypatch):
+        """The reference builds the Navier-Stokes potential from the physics,
+        not from the gate path's coupling, so a 1% error in the stencil
+        builder shows in compare's state error."""
+        payload = {
+            "problem": "navier-stokes",
+            "grid": {"points": [16], "dx": 0.5, "x0": -4.0},
+            "initial_state": {"preset": "gaussian", "center": 0.0, "sigma": 1.0, "kappa": 0.4},
+            "t": 0.4,
+            "eps": 0.002,
+        }
+        cfg = config_from_dict(payload)
+        clean = cli.run_compare(cfg, str(tmp_path / "clean"))["comparisons"][0]
+        builder = problems.navier_stokes_coupling
+        monkeypatch.setattr(
+            problems, "navier_stokes_coupling",
+            lambda rho0, grid: CouplingMatrix(builder(rho0, grid).f * 1.01),
+        )
+        mutated = cli.run_compare(cfg, str(tmp_path / "mutated"))["comparisons"][0]
+        assert mutated["l2_error"] > 3.0 * clean["l2_error"]
 
 
 class TestResources:
@@ -455,6 +477,12 @@ class TestConfigBoundary:
             "coupling matrix entries must be finite",
         ),
         "c_T-huge": (gp_config_dict(c_T=1e308), 1, "non-finite kinetic phase"),
+        "step-count-overflow": (
+            gp_config_dict(t=1e308, eps=0.08), 2, "the step count t / (eps) overflows",
+        ),
+        "reference-step-count-overflow": (
+            gp_config_dict(oracle_dt=1e-320), 2, "the step count t / (oracle_dt) overflows",
+        ),
         "constant-c-huge": (
             gp_kernel_dict({"form": "constant", "c": 1e308}, eps=8.0, t=8.0), 1,
             "non-finite rotation angle",
@@ -501,7 +529,11 @@ class TestConfigBoundary:
 
     @pytest.mark.parametrize(
         "argv, fragment",
-        [(["--steps", "-1"], "t must be >= 0"), (["--eps", "0"], "eps must be positive")],
+        [
+            (["--steps", "-1"], "t must be >= 0"),
+            (["--eps", "0"], "eps must be positive"),
+            (["--eps", "1e-320"], "the step count t / (eps) overflows"),
+        ],
     )
     def test_overrides_reenter_the_boundary(self, tmp_path, capsys, argv, fragment):
         cfg_path = tmp_path / "config.json"
@@ -509,6 +541,42 @@ class TestConfigBoundary:
         rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)] + argv)
         assert rc == 2
         assert fragment in one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "payload, halvings, fragment",
+        [
+            # the reference step eps/2**i/20 overflows the count first
+            (gp_config_dict(), "1100", "the step count t / (eps/2**1018/20) overflows"),
+            (gp_config_dict(oracle_dt=0.01), "1100", "the step count t / (eps/2**1023) overflows"),
+        ],
+    )
+    def test_halved_row_step_counts(self, tmp_path, capsys, payload, halvings, fragment):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        rc = cli.main(["compare", "--config", str(cfg_path), "--out", str(out),
+                       "--halvings", halvings])
+        assert rc == 2
+        assert fragment in one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "message, expected",
+        [
+            ("Unable to allocate 8.00 TiB for an array",
+             "out of memory: Unable to allocate 8.00 TiB for an array"),
+            ("", "out of memory: an allocation failed"),
+        ],
+    )
+    def test_memory_error_exit_1(self, tmp_path, capsys, monkeypatch, message, expected):
+        def no_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_bec", no_memory)
+        rc = cli.main(["bec", "--out", str(tmp_path)])
+        line = one_error_line(capsys)
+        assert rc == 1
+        assert line == expected
 
     def test_sections_parse_every_field(self):
         from dataclasses import fields

@@ -14,13 +14,16 @@ from nlqsim.oracle import (
     gpe2_solve,
     imaginary_time_ground_state,
     kernel_potential,
+    laplacian_potential,
     split_step_solve,
 )
 from nlqsim.problems import (
     GridSpec,
     KernelSpec,
+    gaussian_packet,
     gross_pitaevskii_coupling,
     hartree_coupling,
+    navier_stokes_coupling,
 )
 
 
@@ -128,6 +131,113 @@ class TestSplitStep:
         bad_rule = lambda dens: np.full_like(dens, np.nan)
         with pytest.raises(SimulationError, match="reduce dt"):
             split_step_solve(phi0, bad_rule, 1.0, 1.0, 0.1, check_interval=1)
+
+    def test_late_non_finite_caught_at_next_check(self, grid):
+        """A potential that turns NaN after step 40 is reported at the next
+        every-50-steps norm check."""
+        phi0 = gaussian_field(grid)
+        calls = []
+
+        def rule(dens):
+            calls.append(None)
+            return np.zeros_like(dens) if len(calls) <= 40 else np.full_like(dens, np.nan)
+
+        with pytest.raises(SimulationError, match=r"at step 50; reduce dt"):
+            split_step_solve(phi0, rule, 1.0, t=1.0, dt=0.01)
+
+
+#: 1-d grid and a 2-d grid with a 2-point axis
+GRIDS = [
+    GridSpec(points=(64,), dx=0.25, x0=-8.0),
+    GridSpec(points=(16, 2), dx=0.5, x0=-4.0),
+]
+
+
+def packet_field(grid):
+    return FieldState.from_samples(gaussian_packet(grid, -1.0, 1.0, 0.7), grid)
+
+
+def random_density(grid, seed):
+    return np.random.default_rng(seed).random(grid.points)
+
+
+def unfused_solve(phi0, rule, c_T, t, n):
+    """The three-transform Strang step, half kinetic, full potential, half
+    kinetic, with complex n-d FFTs and no merged half steps."""
+    grid = phi0.grid
+    dt = t / n
+    axes = tuple(range(grid.dims))
+    p = [2.0 * np.pi * np.fft.fftfreq(m, d=grid.dx) for m in grid.points]
+    psq = sum(np.meshgrid(*[q**2 for q in p], indexing="ij"))
+    half = np.exp(-0.5j * dt * c_T * psq)
+    phi = phi0.values.copy()
+    for _ in range(n):
+        phi = np.fft.ifftn(half * np.fft.fftn(phi, axes=axes), axes=axes)
+        phi = phi * np.exp(-1j * dt * rule(np.abs(phi) ** 2))
+        phi = np.fft.ifftn(half * np.fft.fftn(phi, axes=axes), axes=axes)
+    return phi
+
+
+def complex_fft_convolution(kernel, grid, dens):
+    """dV * (Phi circularly convolved with rho), by complex n-d FFTs."""
+    if grid.dims == 1:
+        w = kernel.grid_samples(grid)
+    else:
+        d0, d1 = (grid.wrapped_deltas(ax)[0] for ax in range(2))
+        w = kernel.radial(np.sqrt((d0**2)[:, None] + (d1**2)[None, :]) * grid.dx)
+    conv = np.fft.ifftn(np.fft.fftn(w) * np.fft.fftn(dens)).real
+    return conv * grid.cell_volume
+
+
+class TestFusedStepper:
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d-two-point-axis"])
+    @pytest.mark.parametrize("n", [1, 49, 50, 51])
+    def test_matches_unfused_steps(self, grid, n):
+        phi0 = packet_field(grid)
+        rule = kernel_potential(KernelSpec.gaussian(1.0, 2.0), grid)
+        t = 0.4
+        fused = split_step_solve(phi0, rule, 1.0, t, t / n).values
+        assert np.max(np.abs(fused - unfused_solve(phi0, rule, 1.0, t, n))) <= 1e-12
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d-two-point-axis"])
+    @pytest.mark.parametrize(
+        "kernel", [KernelSpec.gaussian(1.0, 2.0), KernelSpec.constant(0.7)],
+        ids=["gaussian", "constant"],
+    )
+    def test_real_fft_kernel_rule_matches_complex_convolution(self, grid, kernel):
+        dens = random_density(grid, 3)
+        got = kernel_potential(kernel, grid)(dens)
+        assert got.shape == grid.points
+        assert np.max(np.abs(got - complex_fft_convolution(kernel, grid, dens))) <= 1e-12
+
+
+#: grids for the matrix-free routes: 1-d, 2-point axes, 2-d
+ROUTE_GRIDS = [(32,), (2,), (8, 4), (8, 2), (2, 2)]
+
+
+class TestPhysicsRoutes:
+    """The reference's own potentials against the gate path's coupling matrices."""
+
+    @pytest.mark.parametrize("points", ROUTE_GRIDS)
+    def test_contact_rule_matches_gross_pitaevskii_coupling(self, points):
+        grid = GridSpec(points=points, dx=0.4)
+        dens = random_density(grid, 5)
+        got = kernel_potential(KernelSpec.contact(1.7), grid)(dens)
+        want = coupling_potential(gross_pitaevskii_coupling(1.7, grid), grid)(dens)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("points", ROUTE_GRIDS)
+    def test_laplacian_rule_matches_stencil_coupling(self, points):
+        grid = GridSpec(points=points, dx=0.5)
+        dens = random_density(grid, 7)
+        got = laplacian_potential(1.3, grid)(dens)
+        want = coupling_potential(navier_stokes_coupling(1.3, grid), grid)(dens)
+        assert np.max(np.abs(want)) > 0.1
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_laplacian_rule_rejects_non_positive_rho0(self):
+        with pytest.raises(ValueError, match="reference density"):
+            laplacian_potential(0.0, GridSpec(points=(8,), dx=0.5))
 
 
 class TestImaginaryTime:

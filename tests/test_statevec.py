@@ -3,6 +3,7 @@ import pytest
 
 from nlqsim import statevec
 from nlqsim.statevec import (
+    NORM_TOL,
     Register,
     apply_ancilla_phase,
     apply_mcx_k,
@@ -50,6 +51,15 @@ class TestInit:
     def test_ancilla_starts_clean(self, rng):
         r = random_register(rng, 3)
         assert r.ancilla_is_clean()
+
+    @pytest.mark.parametrize("factor, clean", [(1 - 1e-6, True), (1 + 1e-6, False)])
+    def test_clean_ancilla_threshold(self, factor, clean):
+        """The ancilla-|1> weight is compared with tol itself, spread over
+        two entries so the test sums the branch."""
+        amps = np.zeros(8, dtype=complex)
+        amps[0] = 1.0
+        amps[1::2][[1, 3]] = np.sqrt(0.5 * NORM_TOL * factor) * np.array([1j, -1])
+        assert Register(2, amps).ancilla_is_clean() is clean
 
 
 class TestBranchWeights:
