@@ -8,10 +8,11 @@ Subpackages:
   evolution  - alternating potential/kinetic stepping and observables
   problems   - grids, interaction kernels, coupling builders, fluid fields
   oracle     - split-step reference solvers, ground states, two-mode check
-  cli        - batch front-end (simulate / compare / resources / bec)
+  cli        - batch front-end (simulate / compare / resources / bec); not
+               imported here, so `python -m nlqsim.cli` loads it only once
 """
 
-from . import statevec, nlcompiler, problems, evolution, oracle, cli
+from . import statevec, nlcompiler, problems, evolution, oracle
 from .evolution import KineticSpec, SimulationError, evolve, observables
 from .nlcompiler import (
     CouplingMatrix,

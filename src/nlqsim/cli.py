@@ -282,18 +282,18 @@ def build_initial_amplitudes(cfg: ExperimentConfig) -> np.ndarray:
     return state.to_amplitudes()
 
 
-def build_oracle_potential(cfg: ExperimentConfig, f: CouplingMatrix):
-    """Reference-solver potential rule, built from the config's physics and
-    never from f where physics defines it: kernel convolution for hartree,
-    pointwise g*rho for gross-pitaevskii, the rolled-grid Laplacian for
-    navier-stokes. custom-f has only its matrix, so it keeps the matrix route."""
+def build_oracle_potential(cfg: ExperimentConfig):
+    """Reference-solver potential rule, built from the config and never from
+    the gate path's coupling: kernel convolution for hartree, pointwise g*rho
+    for gross-pitaevskii, the rolled-grid Laplacian for navier-stokes, and
+    for custom-f the oracle's own read of the triplet CSV."""
     if cfg.problem == "hartree":
         return oracle.kernel_potential(cfg.kernel, cfg.grid)
     if cfg.problem == "gross-pitaevskii":
         return oracle.kernel_potential(KernelSpec.contact(cfg.g), cfg.grid)
     if cfg.problem == "navier-stokes":
         return oracle.laplacian_potential(cfg.rho0, cfg.grid)
-    return oracle.coupling_potential(f, cfg.grid)
+    return oracle.coupling_potential(cfg.coupling_csv, cfg.grid)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -342,7 +342,7 @@ def run_compare(cfg: ExperimentConfig, out_dir: str, halvings: int = 0) -> dict:
         _check_step_counts(cfg, row_eps[-1], f"eps/2**{i}")
     f, r0 = build_problem(cfg)
     spec = KineticSpec(cfg.kinetic_prefactor, cfg.grid)
-    rule = build_oracle_potential(cfg, f)
+    rule = build_oracle_potential(cfg)
     phi0 = FieldState.from_amplitudes(r0.ancilla0.copy(), cfg.grid)
 
     def one_comparison(eps: float) -> dict:
@@ -438,7 +438,7 @@ def run_resources(
         rng = np.random.default_rng(0)
         dim = 2**n
         mat = rng.normal(size=(dim, dim))
-        f = CouplingMatrix((mat + mat.T) / 2.0)
+        f = CouplingMatrix.from_dense((mat + mat.T) / 2.0)
         seq = nlcompiler.compile_w(f, 0.1)
         r = statevec.uniform_state(n)
         _, counts = nlcompiler.execute_counted(seq, r)

@@ -208,7 +208,7 @@ def observables(
     mom_dens = work.principal_probabilities()
     spec = KineticSpec(c_T, grid)
     kinetic = float(np.sum(spec.momentum_sq() * mom_dens))
-    interaction = 0.5 * float(dens @ f.f @ dens)
+    interaction = 0.5 * float(dens @ f.potential(dens))
     return Observables(density=dens, momentum_density=mom_dens, energy=kinetic + interaction)
 
 

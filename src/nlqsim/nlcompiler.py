@@ -23,6 +23,11 @@ This calibration is not taken on faith: the test suite checks the compiled
 sequence against the directly applied diagonal (`apply_w_direct`) on random
 states and couplings to 1e-12.
 
+A coupling (`CouplingMatrix`) is stored as its nonzero entries in row-major
+order, and the calibration works on those entries in O(N + nnz); the dense
+N x N array is built only on request (`CouplingMatrix.dense`), and
+`CouplingMatrix.potential` uses it only above SPARSE_MAX_FILL.
+
 The schedule (`GammaSchedule`) is plain arrays: the single angles and the
 nonzero pair angles with their indices. Zero-angle blocks are never emitted,
 so a sparse stencil compiles to O(N) blocks rather than O(N^2).
@@ -55,54 +60,87 @@ SPARSE_MAX_FILL = 0.02
 class CouplingMatrix:
     """Symmetric real matrix f_kj weighting the density-dependent potential.
 
-    Entries carry units of energy*volume per squared amplitude. Symmetry is
-    required bitwise at construction; the dimension must be a power of two.
+    Stored as its nonzero entries: rows, cols and vals, in row-major order
+    (the order of ``np.nonzero``), so a stencil costs O(nnz) memory and work
+    rather than O(N^2). Entries carry units of energy*volume per squared
+    amplitude. At construction the dimension must be a power of two, the
+    entries finite, nonzero and strictly row-major, and the matrix bitwise
+    symmetric; the checks take O(nnz log nnz). The dense N x N array is
+    built only when a caller asks for `dense`.
     """
 
-    f: np.ndarray
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.f, dtype=np.float64)
-        object.__setattr__(self, "f", f)
-        if f.ndim != 2 or f.shape[0] != f.shape[1]:
-            raise ValueError(f"coupling matrix must be square, got {f.shape}")
-        dim = f.shape[0]
+        dim = int(self.dim)
         if dim < 2 or dim & (dim - 1) != 0:
             raise ValueError(f"dimension must be a power of two >= 2, got {dim}")
-        if not np.isfinite(f).all():
+        rows = np.asarray(self.rows, dtype=np.intp)
+        cols = np.asarray(self.cols, dtype=np.intp)
+        vals = np.asarray(self.vals, dtype=np.float64)
+        for name, value in (("dim", dim), ("rows", rows), ("cols", cols), ("vals", vals)):
+            object.__setattr__(self, name, value)
+        if not (rows.ndim == 1 and rows.shape == cols.shape == vals.shape):
+            raise ValueError("rows, cols and vals must be 1-d arrays of one length")
+        if rows.size and not (0 <= min(rows.min(), cols.min())
+                              and max(rows.max(), cols.max()) < dim):
+            raise ValueError(f"entry index out of range for dimension {dim}")
+        if not np.isfinite(vals).all():
             raise ValueError("coupling matrix entries must be finite")
-        if not np.array_equal(f, f.T):
+        if not vals.all():
+            raise ValueError("coupling matrix stores only nonzero entries")
+        if not (np.diff(rows * dim + cols) > 0).all():
+            raise ValueError("coupling entries must be unique and in row-major order")
+        # row-major entries sorted stably by column are in (col, row) order,
+        # the row-major order of the transpose
+        transposed = np.argsort(cols, kind="stable")
+        if not (np.array_equal(rows, cols[transposed])
+                and np.array_equal(cols, rows[transposed])
+                and np.array_equal(vals, vals[transposed])):
             raise ValueError("coupling matrix must be symmetric")
 
-    @property
-    def dim(self) -> int:
-        return self.f.shape[0]
+    @classmethod
+    def from_dense(cls, mat) -> "CouplingMatrix":
+        """The coupling of a dense square array, kept as the cached `dense`
+        (not copied), so a dense kernel is never built twice."""
+        mat = np.asarray(mat, dtype=np.float64)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"coupling matrix must be square, got {mat.shape}")
+        rows, cols = np.nonzero(mat)
+        f = cls(mat.shape[0], rows, cols, mat[rows, cols])
+        f.__dict__["dense"] = mat
+        return f
+
+    @classmethod
+    def zeros(cls, dim: int) -> "CouplingMatrix":
+        empty = np.empty(0)
+        return cls(dim, empty, empty, empty)
 
     @property
     def n_qubits(self) -> int:
         return int(self.dim.bit_length() - 1)
 
-    @classmethod
-    def zeros(cls, dim: int) -> "CouplingMatrix":
-        return cls(np.zeros((dim, dim)))
+    @property
+    def sparse(self) -> bool:
+        """True when at most SPARSE_MAX_FILL of the entries are nonzero."""
+        return self.vals.size <= SPARSE_MAX_FILL * self.dim * self.dim
 
     @cached_property
-    def nonzero_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(rows, cols, values) of the nonzero entries, found once per matrix;
-        None when more than SPARSE_MAX_FILL of the entries are nonzero."""
-        if np.count_nonzero(self.f) > SPARSE_MAX_FILL * self.f.size:
-            return None
-        rows, cols = np.nonzero(self.f)
-        return rows, cols, self.f[rows, cols]
+    def dense(self) -> np.ndarray:
+        """The N x N array, built once on first use."""
+        mat = np.zeros((self.dim, self.dim))
+        mat[self.rows, self.cols] = self.vals
+        return mat
 
     def potential(self, dens: np.ndarray) -> np.ndarray:
-        """sum_j f_kj * dens_j for every k: O(nnz) for a sparse matrix,
-        the dense matrix-vector product otherwise."""
-        entries = self.nonzero_entries
-        if entries is None:
-            return self.f @ dens
-        rows, cols, vals = entries
-        return np.bincount(rows, weights=vals * dens[cols], minlength=self.dim)
+        """sum_j f_kj * dens_j for every k: O(nnz) from the stored entries of
+        a sparse coupling, the dense matrix-vector product otherwise."""
+        if not self.sparse:
+            return self.dense @ dens
+        return np.bincount(self.rows, weights=self.vals * dens[self.cols], minlength=self.dim)
 
 
 @dataclass(frozen=True)
@@ -252,17 +290,24 @@ def gammas_from_coupling(f: CouplingMatrix, eps: float) -> GammaSchedule:
 
     See the module docstring for the derivation; the pair angle carries half
     the off-diagonal coupling and the single angle compensates the |a_k|^2
-    contribution that every pair block involving k leaks onto index k. Each
-    row of pair angles is summed left to right (cumsum; np.sum sums pairwise
-    and changes the last bits), as a scalar loop over l would.
+    contribution that every pair block involving k leaks onto index k. Works
+    in O(N + nnz) on the stored entries. Each row of pair angles is summed
+    left to right from +0.0 (bincount over the row-major entries; np.sum sums
+    pairwise and changes the last bits), as a scalar loop over l would.
     """
-    half = np.multiply(f.f, -eps)
+    on_diag = f.rows == f.cols
+    diag = np.zeros(f.dim)
+    diag[f.rows[on_diag]] = f.vals[on_diag]
+    diag *= -eps
+    diag /= 2.0
+    half = f.vals * -eps
     half /= 2.0
-    diag = half.diagonal().copy()
-    np.fill_diagonal(half, 0.0)
-    gamma_k = diag - np.cumsum(half, axis=1)[:, -1]
-    pair_k, pair_l = np.nonzero(np.triu(half != 0.0, 1))
-    return GammaSchedule(gamma_k, pair_k, pair_l, half[pair_k, pair_l])
+    # a running sum from +0.0 is never -0.0, so adding +0.0 in place of the
+    # diagonal leaves every row sum bit-identical
+    half[on_diag] = 0.0
+    gamma_k = diag - np.bincount(f.rows, weights=half, minlength=f.dim)
+    pair = (f.rows < f.cols) & (half != 0.0)
+    return GammaSchedule(gamma_k, f.rows[pair], f.cols[pair], half[pair])
 
 
 def schedule_blocks(schedule: GammaSchedule) -> list[tuple[GateOp, ...]]:

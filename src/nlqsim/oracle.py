@@ -5,9 +5,9 @@ machinery: fields live in physical normalization (sum |phi|^2 dV = 1), and
 the potentials are built from the physics, never through a coupling matrix:
 the nonlocal potential by circular convolution of the kernel with the density
 on real-input FFTs, the contact potential as g*rho pointwise and the
-Navier-Stokes potential from a Laplacian of rolled density grids (only
-coupling_potential, for couplings that have no other definition, takes the
-matrix route). Time stepping is Strang splitting (half kinetic, full
+Navier-Stokes potential from a Laplacian of rolled density grids, and a
+coupling that has no other definition (custom-f) from the oracle's own read
+of its triplet file. Time stepping is Strang splitting (half kinetic, full
 potential, half kinetic), second order in dt, with the half-kinetic factors
 of neighbouring steps merged into one full factor. Benchmarks run the
 reference at a far smaller step than the run under test so its own error is
@@ -33,7 +33,6 @@ import numpy as np
 
 from .evolution import SimulationError
 from .problems import GridSpec, KernelSpec
-from .nlcompiler import CouplingMatrix
 
 #: physical-normalization tolerance for field states
 FIELD_NORM_TOL = 1e-10
@@ -158,14 +157,38 @@ def laplacian_potential(rho0: float, grid: GridSpec) -> PotentialRule:
     return rule
 
 
-def coupling_potential(f: CouplingMatrix, grid: GridSpec) -> PotentialRule:
-    """V_k = sum_j f_kj * |a_j|^2 with |a_j|^2 = rho_j * dV (matrix route)."""
-    if f.dim != grid.size:
-        raise ValueError(f"coupling is {f.dim}-dimensional, grid has {grid.size} sites")
+def coupling_potential(path, grid: GridSpec) -> PotentialRule:
+    """V_k = sum_j f_kj * |a_j|^2 with |a_j|^2 = rho_j * dV, for f given as a
+    triplet CSV (header k,j,f).
+
+    The file is read here, not through the gate path's coupling: each row
+    (k, j, v) sets f_kj = f_jk = v, so for a repeated position the last row
+    wins, and V is accumulated entry by entry with np.add.at.
+    """
+    cells: dict[tuple[int, int], float] = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header[:3]] != ["k", "j", "f"]:
+            raise ValueError(f"{path}: expected header k,j,f")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < 3:
+                raise ValueError(f"{path}: line {reader.line_num} needs k,j,f, got {row!r}")
+            k, j = int(row[0]), int(row[1])
+            if not (0 <= k < grid.size and 0 <= j < grid.size):
+                raise ValueError(f"{path}: index ({k},{j}) out of range for {grid.size} sites")
+            cells[k, j] = cells[j, k] = float(row[2])
+    rows = np.array([k for k, _ in cells], dtype=np.intp)
+    cols = np.array([j for _, j in cells], dtype=np.intp)
+    vals = np.array(list(cells.values()), dtype=np.float64)
 
     def rule(density: np.ndarray) -> np.ndarray:
         weights = density.reshape(-1) * grid.cell_volume
-        return (f.f @ weights).reshape(grid.points)
+        v = np.zeros(grid.size)
+        np.add.at(v, rows, vals * weights[cols])
+        return v.reshape(grid.points)
 
     return rule
 

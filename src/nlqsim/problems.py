@@ -259,19 +259,21 @@ def hartree_coupling(kernel: KernelSpec, grid: GridSpec) -> CouplingMatrix:
     if grid.dims == 1:
         samples = kernel.grid_samples(grid)
         dmin = grid.wrapped_deltas(0)
-        return CouplingMatrix(samples[dmin])
+        return CouplingMatrix.from_dense(samples[dmin])
     if kernel.form == "tabulated":
         raise ValueError("tabulated kernels require a 1-d grid")
-    return CouplingMatrix(kernel.radial(grid.separation_matrix()))
+    return CouplingMatrix.from_dense(kernel.radial(grid.separation_matrix()))
 
 
 def gross_pitaevskii_coupling(g: float, grid: GridSpec) -> CouplingMatrix:
     """Diagonal contact-interaction coupling: f_kk = g / dx**dims.
 
     This is V_k = g * rho_k written in amplitude variables, the point-like
-    limit of the nonlocal interaction.
+    limit of the nonlocal interaction. A zero g stores no entries.
     """
-    return CouplingMatrix(np.diag(np.full(grid.size, g / grid.cell_volume)))
+    w = g / grid.cell_volume
+    sites = np.arange(grid.size if w != 0.0 else 0)
+    return CouplingMatrix(grid.size, sites, sites, np.full(sites.size, w))
 
 
 def navier_stokes_coupling(rho0: float, grid: GridSpec) -> CouplingMatrix:
@@ -280,22 +282,31 @@ def navier_stokes_coupling(rho0: float, grid: GridSpec) -> CouplingMatrix:
     Per axis i the stencil is f[k, k +/- e_i] = w and f[k, k] -= 2w with
     w = 1 / (4 * rho0 * dx**2 * dx**dims); the dx**dims converts amplitude
     weights to physical density. Rows sum to zero exactly, so constant
-    densities feel no potential at all.
+    densities feel no potential at all. Built as 2*dims + 1 entries per site
+    in O(nnz log nnz), never as an N x N array.
     """
     if not rho0 > 0:
         raise ValueError(f"reference density must be positive, got {rho0}")
     w = 1.0 / (4.0 * rho0 * grid.dx**2 * grid.cell_volume)
-    f = np.zeros((grid.size, grid.size))
     sites = np.arange(grid.size).reshape(grid.points)
     rows = sites.reshape(-1)
+    entries = []
     for axis in range(grid.dims):
         for step in (-1, 1):
-            # each site appears once per shift, so += never drops a repeat;
-            # on a 2-point axis both shifts hit the same neighbour, which
-            # then holds w + w
-            f[rows, np.roll(sites, -step, axis=axis).reshape(-1)] += w
-        f[rows, rows] -= 2.0 * w
-    return CouplingMatrix(f)
+            entries.append((rows, np.roll(sites, -step, axis=axis).reshape(-1), w))
+        entries.append((rows, rows, -2.0 * w))
+    keys = np.concatenate([r * grid.size + c for r, c, _ in entries])
+    vals = np.concatenate([np.full(grid.size, v) for _, _, v in entries])
+    # a stable sort keeps repeated positions in the order they were added;
+    # on a 2-point axis both shifts hit the same neighbour, which then holds
+    # w + w, and with two axes the diagonal holds -2w - 2w
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    keys, vals = keys[starts], np.add.reduceat(vals, starts)
+    keep = vals != 0.0
+    rows, cols = np.divmod(keys[keep], grid.size)
+    return CouplingMatrix(grid.size, rows, cols, vals[keep])
 
 
 def madelung_fields(
@@ -388,20 +399,24 @@ def plane_wave_amplitudes(grid: GridSpec, mode: int, axis: int = 0) -> np.ndarra
 
 
 def coupling_to_triplet_csv(f: CouplingMatrix, path) -> None:
-    """Write the nonzero entries with k <= j as rows (k, j, value)."""
+    """Write the nonzero entries with k <= j as rows (k, j, value), in
+    row-major order."""
+    upper = f.rows <= f.cols
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "j", "f"])
-        mat = f.f
-        for k in range(f.dim):
-            for j in range(k, f.dim):
-                if mat[k, j] != 0.0:
-                    writer.writerow([k, j, repr(float(mat[k, j]))])
+        for k, j, v in zip(f.rows[upper].tolist(), f.cols[upper].tolist(),
+                           f.vals[upper].tolist()):
+            writer.writerow([k, j, repr(v)])
 
 
 def coupling_from_triplet_csv(path, dim: int) -> CouplingMatrix:
-    """Read a triplet CSV (header k,j,f); symmetric completion is applied."""
-    f = np.zeros((dim, dim))
+    """Read a triplet CSV (header k,j,f); symmetric completion is applied.
+
+    Each row sets both f_kj and f_jk, so for a repeated position the last row
+    wins; positions left at zero (explicit zeros included) store no entry.
+    """
+    entries: dict[tuple[int, int], float] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -415,6 +430,8 @@ def coupling_from_triplet_csv(path, dim: int) -> CouplingMatrix:
             k, j, v = int(row[0]), int(row[1]), float(row[2])
             if not (0 <= k < dim and 0 <= j < dim):
                 raise ValueError(f"{path}: index ({k},{j}) out of range for dim {dim}")
-            f[k, j] = v
-            f[j, k] = v
-    return CouplingMatrix(f)
+            entries[k, j] = entries[j, k] = v
+    cells = sorted(cell for cell, v in entries.items() if v != 0.0)
+    rows = np.array([k for k, _ in cells], dtype=np.intp)
+    cols = np.array([j for _, j in cells], dtype=np.intp)
+    return CouplingMatrix(dim, rows, cols, np.array([entries[c] for c in cells], dtype=float))

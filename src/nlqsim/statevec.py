@@ -119,8 +119,8 @@ def uniform_state(n: int) -> Register:
 
 def branch_weights(r: Register) -> BranchWeights:
     """Ancilla branch probabilities, reduced in a fixed deterministic order."""
-    p0 = float(np.sum(np.abs(r.ancilla0) ** 2))
-    p1 = float(np.sum(np.abs(r.ancilla1) ** 2))
+    p0 = float(np.add.reduce(np.abs(r.ancilla0) ** 2))
+    p1 = float(np.add.reduce(np.abs(r.ancilla1) ** 2))
     return BranchWeights(p0, p1)
 
 

@@ -16,4 +16,4 @@ def random_register(rng, n):
 
 def random_coupling(rng, n, scale=1.0):
     m = rng.normal(size=(2**n, 2**n)) * scale
-    return nlcompiler.CouplingMatrix((m + m.T) / 2.0)
+    return nlcompiler.CouplingMatrix.from_dense((m + m.T) / 2.0)

@@ -230,7 +230,7 @@ class TestCriterion5:
         g = 1.3
         via_kernel = hartree_coupling(KernelSpec.contact(g), grid)
         direct = gross_pitaevskii_coupling(g, grid)
-        identical = np.array_equal(via_kernel.f, direct.f)
+        identical = np.array_equal(via_kernel.dense, direct.dense)
 
         spec = KineticSpec(0.5, grid)
         r0 = init_from_amplitudes(uniform_amplitudes(grid))
@@ -255,7 +255,7 @@ class TestCriterion6:
         rho0 = 1.0 / 64.0  # uniform physical density on this grid
         f = navier_stokes_coupling(rho0, grid)
 
-        rows_zero = all(math.fsum(row) == 0.0 for row in f.f)
+        rows_zero = all(math.fsum(row) == 0.0 for row in f.dense)
 
         spec = KineticSpec(0.5, grid)
         r0 = init_from_amplitudes(uniform_amplitudes(grid))
@@ -344,14 +344,14 @@ class TestCriterion9:
         doubled = tensor_square(r)
 
         mat = rng.normal(size=(16, 16))
-        big_f = CouplingMatrix((mat + mat.T) / 2.0)
+        big_f = CouplingMatrix.from_dense((mat + mat.T) / 2.0)
         eps = 0.21
         compiled = execute(compile_w(big_f, eps), doubled.copy())
 
         # independent computation straight from the original amplitudes
         w = np.abs(a) ** 2
         quartic_weights = np.outer(w, w).reshape(-1)
-        phases = -eps * (big_f.f @ quartic_weights)
+        phases = -eps * (big_f.dense @ quartic_weights)
         expected_amps = np.outer(a, a).reshape(-1) * np.exp(1j * phases)
         expected = init_from_amplitudes(expected_amps)
 

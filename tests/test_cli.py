@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nlqsim
 from nlqsim import cli, problems
 from nlqsim.cli import (
     ConfigError,
@@ -169,6 +173,71 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path)]) == 0
 
 
+def stencil_config_dict(points, steps):
+    eps = 0.002
+    return {
+        "problem": "navier-stokes",
+        "grid": {"points": list(points), "dx": 0.5, "x0": -8.0},
+        "initial_state": {"preset": "gaussian", "center": [0.0, 0.0], "sigma": 2.0,
+                          "kappa": [0.5, 0.0]},
+        "t": steps * eps,
+        "eps": eps,
+        "record_stride": 0,
+    }
+
+
+class TestSparseCouplings:
+    def test_stencil_runs_never_build_the_dense_matrix(self, tmp_path, monkeypatch):
+        def no_dense(self):
+            raise AssertionError("the dense N x N coupling was built")
+
+        monkeypatch.setattr(CouplingMatrix, "dense", property(no_dense))
+        cfg = config_from_dict(stencil_config_dict((32, 32), 5))
+        cli.run_simulate(cfg, str(tmp_path / "simulate"))
+        cli.run_compare(cfg, str(tmp_path / "compare"))
+
+    def test_128x128_stencil_in_small_memory(self, tmp_path):
+        """A 16384-site stencil needs 2 GiB as a dense matrix; stored as
+        its 81920 nonzero entries the whole run stays small. The child's
+        address space is capped at 1 GiB, so a dense build fails fast. Its
+        peak is VmHWM: ru_maxrss would also count the RSS of this test
+        process, which a spawned child inherits until it execs."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(stencil_config_dict((128, 128), 10)))
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from nlqsim import cli\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(next(ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:')))\n"
+            "sys.exit(rc)\n"
+        )
+        proc = run_child(["-c", child, "simulate", "--config", str(cfg_path),
+                          "--out", str(tmp_path / "out")])
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["tally"]["n_steps"] == 10
+        peak_kib = int(proc.stdout.split()[-2])  # "VmHWM: <n> kB"
+        assert peak_kib < 200 * 1024
+
+
+def run_child(args):
+    """Run the interpreter on args with this nlqsim package importable."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nlqsim.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_without_warnings(self, tmp_path):
+        proc = run_child(["-m", "nlqsim.cli", "resources", "--n-min", "1", "--n-max", "2",
+                          "--out", str(tmp_path)])
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert (tmp_path / "resources.json").exists()
+
+
 class TestSmokeBenchmark:
     def test_hartree_n6_200_steps_compiled(self, tmp_path):
         """Desk-scale budget: a 64-site compiled run of 200 steps finishes
@@ -242,8 +311,34 @@ class TestCompare:
         builder = problems.navier_stokes_coupling
         monkeypatch.setattr(
             problems, "navier_stokes_coupling",
-            lambda rho0, grid: CouplingMatrix(builder(rho0, grid).f * 1.01),
+            lambda rho0, grid: CouplingMatrix.from_dense(builder(rho0, grid).dense * 1.01),
         )
+        mutated = cli.run_compare(cfg, str(tmp_path / "mutated"))["comparisons"][0]
+        assert mutated["l2_error"] > 3.0 * clean["l2_error"]
+
+    def test_csv_coupling_bug_raises_compare_error(self, tmp_path, monkeypatch):
+        """The reference reads a custom-f triplet file itself, so a 1% error
+        in the gate path's coupling shows in compare's state error."""
+        grid = GridSpec(points=(16,), dx=0.5)
+        problems.coupling_to_triplet_csv(problems.navier_stokes_coupling(1.0, grid),
+                                         tmp_path / "f.csv")
+        payload = {
+            "problem": "custom-f",
+            "grid": {"points": [16], "dx": 0.5, "x0": -4.0},
+            "coupling_csv": str(tmp_path / "f.csv"),
+            "initial_state": {"preset": "gaussian", "center": 0.0, "sigma": 1.0, "kappa": 0.4},
+            "t": 0.4,
+            "eps": 0.001,
+        }
+        cfg = config_from_dict(payload)
+        clean = cli.run_compare(cfg, str(tmp_path / "clean"))["comparisons"][0]
+        reader = problems.coupling_from_triplet_csv
+
+        def scaled(path, dim):
+            f = reader(path, dim)
+            return CouplingMatrix(f.dim, f.rows, f.cols, f.vals * 1.01)
+
+        monkeypatch.setattr(problems, "coupling_from_triplet_csv", scaled)
         mutated = cli.run_compare(cfg, str(tmp_path / "mutated"))["comparisons"][0]
         assert mutated["l2_error"] > 3.0 * clean["l2_error"]
 

@@ -164,7 +164,7 @@ class TestTrotterStep:
         phases advance by exactly -eps*f_kk*|a_k|^2 per step."""
         spec0 = KineticSpec(0.0, grid)
         diag = rng.normal(size=16)
-        f = CouplingMatrix(np.diag(diag))
+        f = CouplingMatrix.from_dense(np.diag(diag))
         r = random_register(rng, 4)
         dens0 = np.abs(r.ancilla0) ** 2
         r2 = r.copy()
@@ -262,7 +262,7 @@ class TestEvolve:
 
     def test_non_finite_angle_is_a_simulation_error(self, spec, rng):
         # each entry is finite, but eps * f overflows
-        f = CouplingMatrix(np.full((16, 16), 1e308))
+        f = CouplingMatrix.from_dense(np.full((16, 16), 1e308))
         with np.errstate(all="ignore"), pytest.raises(SimulationError, match="rotation angle"):
             evolve(random_register(rng, 4), f, spec, 8.0, 8.0)
 
@@ -339,7 +339,7 @@ class TestObservables:
         f = np.zeros((16, 16))
         f[3, 3] = 2.0
         r = statevec.basis_state(4, 3)
-        obs = observables(r, grid, CouplingMatrix(f), c_T=1.0)
+        obs = observables(r, grid, CouplingMatrix.from_dense(f), c_T=1.0)
         psq = KineticSpec(1.0, grid).momentum_sq()
         kinetic_spread = np.mean(psq)  # flat momentum distribution
         assert obs.energy == pytest.approx(kinetic_spread + 0.5 * 2.0)

@@ -28,11 +28,11 @@ from conftest import random_coupling, random_register
 class TestCouplingMatrix:
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError, match="symmetric"):
-            CouplingMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
+            CouplingMatrix.from_dense(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
     def test_power_of_two(self):
         with pytest.raises(ValueError):
-            CouplingMatrix(np.zeros((3, 3)))
+            CouplingMatrix.from_dense(np.zeros((3, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_named_before_symmetry(self, bad):
@@ -40,10 +40,37 @@ class TestCouplingMatrix:
         # check runs first and names the real fault
         for f in (np.diag([bad, 0.0]), np.array([[0.0, bad], [bad, 0.0]])):
             with pytest.raises(ValueError, match="must be finite"):
-                CouplingMatrix(f)
+                CouplingMatrix.from_dense(f)
 
     def test_n_qubits(self):
-        assert CouplingMatrix(np.zeros((8, 8))).n_qubits == 3
+        assert CouplingMatrix.from_dense(np.zeros((8, 8))).n_qubits == 3
+
+    @pytest.mark.parametrize("rows, cols, vals", [
+        ([0, 1], [1, 0], [1.0, 0.5]),  # asymmetric values
+        ([0, 2], [1, 2], [1.0, 3.0]),  # one-sided entry (0, 1)
+    ])
+    def test_asymmetric_triplets_rejected(self, rows, cols, vals):
+        with pytest.raises(ValueError, match="symmetric"):
+            CouplingMatrix(4, rows, cols, vals)
+
+    @pytest.mark.parametrize("rows, cols, vals, match", [
+        ([1, 0], [0, 1], [1.0, 1.0], "row-major"),
+        ([0, 0], [0, 0], [1.0, 1.0], "row-major"),
+        ([0, 1], [0, 1], [1.0, 0.0], "nonzero"),
+        ([0, 4], [0, 4], [1.0, 1.0], "out of range"),
+        ([0, 1], [0, 1], [1.0, np.nan], "must be finite"),
+    ])
+    def test_triplet_form_enforced(self, rows, cols, vals, match):
+        with pytest.raises(ValueError, match=match):
+            CouplingMatrix(4, rows, cols, vals)
+
+    def test_from_dense_keeps_the_array(self):
+        mat = np.array([[0.0, 2.0], [2.0, -1.0]])
+        f = CouplingMatrix.from_dense(mat)
+        assert f.dense is mat
+        assert f.rows.tolist() == [0, 1, 1]
+        assert f.cols.tolist() == [1, 0, 1]
+        assert f.vals.tolist() == [2.0, 2.0, -1.0]
 
 
 def loop_calibration(mat, eps):
@@ -70,11 +97,11 @@ class TestGammas:
     def test_matches_scalar_loop(self, rng):
         for n in range(1, 7):
             dim = 2**n
-            mat = random_coupling(rng, n).f.copy()
+            mat = random_coupling(rng, n).dense.copy()
             zero = rng.random((dim, dim)) < 0.3
             mat[zero | zero.T] = 0.0
             for eps in (1e-3, 0.0731, 0.3):
-                sch = gammas_from_coupling(CouplingMatrix(mat), eps)
+                sch = gammas_from_coupling(CouplingMatrix.from_dense(mat), eps)
                 gamma_k, pairs = loop_calibration(mat, eps)
                 assert np.array_equal(sch.gamma_k, gamma_k)
                 assert np.array_equal(sch.pair_k, [k for k, _, _ in pairs])
@@ -87,7 +114,7 @@ class TestGammas:
         assert sch.pair_k.size == sch.pair_l.size == sch.gamma_kl.size == 0
 
     def test_off_diagonal_pair(self):
-        f = CouplingMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        f = CouplingMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
         sch = gammas_from_coupling(f, 0.2)
         assert sch.pair_k.tolist() == [0]
         assert sch.pair_l.tolist() == [1]
@@ -96,14 +123,14 @@ class TestGammas:
         assert sch.gamma_k[1] == pytest.approx(0.1)
 
     def test_diagonal_only(self):
-        f = CouplingMatrix(np.eye(2))
+        f = CouplingMatrix.from_dense(np.eye(2))
         sch = gammas_from_coupling(f, 0.1)
         assert sch.pair_k.size == sch.pair_l.size == sch.gamma_kl.size == 0
         assert sch.gamma_k[0] == pytest.approx(-0.05)
         assert sch.gamma_k[1] == pytest.approx(-0.05)
 
     def test_sparsity_counts(self):
-        f = CouplingMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        f = CouplingMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 0.0]]))
         sch = gammas_from_coupling(f, 0.1)
         # f_00 feeds gamma_0 only; gamma_1 and the pair stay zero
         assert sch.sparsity() == (1, 0)
@@ -114,7 +141,7 @@ class TestCompile:
         assert len(compile_w(CouplingMatrix.zeros(2), 0.1)) == 0
 
     def test_dense_two_state_counts(self):
-        f = CouplingMatrix(np.array([[0.3, 0.2], [0.2, -0.1]]))
+        f = CouplingMatrix.from_dense(np.array([[0.3, 0.2], [0.2, -0.1]]))
         seq = compile_w(f, 0.1)
         counts = seq.counts()
         assert counts.nonlinear == 3  # 2 singles + 1 pair
@@ -129,11 +156,11 @@ class TestCompile:
             f[k, k] = -2.0
             f[k, (k + 1) % m] += 1.0
             f[(k + 1) % m, k] += 1.0
-        sch = gammas_from_coupling(CouplingMatrix(f), 0.05)
+        sch = gammas_from_coupling(CouplingMatrix.from_dense(f), 0.05)
         assert sch.sparsity() == (m, m)
 
     def test_sequence_is_singles_then_pairs(self):
-        f = CouplingMatrix(np.array([[0.3, 0.2], [0.2, -0.1]]))
+        f = CouplingMatrix.from_dense(np.array([[0.3, 0.2], [0.2, -0.1]]))
         kinds = [op.kind for op in compile_w(f, 0.1)]
         assert kinds == ["MCX", "NL", "APH", "MCX",
                          "MCX", "NL", "APH", "MCX",
@@ -144,7 +171,7 @@ def sparse_random_coupling(rng, dim, fill):
     """Symmetric coupling with about `fill` of its entries nonzero."""
     mask = np.triu(rng.random((dim, dim)) < fill / 2.0)
     m = np.where(mask, rng.normal(size=(dim, dim)), 0.0)
-    return CouplingMatrix(m + np.triu(m, 1).T)
+    return CouplingMatrix.from_dense(m + np.triu(m, 1).T)
 
 
 class TestSparsePotential:
@@ -163,9 +190,9 @@ class TestSparsePotential:
         monkeypatch.setattr(nlcompiler, "SPARSE_MAX_FILL", 1.0)
         f = self.CASES[case](rng)
         dens = rng.random(f.dim)
-        scale = np.max(np.abs(f.f) @ dens)
-        assert f.nonzero_entries is not None
-        assert np.max(np.abs(f.potential(dens) - f.f @ dens)) <= 1e-12 * scale
+        scale = np.max(np.abs(f.dense) @ dens)
+        assert f.sparse
+        assert np.max(np.abs(f.potential(dens) - f.dense @ dens)) <= 1e-12 * scale
 
     @pytest.mark.parametrize(
         "case, sparse",
@@ -174,23 +201,23 @@ class TestSparsePotential:
     )
     def test_path_follows_fill(self, rng, case, sparse):
         f = self.CASES[case](rng)
-        assert (f.nonzero_entries is not None) == sparse
+        assert f.sparse == sparse
         dens = rng.random(f.dim)
         if not sparse:
             # the dense side is the BLAS product itself, bit for bit
-            assert np.array_equal(f.potential(dens), f.f @ dens)
+            assert np.array_equal(f.potential(dens), f.dense @ dens)
 
     def test_entries_found_once(self, rng):
         f = navier_stokes_coupling(1.0, GridSpec((16, 16), 0.5))
-        assert f.nonzero_entries is f.nonzero_entries
-        rows, cols, vals = f.nonzero_entries
+        assert f.dense is f.dense
+        rows, cols, vals = f.rows, f.cols, f.vals
         assert rows.shape == cols.shape == vals.shape == (5 * 256,)
 
     def test_direct_step_on_stencil_matches_dense_diagonal(self, rng):
         f = navier_stokes_coupling(1.0, GridSpec((32, 32), 0.5))
         r = random_register(rng, 10)
         dens = np.abs(r.ancilla0) ** 2
-        expected = r.ancilla0 * np.exp(-1j * 0.01 * (f.f @ dens))
+        expected = r.ancilla0 * np.exp(-1j * 0.01 * (f.dense @ dens))
         apply_w_direct(r, f, 0.01)
         assert np.max(np.abs(r.ancilla0 - expected)) < 1e-14
         assert r.ancilla_is_clean()
@@ -201,7 +228,7 @@ class TestOracleEquivalence:
         # uniform state and uniform diagonal coupling: pure global phase
         r = statevec.uniform_state(3)
         ref = r.copy()
-        f = CouplingMatrix(np.diag(np.full(8, 2.5)))
+        f = CouplingMatrix.from_dense(np.diag(np.full(8, 2.5)))
         apply_w_direct(r, f, 0.1)
         assert fidelity(ref, r) == pytest.approx(1.0, abs=1e-14)
         assert r.amps[0] == pytest.approx(ref.amps[0] * np.exp(-1j * 0.1 * 2.5 / 8))
@@ -313,7 +340,7 @@ class TestResources:
     def test_instrumented_counts_sparse(self, rng):
         f = np.zeros((8, 8))
         f[1, 4] = f[4, 1] = 0.3
-        seq = compile_w(CouplingMatrix(f), 0.1)
+        seq = compile_w(CouplingMatrix.from_dense(f), 0.1)
         _, counts = execute_counted(seq, random_register(rng, 3))
         # one pair block and the two compensating singles it induces
         assert counts == GateCounts(mcx=8, nonlinear=3, ancilla_phase=3)

@@ -8,7 +8,6 @@ from nlqsim.oracle import (
     TwoModeState,
     bec_phase_check,
     convergence_ratios,
-    coupling_potential,
     field_from_csv,
     field_to_csv,
     gpe2_solve,
@@ -20,6 +19,7 @@ from nlqsim.oracle import (
 from nlqsim.problems import (
     GridSpec,
     KernelSpec,
+    coupling_from_triplet_csv,
     gaussian_packet,
     gross_pitaevskii_coupling,
     hartree_coupling,
@@ -111,9 +111,10 @@ class TestSplitStep:
     def test_kernel_and_coupling_rules_agree(self, grid):
         kernel = KernelSpec.gaussian(1.5, 2.0)
         k_rule = kernel_potential(kernel, grid)
-        c_rule = coupling_potential(hartree_coupling(kernel, grid), grid)
+        f = hartree_coupling(kernel, grid)
         dens = gaussian_field(grid).density()
-        assert np.max(np.abs(k_rule(dens) - c_rule(dens))) < 1e-12
+        weights = dens.reshape(-1) * grid.cell_volume
+        assert np.max(np.abs(k_rule(dens) - f.dense @ weights)) < 1e-12
 
     def test_contact_kernel_rule_is_g_rho(self, grid):
         rule = kernel_potential(KernelSpec.contact(1.3), grid)
@@ -121,9 +122,10 @@ class TestSplitStep:
         assert np.max(np.abs(rule(dens) - 1.3 * dens)) < 1e-12
 
     def test_gp_coupling_rule_is_g_rho(self, grid):
-        rule = coupling_potential(gross_pitaevskii_coupling(1.3, grid), grid)
+        f = gross_pitaevskii_coupling(1.3, grid)
         dens = gaussian_field(grid).density()
-        assert np.max(np.abs(rule(dens) - 1.3 * dens)) < 1e-12
+        weights = dens.reshape(-1) * grid.cell_volume
+        assert np.max(np.abs(f.dense @ weights - 1.3 * dens)) < 1e-12
 
     def test_non_finite_aborts(self, grid):
         values = np.ones(grid.size, dtype=complex)
@@ -223,7 +225,8 @@ class TestPhysicsRoutes:
         grid = GridSpec(points=points, dx=0.4)
         dens = random_density(grid, 5)
         got = kernel_potential(KernelSpec.contact(1.7), grid)(dens)
-        want = coupling_potential(gross_pitaevskii_coupling(1.7, grid), grid)(dens)
+        weights = dens.reshape(-1) * grid.cell_volume
+        want = (gross_pitaevskii_coupling(1.7, grid).dense @ weights).reshape(grid.points)
         assert np.max(np.abs(got - want)) <= 1e-12
 
     @pytest.mark.parametrize("points", ROUTE_GRIDS)
@@ -231,7 +234,20 @@ class TestPhysicsRoutes:
         grid = GridSpec(points=points, dx=0.5)
         dens = random_density(grid, 7)
         got = laplacian_potential(1.3, grid)(dens)
-        want = coupling_potential(navier_stokes_coupling(1.3, grid), grid)(dens)
+        weights = dens.reshape(-1) * grid.cell_volume
+        want = (navier_stokes_coupling(1.3, grid).dense @ weights).reshape(grid.points)
+        assert np.max(np.abs(want)) > 0.1
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_csv_rule_matches_the_gate_path_reader(self, tmp_path):
+        # repeated positions (last row wins), a k > j row and an explicit zero
+        path = tmp_path / "f.csv"
+        path.write_text("k,j,f\n0,1,2.0\n5,2,-0.7\n1,0,3.0\n4,4,1.5\n2,5,0.0\n6,3,0.25\n")
+        grid = GridSpec(points=(8,), dx=0.5)
+        dens = random_density(grid, 11)
+        got = oracle.coupling_potential(path, grid)(dens)
+        weights = dens.reshape(-1) * grid.cell_volume
+        want = coupling_from_triplet_csv(path, grid.size).dense @ weights
         assert np.max(np.abs(want)) > 0.1
         assert np.max(np.abs(got - want)) <= 1e-12
 

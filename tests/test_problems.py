@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -67,17 +68,17 @@ class TestGridSpec:
 class TestKernelSpec:
     def test_constant(self, grid16):
         f = hartree_coupling(KernelSpec.constant(2.0), grid16)
-        assert np.all(f.f == 2.0)
+        assert np.all(f.dense == 2.0)
 
     def test_gaussian_even_by_distance(self, grid16):
-        f = hartree_coupling(KernelSpec.gaussian(1.0, 3.0), grid16).f
+        f = hartree_coupling(KernelSpec.gaussian(1.0, 3.0), grid16).dense
         assert f[0, 1] == f[1, 0]
         assert f[0, 1] == f[0, 15]  # wrap
         assert f[0, 0] == 3.0
 
     def test_tabulated_lookup(self, grid16):
         samples = [5.0, 3.0, 2.0, 1.0, 0.5, 0.25, 0.1, 0.05, 0.01]
-        f = hartree_coupling(KernelSpec.tabulated(samples), grid16).f
+        f = hartree_coupling(KernelSpec.tabulated(samples), grid16).dense
         assert f[0, 0] == 5.0
         assert f[0, 3] == 1.0
         assert f[0, 15] == 3.0  # separation 1 via wrap
@@ -141,19 +142,19 @@ class TestKernelSpec:
 
 class TestHartreeCoupling:
     def test_symmetric_bitwise(self, grid16):
-        f = hartree_coupling(KernelSpec.gaussian(1.3, 0.8), grid16).f
+        f = hartree_coupling(KernelSpec.gaussian(1.3, 0.8), grid16).dense
         assert np.array_equal(f, f.T)
 
     def test_contact_equals_gp_bitwise(self, grid16):
         via_kernel = hartree_coupling(KernelSpec.contact(1.7), grid16)
         direct = gross_pitaevskii_coupling(1.7, grid16)
-        assert np.array_equal(via_kernel.f, direct.f)
+        assert np.array_equal(via_kernel.dense, direct.dense)
 
     def test_convolution_consistency(self, grid16):
         """Matrix route equals FFT circular convolution of the kernel."""
         rng = np.random.default_rng(5)
         kernel = KernelSpec.gaussian(1.0, 2.0)
-        f = hartree_coupling(kernel, grid16).f
+        f = hartree_coupling(kernel, grid16).dense
         a = rng.normal(size=16) + 1j * rng.normal(size=16)
         a /= np.linalg.norm(a)
         weights = np.abs(a) ** 2
@@ -166,7 +167,7 @@ class TestHartreeCoupling:
         assert np.max(np.abs(via_matrix - via_fft)) < 1e-12
 
     def test_2d_radial(self, grid8x8):
-        f = hartree_coupling(KernelSpec.gaussian(1.0, 1.0), grid8x8).f
+        f = hartree_coupling(KernelSpec.gaussian(1.0, 1.0), grid8x8).dense
         assert np.array_equal(f, f.T)
         # neighbor along either axis sits at the same distance
         k = 0
@@ -181,15 +182,15 @@ class TestHartreeCoupling:
 
 class TestGrossPitaevskii:
     def test_zero_coupling(self, grid16):
-        assert np.all(gross_pitaevskii_coupling(0.0, grid16).f == 0.0)
+        assert np.all(gross_pitaevskii_coupling(0.0, grid16).dense == 0.0)
 
     def test_diagonal_value(self, grid16):
-        f = gross_pitaevskii_coupling(2.0, grid16).f
+        f = gross_pitaevskii_coupling(2.0, grid16).dense
         assert f[3, 3] == 2.0 / 0.5
         assert np.count_nonzero(f - np.diag(np.diag(f))) == 0
 
     def test_2d_diagonal_value(self, grid8x8):
-        f = gross_pitaevskii_coupling(2.0, grid8x8).f
+        f = gross_pitaevskii_coupling(2.0, grid8x8).dense
         assert f[0, 0] == 2.0 / 0.25
 
     def test_uniform_state_pure_global_phase(self, grid16):
@@ -205,11 +206,11 @@ class TestNavierStokes:
         # exact summation: the stencil weights cancel identically, but a
         # fixed-order float reduction may round intermediates
         for grid in (grid16, grid8x8):
-            f = navier_stokes_coupling(1.2, grid).f
+            f = navier_stokes_coupling(1.2, grid).dense
             assert all(math.fsum(row) == 0.0 for row in f)
 
     def test_stencil_weights(self, grid16):
-        f = navier_stokes_coupling(2.0, grid16).f
+        f = navier_stokes_coupling(2.0, grid16).dense
         w = 1.0 / (4.0 * 2.0 * grid16.dx**2 * grid16.dx)
         assert f[0, 1] == w
         assert f[0, 15] == w
@@ -217,17 +218,17 @@ class TestNavierStokes:
 
     def test_stencil_ratio_2d(self, grid8x8):
         # diagonal is -2*dims times one neighbor weight
-        f = navier_stokes_coupling(1.0, grid8x8).f
+        f = navier_stokes_coupling(1.0, grid8x8).dense
         assert f[0, 0] == -2.0 * grid8x8.dims * f[0, 1]
 
     def test_symmetric_bitwise(self, grid8x8):
-        f = navier_stokes_coupling(0.7, grid8x8).f
+        f = navier_stokes_coupling(0.7, grid8x8).dense
         assert np.array_equal(f, f.T)
 
     def test_uniform_density_feels_nothing(self, grid16):
         f = navier_stokes_coupling(1.0, grid16)
         weights = np.full(16, 1.0 / 16.0)
-        assert np.max(np.abs(f.f @ weights)) < 1e-16
+        assert np.max(np.abs(f.dense @ weights)) < 1e-16
 
     def test_rejects_bad_rho0(self, grid16):
         with pytest.raises(ValueError):
@@ -253,8 +254,57 @@ class TestNavierStokes:
     def test_matches_scalar_loop(self, points):
         for rho0, dx in ((1.0, 0.5), (0.37, 0.13)):
             grid = GridSpec(points=points, dx=dx)
-            got = navier_stokes_coupling(rho0, grid).f
+            got = navier_stokes_coupling(rho0, grid).dense
             assert np.array_equal(got, self.loop_stencil(rho0, grid))
+
+
+def dense_navier_stokes(rho0, grid):
+    """The dense N x N stencil builder the triplet builder replaced."""
+    w = 1.0 / (4.0 * rho0 * grid.dx**2 * grid.cell_volume)
+    f = np.zeros((grid.size, grid.size))
+    sites = np.arange(grid.size).reshape(grid.points)
+    rows = sites.reshape(-1)
+    for axis in range(grid.dims):
+        for step in (-1, 1):
+            f[rows, np.roll(sites, -step, axis=axis).reshape(-1)] += w
+        f[rows, rows] -= 2.0 * w
+    return f
+
+
+def dense_gross_pitaevskii(g, grid):
+    return np.diag(np.full(grid.size, g / grid.cell_volume))
+
+
+class TestTripletBuilders:
+    """The builders emit the nonzero entries directly, in row-major order;
+    they must hold exactly what the dense builders held."""
+
+    GRIDS = [(2,), (16,), (2, 2), (2, 8), (8, 2), (16, 16)]
+
+    @staticmethod
+    def assert_entries_of(f, mat):
+        rows, cols = np.nonzero(mat)
+        assert np.array_equal(f.rows, rows)
+        assert np.array_equal(f.cols, cols)
+        assert np.array_equal(f.vals, mat[rows, cols])
+        assert np.array_equal(f.dense, mat)
+
+    @pytest.mark.parametrize("points", GRIDS)
+    def test_navier_stokes(self, points):
+        for rho0, dx in ((1.0, 0.5), (0.37, 0.13)):
+            grid = GridSpec(points=points, dx=dx)
+            self.assert_entries_of(navier_stokes_coupling(rho0, grid),
+                                   dense_navier_stokes(rho0, grid))
+
+    @pytest.mark.parametrize("points", GRIDS)
+    def test_gross_pitaevskii(self, points):
+        grid = GridSpec(points=points, dx=0.3)
+        for g in (1.7, -0.4, 0.0):
+            self.assert_entries_of(gross_pitaevskii_coupling(g, grid),
+                                   dense_gross_pitaevskii(g, grid))
+
+    def test_zero_g_stores_nothing(self, grid16):
+        assert gross_pitaevskii_coupling(0.0, grid16).vals.size == 0
 
 
 class TestMadelung:
@@ -304,7 +354,41 @@ class TestTripletCsv:
         path = tmp_path / "f.csv"
         coupling_to_triplet_csv(f, path)
         back = coupling_from_triplet_csv(path, grid16.size)
-        assert np.array_equal(back.f, f.f)
+        assert np.array_equal(back.dense, f.dense)
+
+    @pytest.mark.parametrize("body, expected", [
+        # a repeated position: the last row wins, for both (k, j) and (j, k)
+        ("0,1,2.0\n1,0,3.0\n0,1,5.0\n", {(0, 1): 5.0, (1, 0): 5.0}),
+        # an explicit zero clears an earlier value and stores no entry
+        ("0,1,2.0\n2,2,1.5\n1,0,0.0\n", {(2, 2): 1.5}),
+        # a k > j row completes to both triangles
+        ("3,1,-0.25\n", {(1, 3): -0.25, (3, 1): -0.25}),
+    ])
+    def test_symmetric_completion(self, tmp_path, body, expected):
+        path = tmp_path / "f.csv"
+        path.write_text("k,j,f\n" + body)
+        f = coupling_from_triplet_csv(path, 4)
+        want = np.zeros((4, 4))
+        for (k, j), v in expected.items():
+            want[k, j] = v
+        assert np.array_equal(f.dense, want)
+        assert sorted(zip(f.rows.tolist(), f.cols.tolist())) == sorted(expected)
+        assert f.rows.tolist() == [k for k, _ in sorted(expected)]
+
+    def test_writes_what_the_dense_loop_wrote(self, tmp_path, grid16):
+        for f in (navier_stokes_coupling(0.7, GridSpec((2, 8), 0.5)),
+                  hartree_coupling(KernelSpec.gaussian(1.0, 3.0), grid16)):
+            path = tmp_path / "f.csv"
+            coupling_to_triplet_csv(f, path)
+            want = tmp_path / "want.csv"
+            with open(want, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["k", "j", "f"])
+                for k in range(f.dim):
+                    for j in range(k, f.dim):
+                        if f.dense[k, j] != 0.0:
+                            writer.writerow([k, j, repr(float(f.dense[k, j]))])
+            assert path.read_bytes() == want.read_bytes()
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

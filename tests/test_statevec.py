@@ -86,6 +86,15 @@ class TestBranchWeights:
             w = branch_weights(random_register(rng, n))
             assert abs(w.p0 + w.p1 - 1.0) < 1e-12
 
+    def test_bitwise_equal_to_np_sum(self, rng):
+        # np.add.reduce is the pairwise sum np.sum runs, without its wrapper
+        for n in range(1, 9):
+            r = random_register(rng, n)
+            statevec.apply_mcx_k(r, int(rng.integers(2**n)))
+            w = branch_weights(r)
+            assert w.p0 == float(np.sum(np.abs(r.ancilla0) ** 2))
+            assert w.p1 == float(np.sum(np.abs(r.ancilla1) ** 2))
+
 
 class TestMcx:
     def test_flips_target(self):
