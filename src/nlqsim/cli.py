@@ -391,7 +391,7 @@ def run_compare(cfg: ExperimentConfig, out_dir: str, halvings: int = 0) -> dict:
                         row["n_steps"],
                         repr(row["infidelity"]),
                         repr(row["l2_error"]),
-                        repr(row.get("l2_ratio", "")),
+                        repr(row["l2_ratio"]) if "l2_ratio" in row else "",
                     ]
                 )
     return report

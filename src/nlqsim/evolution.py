@@ -158,10 +158,12 @@ def evolve(
 ) -> EvolutionResult:
     """Run n = floor(t/eps) steps from r0; r0 itself is left untouched.
 
-    Snapshots are taken at step 0, every record_stride steps, and at the end
-    (record_stride = 0 disables intermediate snapshots). The tally is the
-    closed form on the schedule's nonzero angles, the gates a compiled step
-    executes; direct mode counts them without building the gate list.
+    With record_stride > 0, snapshots are taken at step 0, every
+    record_stride steps, and at the end; record_stride = 0 records none at
+    all (the `simulate` command then writes the first and last states). The
+    tally is the closed form on the schedule's nonzero angles, the gates a
+    compiled step executes; direct mode counts them without building the
+    gate list.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")

@@ -36,14 +36,24 @@ Resource accounting is the closed form on the schedule's nonzero angles
 (`estimate_resources` with `GammaSchedule.sparsity()`): it treats each
 ancilla flip as one multi-controlled NOT, expanded into basic_c * n**2 basic
 gates when converting to basic-gate counts; N and P count as one gate each.
-A direct-mode evolution therefore never builds a gate list. Compiled
-sequences serialize to a text format of MCX, NL and APH lines.
+A direct-mode evolution therefore never builds a gate list.
+
+A compiled sequence is a tuple of `GateOp(kind, arg)`. The op kinds live in
+one table, `GATES`: it names the statevec primitive that `execute` applies
+for each kind and the argument type that `sequence_from_text` parses, and its
+order is the field order of `GateCounts`. The text format is one
+``<KIND> <arg>`` line per op; the parser rejects any other line, including
+non-finite angles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections import Counter
+from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,29 +176,22 @@ class GammaSchedule:
         return int(np.count_nonzero(self.gamma_k)), int(np.count_nonzero(self.gamma_kl))
 
 
-@dataclass(frozen=True)
-class GateOp:
-    """One primitive operation of a compiled sequence.
-
-    kind is one of "MCX" (ancilla flip on index k), "NL" (branch-probability
-    phase, angle) or "APH" (ancilla-|1> phase, angle).
-    """
+class GateOp(NamedTuple):
+    """One primitive operation of a compiled sequence: a kind from `GATES` and
+    its argument (the principal index for "MCX", the angle for "NL"/"APH")."""
 
     kind: str
-    k: int | None = None
-    angle: float | None = None
+    arg: int | float
 
-    @classmethod
-    def mcx(cls, k: int) -> "GateOp":
-        return cls("MCX", k=k)
 
-    @classmethod
-    def nl(cls, angle: float) -> "GateOp":
-        return cls("NL", angle=float(angle))
-
-    @classmethod
-    def aph(cls, angle: float) -> "GateOp":
-        return cls("APH", angle=float(angle))
+#: op kind -> (statevec primitive that applies it, type of its argument), in
+#: the field order of `GateCounts`. The primitive is looked up by name on each
+#: `execute` call, so a wrapper installed on the statevec attribute sees every op.
+GATES = {
+    "MCX": ("apply_mcx_k", int),
+    "NL": ("apply_nonlinear", float),
+    "APH": ("apply_ancilla_phase", float),
+}
 
 
 @dataclass(frozen=True)
@@ -198,6 +201,11 @@ class GateSequence:
     n: int
     ops: tuple[GateOp, ...]
 
+    def __post_init__(self):
+        unknown = {kind for kind, _ in self.ops} - GATES.keys()
+        if unknown:
+            raise ValueError(f"unknown gate kind {unknown.pop()!r}")
+
     def __len__(self) -> int:
         return len(self.ops)
 
@@ -205,24 +213,17 @@ class GateSequence:
         return iter(self.ops)
 
     def counts(self) -> "GateCounts":
-        kinds = [op.kind for op in self.ops]
-        return GateCounts(kinds.count("MCX"), kinds.count("NL"), kinds.count("APH"))
+        tally = Counter(kind for kind, _ in self.ops)
+        return GateCounts(*(tally[kind] for kind in GATES))
 
 
 @dataclass(frozen=True)
 class GateCounts:
-    """Counts of the three ancilla-gate kinds used by compiled sequences."""
+    """Counts of the ancilla-gate kinds, one field per `GATES` kind in order."""
 
     mcx: int = 0
     nonlinear: int = 0
     ancilla_phase: int = 0
-
-    def __add__(self, other: "GateCounts") -> "GateCounts":
-        return GateCounts(
-            self.mcx + other.mcx,
-            self.nonlinear + other.nonlinear,
-            self.ancilla_phase + other.ancilla_phase,
-        )
 
     def scaled(self, m: int) -> "GateCounts":
         return GateCounts(self.mcx * m, self.nonlinear * m, self.ancilla_phase * m)
@@ -270,18 +271,8 @@ class ResourceTally:
             "n": self.n,
             "n_steps": self.n_steps,
             "basic_c": self.basic_c,
-            "per_step": {
-                "mcx": self.per_step.mcx,
-                "nonlinear": self.per_step.nonlinear,
-                "ancilla_phase": self.per_step.ancilla_phase,
-                "basic": self.basic_per_step,
-            },
-            "total": {
-                "mcx": self.mcx_count,
-                "nonlinear": self.nonlinear_count,
-                "ancilla_phase": self.ancilla_phase_count,
-                "basic": self.basic_gate_count,
-            },
+            "per_step": {**asdict(self.per_step), "basic": self.basic_per_step},
+            "total": {**asdict(self.total), "basic": self.basic_gate_count},
         }
 
 
@@ -318,47 +309,34 @@ def schedule_blocks(schedule: GammaSchedule) -> list[tuple[GateOp, ...]]:
     modulus-preserving) but fixed for reproducibility.
     """
     blocks: list[tuple[GateOp, ...]] = [
-        (GateOp.mcx(k), GateOp.nl(g), GateOp.aph(g), GateOp.mcx(k))
+        (GateOp("MCX", k), GateOp("NL", g), GateOp("APH", g), GateOp("MCX", k))
         for k, g in enumerate(schedule.gamma_k.tolist())
         if g != 0.0
     ]
-    for k, l, g in zip(
-        schedule.pair_k.tolist(), schedule.pair_l.tolist(), schedule.gamma_kl.tolist()
-    ):
-        blocks.append(
-            (
-                GateOp.mcx(k),
-                GateOp.mcx(l),
-                GateOp.nl(g),
-                GateOp.aph(g),
-                GateOp.mcx(l),
-                GateOp.mcx(k),
-            )
+    blocks += [
+        (GateOp("MCX", k), GateOp("MCX", l), GateOp("NL", g), GateOp("APH", g),
+         GateOp("MCX", l), GateOp("MCX", k))
+        for k, l, g in zip(
+            schedule.pair_k.tolist(), schedule.pair_l.tolist(), schedule.gamma_kl.tolist()
         )
+    ]
     return blocks
 
 
 def compile_w(f: CouplingMatrix, eps: float) -> GateSequence:
     """Compile the one-step nonlinear-potential diagonal into gate blocks."""
-    ops: list[GateOp] = []
-    for block in schedule_blocks(gammas_from_coupling(f, eps)):
-        ops.extend(block)
-    return GateSequence(f.n_qubits, tuple(ops))
+    blocks = schedule_blocks(gammas_from_coupling(f, eps))
+    return GateSequence(f.n_qubits, tuple(chain.from_iterable(blocks)))
 
 
 def execute(seq: GateSequence, r: Register) -> Register:
-    """Run a compiled sequence on a register (in place)."""
+    """Run a compiled sequence on a register (in place), each op through the
+    statevec primitive `GATES` names for its kind."""
     if seq.n != r.n:
         raise ValueError(f"sequence is for n={seq.n}, register has n={r.n}")
-    for op in seq.ops:
-        if op.kind == "MCX":
-            statevec.apply_mcx_k(r, op.k)
-        elif op.kind == "NL":
-            statevec.apply_nonlinear(r, op.angle)
-        elif op.kind == "APH":
-            statevec.apply_ancilla_phase(r, op.angle)
-        else:
-            raise ValueError(f"unknown gate kind {op.kind!r}")
+    apply = {kind: getattr(statevec, name) for kind, (name, _) in GATES.items()}
+    for kind, arg in seq.ops:
+        apply[kind](r, arg)
     return r
 
 
@@ -443,41 +421,27 @@ def tensor_square(r: Register, max_result_qubits: int = 24) -> Register:
 
 
 def sequence_to_text(seq: GateSequence) -> str:
-    """Serialize a sequence, one op per line.
-
-    Formats: ``MCX <k>``, ``NL <angle>``, ``APH <angle>``. Angles are radians
-    printed with full round-trip precision and a locale-independent decimal
-    point.
-    """
-    lines = []
-    for op in seq.ops:
-        if op.kind == "MCX":
-            lines.append(f"MCX {op.k}")
-        elif op.kind in ("NL", "APH"):
-            lines.append(f"{op.kind} {op.angle!r}")
-        else:
-            raise ValueError(f"unknown gate kind {op.kind!r}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Serialize a sequence, one ``<KIND> <arg>`` line per op: ``MCX <k>``,
+    ``NL <angle>``, ``APH <angle>``. The arg goes through its kind's `GATES`
+    type, so a numpy scalar prints as a plain number; angles (radians) print
+    with full round-trip precision and a locale-independent decimal point."""
+    return "".join(f"{kind} {GATES[kind][1](arg)!r}\n" for kind, arg in seq.ops)
 
 
 def sequence_from_text(text: str, n: int) -> GateSequence:
-    """Parse the line format written by `sequence_to_text`."""
+    """Parse the format written by `sequence_to_text`. Blank lines are
+    skipped; any other line that is not a `GATES` kind and one finite argument
+    of that kind's type raises ``bad gate line N``."""
     ops: list[GateOp] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        if not raw.strip():
             continue
-        parts = line.split()
-        kind, args = parts[0], parts[1:]
         try:
-            if kind == "MCX":
-                ops.append(GateOp.mcx(int(args[0])))
-            elif kind == "NL":
-                ops.append(GateOp.nl(float(args[0])))
-            elif kind == "APH":
-                ops.append(GateOp.aph(float(args[0])))
-            else:
-                raise ValueError(f"unknown op {kind!r}")
-        except (IndexError, ValueError) as exc:
+            kind, token = raw.split()
+            arg = GATES[kind][1](token)
+            if not math.isfinite(arg):
+                raise ValueError(f"non-finite argument {token!r}")
+        except (KeyError, ValueError) as exc:
             raise ValueError(f"bad gate line {lineno}: {raw!r}") from exc
+        ops.append(GateOp(kind, arg))
     return GateSequence(n, tuple(ops))

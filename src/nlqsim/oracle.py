@@ -90,10 +90,6 @@ def _momentum_sq(grid: GridSpec) -> np.ndarray:
     return (p0**2)[:, None] + (p1**2)[None, :]
 
 
-def _fft_axes(grid: GridSpec) -> tuple[int, ...]:
-    return tuple(range(grid.dims))
-
-
 def _transforms(grid: GridSpec):
     """(fft, ifft, rfft, irfft) over all axes of a field on the grid.
 
@@ -145,11 +141,10 @@ def laplacian_potential(rho0: float, grid: GridSpec) -> PotentialRule:
     if not rho0 > 0:
         raise ValueError(f"reference density must be positive, got {rho0}")
     scale = 1.0 / (4.0 * rho0 * grid.dx**2)
-    axes = _fft_axes(grid)
 
     def rule(density: np.ndarray) -> np.ndarray:
         lap = -2.0 * grid.dims * density
-        for axis in axes:
+        for axis in range(grid.dims):
             lap += np.roll(density, 1, axis=axis)
             lap += np.roll(density, -1, axis=axis)
         return lap * scale
@@ -289,21 +284,21 @@ def gpe2_solve(s: TwoModeState, t: float, dt: float) -> TwoModeState:
     grid = s.grid
     n = max(1, round(t / dt))
     dt = t / n
-    axes = _fft_axes(grid)
+    fft, ifft, _, _ = _transforms(grid)
     half_kin = np.exp(-0.5j * dt * 0.5 * _momentum_sq(grid))
     w1 = abs(s.alpha) ** 2
     w2 = abs(s.beta) ** 2
     p1 = s.phi1.values.copy()
     p2 = s.phi2.values.copy()
     for step in range(1, n + 1):
-        p1 = np.fft.ifftn(half_kin * np.fft.fftn(p1, axes=axes), axes=axes)
-        p2 = np.fft.ifftn(half_kin * np.fft.fftn(p2, axes=axes), axes=axes)
+        p1 = ifft(half_kin * fft(p1))
+        p2 = ifft(half_kin * fft(p2))
         d1 = np.abs(p1) ** 2
         d2 = np.abs(p2) ** 2
         p1 = p1 * np.exp(-1j * dt * (s.V + s.g11 * w1 * d1 + s.g12 * w2 * d2))
         p2 = p2 * np.exp(-1j * dt * (s.V + s.g12 * w1 * d1 + s.g22 * w2 * d2))
-        p1 = np.fft.ifftn(half_kin * np.fft.fftn(p1, axes=axes), axes=axes)
-        p2 = np.fft.ifftn(half_kin * np.fft.fftn(p2, axes=axes), axes=axes)
+        p1 = ifft(half_kin * fft(p1))
+        p2 = ifft(half_kin * fft(p2))
         if step % 100 == 0 or step == n:
             for name, p in (("mode 1", p1), ("mode 2", p2)):
                 nrm = np.sqrt(np.sum(np.abs(p) ** 2) * grid.cell_volume)
@@ -323,12 +318,8 @@ class GroundState:
 
 
 def _residual(phi, V, g, grid, c_T):
-    axes = _fft_axes(grid)
-    psq = _momentum_sq(grid)
-    h_phi = (
-        np.fft.ifftn(c_T * psq * np.fft.fftn(phi, axes=axes), axes=axes)
-        + (V + g * np.abs(phi) ** 2) * phi
-    )
+    fft, ifft, _, _ = _transforms(grid)
+    h_phi = ifft(c_T * _momentum_sq(grid) * fft(phi)) + (V + g * np.abs(phi) ** 2) * phi
     mu = float(np.real(np.sum(np.conj(phi) * h_phi) * grid.cell_volume))
     res = float(np.linalg.norm(h_phi - mu * phi) / np.linalg.norm(phi))
     return res, mu
@@ -359,7 +350,7 @@ def imaginary_time_ground_state(
     V = np.asarray(V, dtype=np.float64).reshape(grid.points)
     if not np.all(np.isfinite(V)):
         raise ValueError("potential must be finite")
-    axes = _fft_axes(grid)
+    fft, ifft, _, _ = _transforms(grid)
     psq = _momentum_sq(grid)
     if initial is None:
         # ground-state guess: Boltzmann-like envelope on the potential well
@@ -381,9 +372,9 @@ def imaginary_time_ground_state(
         for _ in range(window):
             iterations += 1
             dens = np.abs(phi) ** 2
-            phi = np.fft.ifftn(half * np.fft.fftn(phi, axes=axes), axes=axes)
+            phi = ifft(half * fft(phi))
             phi = phi * np.exp(-dtau * (V + g_eff * dens))
-            phi = np.fft.ifftn(half * np.fft.fftn(phi, axes=axes), axes=axes)
+            phi = ifft(half * fft(phi))
             phi /= np.sqrt(np.sum(np.abs(phi) ** 2) * grid.cell_volume)
         res, mu = _residual(phi, V, g_eff, grid, c_T)
         if res < tol:

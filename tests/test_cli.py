@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -294,6 +295,24 @@ class TestCompare:
         assert len(rows) == 3
         assert 1.5 <= rows[0]["l2_ratio"] <= 2.7
         assert (tmp_path / "convergence.csv").exists()
+
+    def test_convergence_csv_parses(self, tmp_path):
+        """Every l2_ratio field is a float literal, except the finest row's,
+        which has no finer row to divide by and is left empty."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(hartree_config_dict(t=0.16, eps=0.08)))
+        rc = cli.main([
+            "compare", "--config", str(cfg_path), "--out", str(tmp_path),
+            "--halvings", "2",
+        ])
+        assert rc == 0
+        rows = json.loads((tmp_path / "compare.json").read_text())["comparisons"]
+        with open(tmp_path / "convergence.csv", newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert len(table) == len(rows) == 3
+        assert table[-1]["l2_ratio"] == ""
+        for line, row in zip(table[:-1], rows):
+            assert float(line["l2_ratio"]) == row["l2_ratio"]
 
     def test_stencil_bug_raises_compare_error(self, tmp_path, monkeypatch):
         """The reference builds the Navier-Stokes potential from the physics,

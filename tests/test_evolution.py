@@ -122,6 +122,9 @@ class TestTracerSeams:
         (nlcompiler, "execute"),
         (evolution, "apply_kinetic"),
         (statevec, "dft_principal"),
+        (statevec, "apply_mcx_k"),
+        (statevec, "apply_nonlinear"),
+        (statevec, "apply_ancilla_phase"),
     ]
 
     @pytest.mark.parametrize("mode", evolution.MODES)
@@ -137,13 +140,19 @@ class TestTracerSeams:
 
             monkeypatch.setattr(module, name, wrapper)
         steps = 7
-        evolve(random_register(rng, 4), random_coupling(rng, 4, scale=0.3), spec,
-               steps * 0.05, 0.05, mode=mode)
+        result = evolve(random_register(rng, 4), random_coupling(rng, 4, scale=0.3), spec,
+                        steps * 0.05, 0.05, mode=mode)
+        # the gate primitives run only in compiled mode, each as often as the tally says
+        gates = steps if mode == "compiled" else 0
+        per_step = result.tally.per_step
         assert counts == {
             "nlcompiler.apply_w_direct": steps if mode == "direct" else 0,
             "nlcompiler.execute": steps if mode == "compiled" else 0,
             "evolution.apply_kinetic": steps,
             "statevec.dft_principal": 2 * steps,
+            "statevec.apply_mcx_k": gates * per_step.mcx,
+            "statevec.apply_nonlinear": gates * per_step.nonlinear,
+            "statevec.apply_ancilla_phase": gates * per_step.ancilla_phase,
         }
 
 

@@ -148,6 +148,11 @@ class TestCompile:
         assert counts.mcx == 8
         assert counts.ancilla_phase == 3
 
+    def test_counts_per_kind(self):
+        seq = GateSequence(1, (GateOp("APH", 0.1), GateOp("NL", 0.1), GateOp("APH", 0.2),
+                               GateOp("MCX", 0), GateOp("NL", 0.2), GateOp("APH", 0.3)))
+        assert seq.counts() == GateCounts(mcx=1, nonlinear=2, ancilla_phase=3)
+
     def test_tridiagonal_counts(self):
         # periodic nearest-neighbor stencil: M singles and M wrapped pairs
         m = 8
@@ -382,18 +387,34 @@ class TestSerialization:
         assert back == seq
 
     def test_known_lines(self):
-        seq = GateSequence(3, (GateOp.mcx(5), GateOp.nl(0.125), GateOp.aph(0.125)))
+        seq = GateSequence(3, (GateOp("MCX", 5), GateOp("NL", 0.125), GateOp("APH", 0.125)))
         assert sequence_to_text(seq) == "MCX 5\nNL 0.125\nAPH 0.125\n"
+
+    def test_numpy_args_written_as_plain_numbers(self):
+        seq = GateSequence(3, (GateOp("MCX", np.int64(5)), GateOp("NL", np.float64(0.125))))
+        assert sequence_to_text(seq) == "MCX 5\nNL 0.125\n"
 
     def test_full_precision(self):
         angle = -0.1234567890123456789
-        seq = GateSequence(1, (GateOp.nl(angle),))
+        seq = GateSequence(1, (GateOp("NL", angle),))
         back = sequence_from_text(sequence_to_text(seq), 1)
-        assert back.ops[0].angle == seq.ops[0].angle
+        assert back.ops[0].arg == seq.ops[0].arg
 
     def test_bad_line(self):
         with pytest.raises(ValueError, match="bad gate line"):
             sequence_from_text("MCX notanint\n", 2)
+        # a line is exactly <KIND> <arg>, with a finite arg
+        for line in ("MCX 5 7", "NL nan", "APH inf", "FOO 1", "NL"):
+            with pytest.raises(ValueError, match="bad gate line 2"):
+                sequence_from_text(f"MCX 0\n{line}\n", 2)
+
+    def test_blank_lines_skipped(self):
+        seq = sequence_from_text("\nMCX 1\n  \nNL -0.5\n", 2)
+        assert seq.ops == (GateOp("MCX", 1), GateOp("NL", -0.5))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown gate kind 'FOO'"):
+            GateSequence(1, (GateOp("MCX", 0), GateOp("FOO", 1.0)))
 
     def test_executes_after_round_trip(self, rng):
         f = random_coupling(rng, 2)
