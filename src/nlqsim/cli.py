@@ -440,8 +440,8 @@ def run_resources(
         mat = rng.normal(size=(dim, dim))
         f = CouplingMatrix.from_dense((mat + mat.T) / 2.0)
         seq = nlcompiler.compile_w(f, 0.1)
-        r = statevec.uniform_state(n)
-        _, counts = nlcompiler.execute_counted(seq, r)
+        nlcompiler.execute(seq, statevec.uniform_state(n))
+        counts = seq.counts()
         expected = nlcompiler.estimate_resources(n, 1, basic_c=basic_c).per_step
         report["instrumented"] = {
             "n": n,
@@ -465,7 +465,6 @@ def run_resources(
 def run_bec(
     out_dir: str,
     grid_points: int = 128,
-    extent: float = 20.0,
     weight: float = 0.36,
     g11: float = 1.0,
     g22: float = 1.0,
@@ -487,7 +486,7 @@ def run_bec(
         raise ConfigError(f"dt must be positive, got {dt}")
     if sweep < 1:
         raise ConfigError(f"sweep must be >= 1, got {sweep}")
-    grid = GridSpec(points=(grid_points,), dx=extent / grid_points, x0=-extent / 2)
+    grid = GridSpec(points=(grid_points,), dx=20.0 / grid_points, x0=-10.0)
     x = grid.coords(0)
     trap = 0.5 * x**2
     ground = oracle.imaginary_time_ground_state(trap, 0.0, grid, c_T=0.5)

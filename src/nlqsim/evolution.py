@@ -127,22 +127,18 @@ def trotter_step(
     f: CouplingMatrix,
     spec: KineticSpec,
     eps: float,
-    mode: str = "direct",
     sequence: GateSequence | None = None,
 ) -> Register:
-    """One step: potential diagonal (compiled blocks or direct), then kinetic.
+    """One step: potential diagonal, then kinetic.
 
-    Passing a precompiled sequence avoids recompiling in loops; it must match
-    (f, eps). The ancilla is clean again after the step.
+    The potential step executes the compiled sequence when one is given (it
+    must match (f, eps)) and applies the direct diagonal otherwise. The
+    ancilla is clean again after the step.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if mode == "compiled":
-        if sequence is None:
-            sequence = nlcompiler.compile_w(f, eps)
-        nlcompiler.execute(sequence, r)
-    else:
+    if sequence is None:
         nlcompiler.apply_w_direct(r, f, eps)
+    else:
+        nlcompiler.execute(sequence, r)
     return apply_kinetic(r, spec, eps)
 
 
@@ -183,7 +179,7 @@ def evolve(
     if record_stride > 0:
         record(0)
     for step in range(1, n_steps + 1):
-        trotter_step(r, f, spec, eps, mode=mode, sequence=sequence)
+        trotter_step(r, f, spec, eps, sequence)
         if record_stride > 0 and (step % record_stride == 0 or step == n_steps):
             record(step)
     drift = abs(r.norm() - 1.0)
@@ -214,29 +210,24 @@ def observables(
     return Observables(density=dens, momentum_density=mom_dens, energy=kinetic + interaction)
 
 
-def write_trajectory_csv(path, snapshots: list[Snapshot], density_only: bool = False):
-    """Write snapshots as rows (step, time, k, re, im) or (step, time, k, density).
+def write_trajectory_csv(path, snapshots: list[Snapshot]):
+    """Write snapshots as rows (step, time, k, re, im).
 
     The bytes are those of a default ``csv.writer`` with every float written
     as its repr: comma-separated, CRLF-terminated, no quoting (no field can
     contain a comma, quote or line break). Each snapshot is one write.
     """
-    header = "step,time,k,density" if density_only else "step,time,k,re,im"
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
+        fh.write("step,time,k,re,im\r\n")
         for snap in snapshots:
             lead = f"{snap.step},{snap.time!r},"
+            # snapshots are taken at step boundaries, where the ancilla is
+            # clean, so the ancilla-|0> branch is the whole field
             a0 = snap.amps[0::2]
-            if density_only:
-                dens = np.abs(a0) ** 2 + np.abs(snap.amps[1::2]) ** 2
-                rows = [f"{lead}{k},{d!r}\r\n" for k, d in enumerate(dens.tolist())]
-            else:
-                # snapshots are taken at step boundaries, where the ancilla
-                # is clean, so the ancilla-|0> branch is the whole field
-                rows = [
-                    f"{lead}{k},{re!r},{im!r}\r\n"
-                    for k, (re, im) in enumerate(zip(a0.real.tolist(), a0.imag.tolist()))
-                ]
+            rows = [
+                f"{lead}{k},{re!r},{im!r}\r\n"
+                for k, (re, im) in enumerate(zip(a0.real.tolist(), a0.imag.tolist()))
+            ]
             fh.write("".join(rows))
 
 

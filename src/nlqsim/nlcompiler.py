@@ -340,12 +340,6 @@ def execute(seq: GateSequence, r: Register) -> Register:
     return r
 
 
-def execute_counted(seq: GateSequence, r: Register) -> tuple[Register, GateCounts]:
-    """Run a sequence and report the instrumented ancilla-gate counts."""
-    execute(seq, r)
-    return r, seq.counts()
-
-
 def apply_w_direct(r: Register, f: CouplingMatrix, eps: float) -> Register:
     """Apply the nonlinear-potential diagonal directly from the densities.
 
@@ -429,9 +423,10 @@ def sequence_to_text(seq: GateSequence) -> str:
 
 
 def sequence_from_text(text: str, n: int) -> GateSequence:
-    """Parse the format written by `sequence_to_text`. Blank lines are
-    skipped; any other line that is not a `GATES` kind and one finite argument
-    of that kind's type raises ``bad gate line N``."""
+    """Parse the format written by `sequence_to_text` for an n-qubit
+    register. Blank lines are skipped; any other line that is not a `GATES`
+    kind and one finite argument of that kind's type, or an ``MCX`` index
+    outside [0, 2**n), raises ``bad gate line N``."""
     ops: list[GateOp] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
@@ -441,6 +436,8 @@ def sequence_from_text(text: str, n: int) -> GateSequence:
             arg = GATES[kind][1](token)
             if not math.isfinite(arg):
                 raise ValueError(f"non-finite argument {token!r}")
+            if kind == "MCX" and not 0 <= arg < 2**n:
+                raise ValueError(f"index {arg} out of range for {n} principal qubits")
         except (KeyError, ValueError) as exc:
             raise ValueError(f"bad gate line {lineno}: {raw!r}") from exc
         ops.append(GateOp(kind, arg))

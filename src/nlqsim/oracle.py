@@ -9,17 +9,19 @@ Navier-Stokes potential from a Laplacian of rolled density grids, and a
 coupling that has no other definition (custom-f) from the oracle's own read
 of its triplet file. Time stepping is Strang splitting (half kinetic, full
 potential, half kinetic), second order in dt, with the half-kinetic factors
-of neighbouring steps merged into one full factor. Benchmarks run the
-reference at a far smaller step than the run under test so its own error is
-negligible.
+of neighbouring steps merged into one full factor. One such loop (`_strang`)
+steps every real-time solve: one field for `split_step_solve`, the two
+stacked modes for `gpe2_solve`. Benchmarks run the reference at a far
+smaller step than the run under test so its own error is negligible.
 
-Also here: imaginary-time ground-state preparation and the two-component
-condensate check that a weakly coupled, trap-stationary pair of modes
-accumulates relative phase t*(g_eff_11 - g_eff_12)*|alpha|^2 +
-t*(g_eff_12 - g_eff_22)*|beta|^2, with effective couplings given by overlap
-integrals of the stationary profiles. The prediction holds exactly only for
-frozen profiles; the check quantifies the deviation, which shrinks with
-coupling strength and time.
+Also here: imaginary-time ground-state preparation, which keeps its own loop
+because it takes the density before the half kinetic step and renormalizes
+every step, and the two-component condensate check that a weakly coupled,
+trap-stationary pair of modes accumulates relative phase
+t*(g_eff_11 - g_eff_12)*|alpha|^2 + t*(g_eff_12 - g_eff_22)*|beta|^2, with
+effective couplings given by overlap integrals of the stationary profiles.
+The prediction holds exactly only for frozen profiles; the check quantifies
+the deviation, which shrinks with coupling strength and time.
 """
 
 from __future__ import annotations
@@ -188,6 +190,50 @@ def coupling_potential(path, grid: GridSpec) -> PotentialRule:
     return rule
 
 
+def _strang(values, grid, potential, c_T, t, dt, check_interval, labels):
+    """Fused Strang integration of one field, or of several stacked on a
+    leading axis, up to time t; returns the evolved values.
+
+    Each step is half-kinetic, full-potential (densities frozen during the
+    phase-only potential step, so that substep is exact), half-kinetic; the
+    scheme is second order in dt. The trailing half-kinetic of one step and
+    the leading one of the next merge into one full kinetic factor, so the
+    fields stay in momentum space between steps and a step costs one inverse
+    and one forward transform per field. The step count is round(t/dt) and
+    dt is adjusted to land on t exactly. The potential rule maps the
+    densities to potentials of the same shape. Each field's norm is checked
+    right after the potential phase every check_interval steps and at the
+    last step; drift beyond 1e-6 or non-finite values abort with an error
+    that starts with the field's label and suggests a smaller dt.
+    """
+    if t < 0:
+        raise ValueError(f"time must be >= 0, got {t}")
+    if t == 0:
+        return values.copy()
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    n = max(1, round(t / dt))
+    dt = t / n
+    fft, ifft, _, _ = _transforms(grid)
+    half_kin = np.exp(-0.5j * dt * c_T * _momentum_sq(grid))
+    full_kin = half_kin**2
+    grid_axes = tuple(range(-grid.dims, 0))
+    phi_hat = half_kin * fft(values)
+    for step in range(1, n + 1):
+        phi = ifft(phi_hat)
+        phi *= np.exp(-1j * dt * potential(np.abs(phi) ** 2))
+        if step % check_interval == 0 or step == n:
+            norms = np.sqrt(np.sum(np.abs(phi) ** 2, axis=grid_axes) * grid.cell_volume)
+            for label, nrm in zip(labels, np.atleast_1d(norms)):
+                if not np.isfinite(nrm) or abs(nrm - 1.0) > 1e-6:
+                    raise SimulationError(
+                        f"{label}norm drifted to {nrm!r} at step {step}; reduce dt"
+                    )
+        phi_hat = fft(phi)
+        phi_hat *= full_kin if step < n else half_kin
+    return ifft(phi_hat)
+
+
 def split_step_solve(
     phi0: FieldState,
     potential: PotentialRule,
@@ -196,44 +242,10 @@ def split_step_solve(
     dt: float,
     check_interval: int = 50,
 ) -> FieldState:
-    """Strang split-step integration up to time t.
-
-    Each step is half-kinetic, full-potential (density frozen during the
-    phase-only potential step, so that substep is exact), half-kinetic;
-    the scheme is second order in dt. The trailing half-kinetic of one step
-    and the leading one of the next merge into one full kinetic factor, so
-    the field stays in momentum space between steps and a step costs one
-    inverse and one forward transform. The step count is round(t/dt) and dt
-    is adjusted to land on t exactly. The norm is checked right after the
-    potential phase every check_interval steps and at the last step; drift
-    beyond 1e-6 or non-finite values abort with an error suggesting a
-    smaller dt.
-    """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    if t == 0:
-        return FieldState(phi0.values.copy(), phi0.grid)
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    grid = phi0.grid
-    n = max(1, round(t / dt))
-    dt = t / n
-    fft, ifft, _, _ = _transforms(grid)
-    half_kin = np.exp(-0.5j * dt * c_T * _momentum_sq(grid))
-    full_kin = half_kin**2
-    phi_hat = half_kin * fft(phi0.values)
-    for step in range(1, n + 1):
-        phi = ifft(phi_hat)
-        phi *= np.exp(-1j * dt * potential(np.abs(phi) ** 2))
-        if step % check_interval == 0 or step == n:
-            nrm = np.sqrt(np.sum(np.abs(phi) ** 2) * grid.cell_volume)
-            if not np.isfinite(nrm) or abs(nrm - 1.0) > 1e-6:
-                raise SimulationError(
-                    f"norm drifted to {nrm!r} at step {step}; reduce dt"
-                )
-        phi_hat = fft(phi)
-        phi_hat *= full_kin if step < n else half_kin
-    return FieldState(ifft(phi_hat), grid)
+    """Fused Strang split-step integration of one field up to time t (see
+    `_strang`); the norm is checked every check_interval steps."""
+    values = _strang(phi0.values, phi0.grid, potential, c_T, t, dt, check_interval, ("",))
+    return FieldState(values, phi0.grid)
 
 
 @dataclass(frozen=True)
@@ -271,42 +283,24 @@ class TwoModeState:
 def gpe2_solve(s: TwoModeState, t: float, dt: float) -> TwoModeState:
     """Coupled symmetric split-step evolution of both modes.
 
+    The modes are stacked and stepped together by `_strang` with c_T = 1/2.
     Both densities are frozen during the joint potential substep (it is
     phase-only for each mode), so the coupling term is handled exactly within
     the substep and the scheme stays second order.
     """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    if t == 0:
-        return s
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    grid = s.grid
-    n = max(1, round(t / dt))
-    dt = t / n
-    fft, ifft, _, _ = _transforms(grid)
-    half_kin = np.exp(-0.5j * dt * 0.5 * _momentum_sq(grid))
     w1 = abs(s.alpha) ** 2
     w2 = abs(s.beta) ** 2
-    p1 = s.phi1.values.copy()
-    p2 = s.phi2.values.copy()
-    for step in range(1, n + 1):
-        p1 = ifft(half_kin * fft(p1))
-        p2 = ifft(half_kin * fft(p2))
-        d1 = np.abs(p1) ** 2
-        d2 = np.abs(p2) ** 2
-        p1 = p1 * np.exp(-1j * dt * (s.V + s.g11 * w1 * d1 + s.g12 * w2 * d2))
-        p2 = p2 * np.exp(-1j * dt * (s.V + s.g12 * w1 * d1 + s.g22 * w2 * d2))
-        p1 = ifft(half_kin * fft(p1))
-        p2 = ifft(half_kin * fft(p2))
-        if step % 100 == 0 or step == n:
-            for name, p in (("mode 1", p1), ("mode 2", p2)):
-                nrm = np.sqrt(np.sum(np.abs(p) ** 2) * grid.cell_volume)
-                if not np.isfinite(nrm) or abs(nrm - 1.0) > 1e-6:
-                    raise SimulationError(
-                        f"{name} norm drifted to {nrm!r} at step {step}; reduce dt"
-                    )
-    return replace(s, phi1=FieldState(p1, grid), phi2=FieldState(p2, grid))
+
+    def potential(densities: np.ndarray) -> np.ndarray:
+        d1, d2 = densities
+        return np.stack([
+            s.V + s.g11 * w1 * d1 + s.g12 * w2 * d2,
+            s.V + s.g12 * w1 * d1 + s.g22 * w2 * d2,
+        ])
+
+    values = np.stack([s.phi1.values, s.phi2.values])
+    p1, p2 = _strang(values, s.grid, potential, 0.5, t, dt, 100, ("mode 1 ", "mode 2 "))
+    return replace(s, phi1=FieldState(p1, s.grid), phi2=FieldState(p2, s.grid))
 
 
 @dataclass(frozen=True)
@@ -331,36 +325,31 @@ def imaginary_time_ground_state(
     grid: GridSpec,
     c_T: float = 0.5,
     tol: float = 1e-8,
-    dtau0: float = 0.05,
     dtau_min: float = 1e-4,
-    max_iter: int = 2_000_000,
-    initial: np.ndarray | None = None,
 ) -> GroundState:
     """Ground state of T + V + g_eff*|phi|^2 by imaginary-time relaxation.
 
     Symmetric split stepping with renormalization after every step. The
     nonlinear factor uses the density of the renormalized state entering the
     step, which keeps the fixed-point bias at second order in the step size.
-    The step size starts at dtau0 and is divided by 4 whenever the residual
+    The step size starts at 0.05 and is divided by 4 whenever the residual
     stops improving (each fixed point is accurate to O(dtau^2), so refining
     the step lowers the reachable residual floor) until the residual
     |H phi - mu phi| / |phi| falls below tol. Runs that exhaust the schedule
-    or the iteration budget raise with the residual reached.
+    or 2,000,000 iterations raise with the residual reached.
     """
     V = np.asarray(V, dtype=np.float64).reshape(grid.points)
     if not np.all(np.isfinite(V)):
         raise ValueError("potential must be finite")
     fft, ifft, _, _ = _transforms(grid)
     psq = _momentum_sq(grid)
-    if initial is None:
-        # ground-state guess: Boltzmann-like envelope on the potential well
-        vspan = np.max(V) - np.min(V)
-        phi = np.exp(-(V - np.min(V)) / (vspan + 1.0)).astype(np.complex128)
-    else:
-        phi = np.asarray(initial, dtype=np.complex128).reshape(grid.points).copy()
+    # ground-state guess: Boltzmann-like envelope on the potential well
+    vspan = np.max(V) - np.min(V)
+    phi = np.exp(-(V - np.min(V)) / (vspan + 1.0)).astype(np.complex128)
     phi /= np.sqrt(np.sum(np.abs(phi) ** 2) * grid.cell_volume)
 
-    dtau = dtau0
+    dtau = 0.05
+    max_iter = 2_000_000
     half = np.exp(-0.5 * dtau * c_T * psq)
     res_prev = np.inf
     iterations = 0

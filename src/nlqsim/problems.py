@@ -20,7 +20,6 @@ Grids are periodic; kernels are evaluated at the minimal-image separation.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -227,10 +226,6 @@ class KernelSpec:
             return cls.tabulated_signed(values) if signed else cls.tabulated(values)
         return getattr(cls, form)(*values)
 
-    @classmethod
-    def from_json(cls, text: str) -> "KernelSpec":
-        return cls.from_json_dict(json.loads(text))
-
 
 @dataclass(frozen=True)
 class MadelungFields:
@@ -309,9 +304,7 @@ def navier_stokes_coupling(rho0: float, grid: GridSpec) -> CouplingMatrix:
     return CouplingMatrix(grid.size, rows, cols, vals[keep])
 
 
-def madelung_fields(
-    r: Register, grid: GridSpec, density_floor: float = 1e-8
-) -> MadelungFields:
+def madelung_fields(r: Register, grid: GridSpec) -> MadelungFields:
     """Density and velocity fields of a clean-ancilla register.
 
     The velocity is computed from the discrete probability current divided by
@@ -320,8 +313,8 @@ def madelung_fields(
     ansatz a = sqrt(rho) * exp(-i*theta) this equals the phase gradient
     grad(theta); a plane wave exp(-i*kappa*x) on uniform density gives
     u = sin(kappa*dx)/dx, i.e. kappa up to second-order discretization error.
-    Sites with physical density below density_floor / dx**dims get u = NaN
-    and are flagged as undefined rather than raising.
+    Sites with physical density below 1e-8 / dx**dims get u = NaN and are
+    flagged as undefined rather than raising.
     """
     if grid.size != r.num_states:
         raise ValueError(f"grid has {grid.size} sites, register {r.num_states} states")
@@ -330,7 +323,7 @@ def madelung_fields(
     a = r.ancilla0.reshape(grid.points)
     mags = np.abs(a) ** 2
     rho = mags / grid.cell_volume
-    floor = density_floor / grid.cell_volume
+    floor = 1e-8 / grid.cell_volume
     defined = rho >= floor
     u = np.full((grid.dims, *grid.points), np.nan)
     for axis in range(grid.dims):

@@ -16,7 +16,7 @@ from nlqsim.evolution import (
     trotter_step,
     write_trajectory_csv,
 )
-from nlqsim.nlcompiler import CouplingMatrix, estimate_resources
+from nlqsim.nlcompiler import CouplingMatrix, compile_w, estimate_resources
 from nlqsim.problems import (
     GridSpec,
     KernelSpec,
@@ -186,13 +186,13 @@ class TestTrotterStep:
     def test_compiled_matches_direct(self, grid, spec, rng):
         f = random_coupling(rng, 4, scale=0.5)
         r = random_register(rng, 4)
-        direct = trotter_step(r.copy(), f, spec, 0.08, mode="direct")
-        compiled = trotter_step(r.copy(), f, spec, 0.08, mode="compiled")
+        direct = trotter_step(r.copy(), f, spec, 0.08)
+        compiled = trotter_step(r.copy(), f, spec, 0.08, sequence=compile_w(f, 0.08))
         assert fidelity(direct, compiled) > 1 - 1e-12
 
     def test_ancilla_clean_after_step(self, grid, spec, rng):
         f = random_coupling(rng, 4)
-        r = trotter_step(random_register(rng, 4), f, spec, 0.05, mode="compiled")
+        r = trotter_step(random_register(rng, 4), f, spec, 0.05, sequence=compile_w(f, 0.05))
         assert r.ancilla_is_clean()
 
 
@@ -372,44 +372,25 @@ class TestTrajectoryExport:
     def test_fields_are_plain_numbers(self, tmp_path, grid, spec, rng):
         f = random_coupling(rng, 4)
         result = evolve(random_register(rng, 4), f, spec, 0.3, 0.1, record_stride=1)
-        for density_only in (False, True):
-            path = tmp_path / "traj.csv"
-            write_trajectory_csv(path, result.snapshots, density_only=density_only)
-            for line in path.read_text().splitlines()[1:]:
-                for field in line.split(","):
-                    float(field)
-
-    def test_density_csv(self, tmp_path, grid, spec, rng):
-        r0 = random_register(rng, 4)
-        result = evolve(r0, CouplingMatrix.zeros(16), spec, 0.2, 0.1, record_stride=2)
-        path = tmp_path / "dens.csv"
-        write_trajectory_csv(path, result.snapshots, density_only=True)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,time,k,density"
-        first = lines[1].split(",")
-        assert float(first[3]) >= 0.0
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, result.snapshots)
+        for line in path.read_text().splitlines()[1:]:
+            for field in line.split(","):
+                float(field)
 
     @staticmethod
-    def csv_writer_reference(path, snapshots, density_only):
+    def csv_writer_reference(path, snapshots):
         """The row format written by a plain csv.writer, one row at a time."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            if density_only:
-                writer.writerow(["step", "time", "k", "density"])
-            else:
-                writer.writerow(["step", "time", "k", "re", "im"])
+            writer.writerow(["step", "time", "k", "re", "im"])
             for snap in snapshots:
-                a0, a1 = snap.amps[0::2], snap.amps[1::2]
-                dens = np.abs(a0) ** 2 + np.abs(a1) ** 2
+                a0 = snap.amps[0::2]
                 for k in range(a0.shape[0]):
-                    if density_only:
-                        row = [repr(float(dens[k]))]
-                    else:
-                        row = [repr(float(a0[k].real)), repr(float(a0[k].imag))]
+                    row = [repr(float(a0[k].real)), repr(float(a0[k].imag))]
                     writer.writerow([snap.step, repr(snap.time), k, *row])
 
-    @pytest.mark.parametrize("density_only", [False, True])
-    def test_bytes_match_csv_writer(self, tmp_path, rng, density_only):
+    def test_bytes_match_csv_writer(self, tmp_path, rng):
         special = np.array([-0.0, 0.0, 1e-300, -2.5e-310, 1.7e150, -3.3e-5, 1.0, 123456.789])
         amps = np.empty(16, dtype=complex)
         amps[0::2] = special + 1j * special[::-1]
@@ -420,7 +401,7 @@ class TestTrajectoryExport:
             Snapshot(12, 12 * 0.1, amps[::-1].copy()),
         ]
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        write_trajectory_csv(got, snapshots, density_only=density_only)
-        self.csv_writer_reference(want, snapshots, density_only)
+        write_trajectory_csv(got, snapshots)
+        self.csv_writer_reference(want, snapshots)
         assert got.read_bytes() == want.read_bytes()
         assert b"\r\n" in got.read_bytes()

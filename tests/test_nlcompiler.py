@@ -12,7 +12,6 @@ from nlqsim.nlcompiler import (
     dense_sparsity,
     estimate_resources,
     execute,
-    execute_counted,
     gammas_from_coupling,
     schedule_blocks,
     sequence_from_text,
@@ -337,7 +336,8 @@ class TestResources:
         for n in (1, 2, 3):
             f = random_coupling(rng, n)
             seq = compile_w(f, 0.1)
-            _, counts = execute_counted(seq, random_register(rng, n))
+            execute(seq, random_register(rng, n))
+            counts = seq.counts()
             singles, pairs = gammas_from_coupling(f, 0.1).sparsity()
             expected = estimate_resources(n, 1, singles=singles, pairs=pairs)
             assert counts == expected.per_step
@@ -346,7 +346,8 @@ class TestResources:
         f = np.zeros((8, 8))
         f[1, 4] = f[4, 1] = 0.3
         seq = compile_w(CouplingMatrix.from_dense(f), 0.1)
-        _, counts = execute_counted(seq, random_register(rng, 3))
+        execute(seq, random_register(rng, 3))
+        counts = seq.counts()
         # one pair block and the two compensating singles it induces
         assert counts == GateCounts(mcx=8, nonlinear=3, ancilla_phase=3)
 
@@ -404,7 +405,8 @@ class TestSerialization:
         with pytest.raises(ValueError, match="bad gate line"):
             sequence_from_text("MCX notanint\n", 2)
         # a line is exactly <KIND> <arg>, with a finite arg
-        for line in ("MCX 5 7", "NL nan", "APH inf", "FOO 1", "NL"):
+        # an MCX index must address one of the 2**n principal states
+        for line in ("MCX 5 7", "NL nan", "APH inf", "FOO 1", "NL", "MCX 99", "MCX -1"):
             with pytest.raises(ValueError, match="bad gate line 2"):
                 sequence_from_text(f"MCX 0\n{line}\n", 2)
 

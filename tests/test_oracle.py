@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,54 @@ class TestFusedStepper:
         got = kernel_potential(kernel, grid)(dens)
         assert got.shape == grid.points
         assert np.max(np.abs(got - complex_fft_convolution(kernel, grid, dens))) <= 1e-12
+
+
+def unfused_two_mode_solve(s, t, n):
+    """The two-mode Strang step with four complex FFTs per mode and no
+    merged half steps."""
+    grid = s.grid
+    dt = t / n
+    p = 2.0 * np.pi * np.fft.fftfreq(grid.points[0], d=grid.dx)
+    half = np.exp(-0.5j * dt * 0.5 * p**2)
+    w1, w2 = abs(s.alpha) ** 2, abs(s.beta) ** 2
+    p1, p2 = s.phi1.values.copy(), s.phi2.values.copy()
+    for _ in range(n):
+        p1 = np.fft.ifft(half * np.fft.fft(p1))
+        p2 = np.fft.ifft(half * np.fft.fft(p2))
+        d1, d2 = np.abs(p1) ** 2, np.abs(p2) ** 2
+        p1 = p1 * np.exp(-1j * dt * (s.V + s.g11 * w1 * d1 + s.g12 * w2 * d2))
+        p2 = p2 * np.exp(-1j * dt * (s.V + s.g12 * w1 * d1 + s.g22 * w2 * d2))
+        p1 = np.fft.ifft(half * np.fft.fft(p1))
+        p2 = np.fft.ifft(half * np.fft.fft(p2))
+    return p1, p2
+
+
+class TestFusedTwoModes:
+    @pytest.fixture
+    def state(self, grid, trap_ground):
+        moving = FieldState.from_samples(np.exp(-((grid.coords(0) - 1.0) ** 2) / 2), grid)
+        return TwoModeState(
+            moving, trap_ground.state, complex(np.sqrt(0.36)), complex(np.sqrt(0.64)),
+            1.0, 0.8, 0.5, harmonic_trap(grid),
+        )
+
+    @pytest.mark.parametrize("n", [1, 99, 100, 101])
+    def test_matches_unfused_steps(self, state, n):
+        t = 0.2
+        out = gpe2_solve(state, t, t / n)
+        p1, p2 = unfused_two_mode_solve(state, t, n)
+        assert np.max(np.abs(out.phi1.values - p1)) <= 1e-12
+        assert np.max(np.abs(out.phi2.values - p2)) <= 1e-12
+
+    def test_non_finite_mode_2_named(self, state):
+        """A potential that is non-finite in mode 2 only is reported as mode 2
+        after mode 1 passes its check. One step, because from the second step
+        on mode 1 feels mode 2's NaN density through 0 * NaN."""
+        bad = replace(state, g22=np.inf, g12=0.0)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            SimulationError, match=r"^mode 2 norm drifted to .* at step 1; "
+        ):
+            gpe2_solve(bad, 1e-3, 1e-3)
 
 
 #: grids for the matrix-free routes: 1-d, 2-point axes, 2-d

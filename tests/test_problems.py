@@ -102,17 +102,17 @@ class TestKernelSpec:
             KernelSpec.contact(3.0),
             KernelSpec.tabulated([1.0, 0.5, 0.25]),
         ):
-            assert KernelSpec.from_json(json.dumps(k.to_json_dict())) == k
+            assert KernelSpec.from_json_dict(json.loads(json.dumps(k.to_json_dict()))) == k
 
     def test_json_signed_samples(self):
-        k = KernelSpec.from_json(
-            '{"form": "tabulated", "samples_signed": [1.0, 2.0, 1.0]}'
+        k = KernelSpec.from_json_dict(
+            json.loads('{"form": "tabulated", "samples_signed": [1.0, 2.0, 1.0]}')
         )
         assert k.samples == (2.0, 1.0)
 
     def test_unknown_form(self):
         with pytest.raises(ValueError):
-            KernelSpec.from_json('{"form": "cubic"}')
+            KernelSpec.from_json_dict(json.loads('{"form": "cubic"}'))
 
     @pytest.mark.parametrize(
         "payload, match",
