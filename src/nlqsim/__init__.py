@@ -49,6 +49,7 @@ from .statevec import (
     apply_ancilla_phase,
     apply_mcx_k,
     apply_nonlinear,
+    apply_principal_axes,
     apply_principal_diagonal,
     branch_weights,
     dft_principal,

@@ -15,6 +15,11 @@ accepts only its dataclass's fields (kernel keys per form, in KernelSpec),
 reals must be finite JSON numbers and integers JSON integers within their
 bounds. The --eps/--steps/--mode overrides re-enter config_from_dict.
 
+Every run is capped at MAX_STEPS steps: the gate-path steps of a
+simulate/compare config (checked by config_from_dict), and the gate-path
+plus reference steps summed over all rows of a compare run (checked by
+run_compare before any work). A run above the cap is a config error.
+
 Exit codes: 0 success, 1 numerical failure or an allocation that failed, 2
 usage or config error, each failure reported as one stderr line, never a
 traceback.
@@ -51,6 +56,11 @@ DEFAULT_CT = {
     "navier-stokes": 0.5,
     "custom-f": 1.0,
 }
+
+
+#: most steps one run may take: at about 10 us per step on the smallest grids a
+#: run at the cap takes about a quarter of an hour, far more would never finish
+MAX_STEPS = 10**8
 
 
 class ConfigError(ValueError):
@@ -199,6 +209,7 @@ def config_from_dict(d: dict, base_dir: str = ".") -> ExperimentConfig:
     if cfg.initial_state.preset == "file" and not cfg.initial_state.path:
         raise ConfigError("file preset needs a path")
     _check_step_counts(cfg, cfg.eps)
+    _check_step_cap(evolution.n_steps_for(cfg.t, cfg.eps), "the gate path at eps")
 
     # referenced files are resolved against the config location and must
     # exist at load time
@@ -224,6 +235,13 @@ def _check_step_counts(cfg: ExperimentConfig, eps: float, name: str = "eps") -> 
             raise ConfigError(
                 f"the step count t / ({label}) overflows: t {cfg.t!r}, {label} = {step!r}"
             )
+
+
+def _check_step_cap(steps: int, what: str) -> None:
+    """Refuse a run of more than MAX_STEPS steps, naming the count."""
+    if steps > MAX_STEPS:
+        count = steps if steps < 10**12 else f"about {float(steps):.3g}"
+        raise ConfigError(f"{what} takes {count} steps, above the cap of {MAX_STEPS}")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -340,6 +358,15 @@ def run_compare(cfg: ExperimentConfig, out_dir: str, halvings: int = 0) -> dict:
     for i in range(1, halvings + 1):
         row_eps.append(math.ldexp(cfg.eps, -i))  # eps/2**i; refused once it underflows
         _check_step_counts(cfg, row_eps[-1], f"eps/2**{i}")
+    # the caps come after every overflow check, so an overflow is named as one
+    row_steps = [evolution.n_steps_for(cfg.t, eps) for eps in row_eps]
+    for i, n_steps in enumerate(row_steps[1:], 1):
+        _check_step_cap(n_steps, f"the gate path at eps/2**{i}")
+    total = sum(
+        n_steps + oracle.step_count(n_steps * eps, cfg.oracle_step(eps))
+        for n_steps, eps in zip(row_steps, row_eps)
+    )
+    _check_step_cap(total, f"compare (gate path and reference, all {len(row_eps)} row(s))")
     f, r0 = build_problem(cfg)
     spec = KineticSpec(cfg.kinetic_prefactor, cfg.grid)
     rule = build_oracle_potential(cfg)
@@ -545,8 +572,17 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return config_from_dict({**config_to_dict(cfg), **updates}) if updates else cfg
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise ConfigError, so that main
+    reports them as one line like every other failure (subcommand parsers
+    are built from the same class)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nlqsim",
         description="nonlinear-ancilla simulator and verification harness",
     )
@@ -591,9 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # non-finite results are checked and reported, so numpy stays quiet
         with np.errstate(all="ignore"):
             if args.command == "simulate":

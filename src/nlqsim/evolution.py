@@ -9,7 +9,12 @@ kinetic propagator, diagonalized by the principal-index Fourier transform:
 with the standard wrapped momentum ladder p_m = 2*pi*m/(M*dx) for
 m <= M/2 and 2*pi*(m-M)/(M*dx) above (Nyquist assigned to -M/2; only p^2
 enters, so the sign choice is immaterial). On 2-d grids each axis is
-transformed and the ladders add.
+transformed and the ladders add, so U_eps is also the product over the axes
+of the circulant unitaries U_a = DFT^-1 . exp(-i*eps*c_T*p_a^2) . DFT.
+Grids whose axis lengths sum to at most KINETIC_MATRIX_MAX_POINTS apply
+those precomputed per-axis matrices (`statevec.apply_principal_axes`);
+larger grids transform (`statevec.dft_principal`), multiply by the cached
+factors (`statevec.apply_principal_factors`) and transform back.
 
 The splitting is first order in eps by construction; halving eps halves the
 state error against a converged reference. Gate counts for the potential
@@ -33,6 +38,12 @@ NORM_DRIFT_TOL = 1e-10
 
 MODES = ("compiled", "direct")
 
+#: grids whose axis lengths sum to at most this apply the kinetic step as one
+#: precomputed unitary per axis: up to there a matrix product beats the fixed
+#: costs of two transforms (sweep in BENCH_12.json), and the matrices take at
+#: most 1 MiB
+KINETIC_MATRIX_MAX_POINTS = 256
+
 
 class SimulationError(RuntimeError):
     """Numerical failure (norm drift, non-finite amplitudes)."""
@@ -49,6 +60,7 @@ class KineticSpec:
     c_T: float
     grid: GridSpec
     _propagators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _axis_unitaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.c_T):
@@ -59,22 +71,36 @@ class KineticSpec:
         per step size, so a run exponentiates them once instead of every step."""
         factors = self._propagators.get(eps)
         if factors is None:
-            factors = np.exp(1j * kinetic_phases(self, eps))
-            if not np.isfinite(factors).all():
-                raise SimulationError(f"non-finite kinetic phase at step {eps}; lower c_T or eps")
+            factors = _unit_factors(kinetic_phases(self, eps), eps)
             factors.flags.writeable = False
             self._propagators[eps] = factors
         return factors
 
+    def axis_unitaries(self, eps: float) -> tuple[np.ndarray, ...]:
+        """Read-only per-axis kinetic unitaries (`axis_unitary`), built once
+        per step size and kept for the latest one; applied along their axes
+        they give the propagator."""
+        mats = self._axis_unitaries.get(eps)
+        if mats is None:
+            mats = tuple(axis_unitary(p_sq, self.c_T, eps) for p_sq in self.axis_momentum_sq())
+            # keep one step size: a run steps at one eps, and each row of a
+            # step-halving comparison at its own
+            self._axis_unitaries.clear()
+            self._axis_unitaries[eps] = mats
+        return mats
+
+    def axis_momentum_sq(self) -> list[np.ndarray]:
+        """p_a^2 on each grid axis, over the wrapped ladder of that axis."""
+        return [
+            (2.0 * np.pi * np.fft.fftfreq(m, d=self.grid.dx)) ** 2 for m in self.grid.points
+        ]
+
     def momentum_sq(self) -> np.ndarray:
         """p^2 per composite principal index (row-major over grid axes)."""
-        axes = [
-            2.0 * np.pi * np.fft.fftfreq(m, d=self.grid.dx) for m in self.grid.points
-        ]
+        sq = self.axis_momentum_sq()
         if self.grid.dims == 1:
-            return axes[0] ** 2
-        p0, p1 = axes
-        return ((p0**2)[:, None] + (p1**2)[None, :]).reshape(-1)
+            return sq[0]
+        return (sq[0][:, None] + sq[1][None, :]).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -113,8 +139,34 @@ def kinetic_phases(spec: KineticSpec, eps: float) -> np.ndarray:
     return -eps * spec.c_T * spec.momentum_sq()
 
 
+def _unit_factors(phases: np.ndarray, eps: float) -> np.ndarray:
+    """exp(i * phases); a phase that overflowed gives a NaN factor, refused here."""
+    factors = np.exp(1j * phases)
+    if not np.isfinite(factors).all():
+        raise SimulationError(f"non-finite kinetic phase at step {eps}; lower c_T or eps")
+    return factors
+
+
+def axis_unitary(p_sq: np.ndarray, c_T: float, eps: float) -> np.ndarray:
+    """Read-only circulant U = DFT^-1 . diag(exp(-i*eps*c_T*p_sq)) . DFT on
+    one periodic axis: its first column is the inverse DFT of the phase
+    factors, and U[j, k] = column[(j - k) mod M]."""
+    column = np.fft.ifft(_unit_factors(-eps * c_T * p_sq, eps))
+    m = column.size
+    u = column[(np.arange(m)[:, None] - np.arange(m)) % m]
+    u.flags.writeable = False
+    return u
+
+
 def apply_kinetic(r: Register, spec: KineticSpec, eps: float) -> Register:
-    """Kinetic propagator: transform, apply dispersion phases, transform back."""
+    """Kinetic propagator exp(-i*eps*c_T*p^2).
+
+    Grids whose axis lengths sum to at most KINETIC_MATRIX_MAX_POINTS
+    multiply by the cached per-axis unitaries; larger grids transform, apply
+    the cached dispersion factors and transform back.
+    """
+    if sum(spec.grid.points) <= KINETIC_MATRIX_MAX_POINTS:
+        return statevec.apply_principal_axes(r, spec.axis_unitaries(eps))
     shape = spec.grid.points
     statevec.dft_principal(r, inverse=False, axes_shape=shape)
     statevec.apply_principal_factors(r, spec.propagator(eps))

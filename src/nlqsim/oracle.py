@@ -190,6 +190,12 @@ def coupling_potential(path, grid: GridSpec) -> PotentialRule:
     return rule
 
 
+def step_count(t: float, dt: float) -> int:
+    """Steps a real-time solve to time t takes at step dt: round(t/dt), at
+    least one when t > 0, none when t is 0."""
+    return max(1, round(t / dt)) if t > 0 else 0
+
+
 def _strang(values, grid, potential, c_T, t, dt, check_interval, labels):
     """Fused Strang integration of one field, or of several stacked on a
     leading axis, up to time t; returns the evolved values.
@@ -199,12 +205,13 @@ def _strang(values, grid, potential, c_T, t, dt, check_interval, labels):
     scheme is second order in dt. The trailing half-kinetic of one step and
     the leading one of the next merge into one full kinetic factor, so the
     fields stay in momentum space between steps and a step costs one inverse
-    and one forward transform per field. The step count is round(t/dt) and
-    dt is adjusted to land on t exactly. The potential rule maps the
-    densities to potentials of the same shape. Each field's norm is checked
-    right after the potential phase every check_interval steps and at the
-    last step; drift beyond 1e-6 or non-finite values abort with an error
-    that starts with the field's label and suggests a smaller dt.
+    and one forward transform per field. The step count is
+    `step_count(t, dt)` and dt is adjusted to land on t exactly. The
+    potential rule maps the densities to potentials of the same shape. Each
+    field's norm is checked right after the potential phase every
+    check_interval steps and at the last step; drift beyond 1e-6 or
+    non-finite values abort with an error that starts with the field's label
+    and suggests a smaller dt.
     """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
@@ -212,7 +219,7 @@ def _strang(values, grid, potential, c_T, t, dt, check_interval, labels):
         return values.copy()
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    n = max(1, round(t / dt))
+    n = step_count(t, dt)
     dt = t / n
     fft, ifft, _, _ = _transforms(grid)
     half_kin = np.exp(-0.5j * dt * c_T * _momentum_sq(grid))
@@ -227,7 +234,7 @@ def _strang(values, grid, potential, c_T, t, dt, check_interval, labels):
             for label, nrm in zip(labels, np.atleast_1d(norms)):
                 if not np.isfinite(nrm) or abs(nrm - 1.0) > 1e-6:
                     raise SimulationError(
-                        f"{label}norm drifted to {nrm!r} at step {step}; reduce dt"
+                        f"{label}norm drifted to {float(nrm)!r} at step {step}; reduce dt"
                     )
         phi_hat = fft(phi)
         phi_hat *= full_kin if step < n else half_kin
@@ -291,11 +298,19 @@ def gpe2_solve(s: TwoModeState, t: float, dt: float) -> TwoModeState:
     w1 = abs(s.alpha) ** 2
     w2 = abs(s.beta) ** 2
 
+    def mode_potential(couplings, densities):
+        # V + g_i1*w1*d1 + g_i2*w2*d2, with no term for a coupling that is
+        # exactly 0, so a diverged mode cannot reach the other through 0 * NaN
+        v = s.V
+        for g, w, d in zip(couplings, (w1, w2), densities):
+            if g != 0:
+                v = v + g * w * d
+        return v
+
     def potential(densities: np.ndarray) -> np.ndarray:
-        d1, d2 = densities
         return np.stack([
-            s.V + s.g11 * w1 * d1 + s.g12 * w2 * d2,
-            s.V + s.g12 * w1 * d1 + s.g22 * w2 * d2,
+            mode_potential((s.g11, s.g12), densities),
+            mode_potential((s.g12, s.g22), densities),
         ])
 
     values = np.stack([s.phi1.values, s.phi2.values])

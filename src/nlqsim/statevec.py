@@ -15,12 +15,15 @@ bit-reproducible from run to run.
 The gate set is deliberately small: the ancilla-flip on a single principal
 index, the branch-probability phase gate, an ancilla-conditioned phase, a
 diagonal phase over the principal index (given as phases or as precomputed
-unit factors), and the unitary DFT. Nothing else is
-needed to realize the diagonal nonlinear-potential step and the kinetic step.
+unit factors), the unitary DFT, and one matrix per axis of the principal index
+(``apply_principal_axes``, which applies a precomputed kinetic unitary on
+small grids). Nothing else is needed to realize the diagonal
+nonlinear-potential step and the kinetic step.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -145,19 +148,21 @@ def apply_nonlinear(r: Register, gamma: float) -> Register:
     is the state-dependent Bloch-sphere rotation
     (theta, phi) -> (theta, phi - gamma*cos(theta)) of the ancilla qubit,
     written out on the full register. Phase-only, hence norm-preserving; an
-    empty branch just receives an irrelevant phase.
+    empty branch just receives an irrelevant phase. The factors come from
+    ``cmath.exp`` on the Python complex, which gives the bits of ``np.exp``
+    without its array-call overhead.
     """
     w = branch_weights(r)
     a0, a1 = r.ancilla0, r.ancilla1
-    a0 *= np.exp(1j * gamma * w.p0)
-    a1 *= np.exp(1j * gamma * w.p1)
+    a0 *= cmath.exp(1j * gamma * w.p0)
+    a1 *= cmath.exp(1j * gamma * w.p1)
     return r
 
 
 def apply_ancilla_phase(r: Register, lam: float) -> Register:
     """Multiply every ancilla-|1> amplitude by exp(i*lam)."""
     a1 = r.ancilla1
-    a1 *= np.exp(1j * lam)
+    a1 *= cmath.exp(1j * lam)
     return r
 
 
@@ -207,6 +212,30 @@ def dft_principal(
         if branch.any():
             block = np.ascontiguousarray(branch).reshape(axes_shape)
             branch[:] = transform(block, norm="ortho").reshape(-1)
+    return r
+
+
+def apply_principal_axes(r: Register, matrices: tuple[np.ndarray, ...]) -> Register:
+    """Multiply the principal index by one square matrix per grid axis; the
+    ancilla is untouched.
+
+    The principal index is factored row-major into one axis per matrix (one
+    matrix: the whole index; two: rows and columns of a 2-d field), and
+    ``matrices[a]`` acts on axis a. Each ancilla branch is copied out,
+    multiplied as its own contiguous array and written back, as in
+    `dft_principal`; a branch that is exactly zero is skipped.
+    """
+    if not 1 <= len(matrices) <= 2:
+        raise ValueError(f"need one or two axis matrices, got {len(matrices)}")
+    shape = tuple(m.shape[0] for m in matrices)
+    if math.prod(shape) != r.num_states:
+        raise ValueError(f"axis matrices {shape} do not cover 2**{r.n} states")
+    for branch in (r.ancilla0, r.ancilla1):
+        if branch.any():
+            block = matrices[0] @ np.ascontiguousarray(branch).reshape(shape)
+            if len(matrices) == 2:
+                block = block @ matrices[1].T
+            branch[:] = block.reshape(-1)
     return r
 
 

@@ -222,12 +222,12 @@ class TestSparseCouplings:
         assert peak_kib < 200 * 1024
 
 
-def run_child(args):
+def run_child(args, timeout=120):
     """Run the interpreter on args with this nlqsim package importable."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(nlqsim.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 class TestModuleEntryPoint:
@@ -396,6 +396,12 @@ class TestBadArguments:
             ["resources", "--basic-c", "0"],
             ["compare", "--halvings", "2", "--steps", "0"],
             ["compare", "--halvings", "-1"],
+            # usage errors found by the argument parser
+            ["resources", "--n-min", "abc"],
+            ["bec", "--sweep", "1.5"],
+            ["simulate"],
+            ["frobnicate"],
+            ["compare", "--mode", "bogus"],
         ],
     )
     def test_exit_2_with_one_line(self, tmp_path, capsys, argv):
@@ -408,6 +414,18 @@ class TestBadArguments:
         assert rc == 2
         assert len(err) == 1
         assert err[0].startswith("config error: ")
+
+    def test_usage_error_names_the_argument(self, capsys):
+        assert cli.main(["resources", "--n-min", "abc"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: argument --n-min: invalid int value: 'abc'\n"
+
+    def test_help_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr()
+        assert out.out.startswith("usage: nlqsim ") and out.err == ""
 
 
 class TestBadPhysics:
@@ -717,6 +735,77 @@ class TestConfigBoundary:
         text = (tmp_path / "summary.json").read_text()
         assert '"center": 1,' in text
         assert json.loads(text)["config"]["initial_state"]["center"] == 1
+
+
+class TestStepCap:
+    """No run takes more than MAX_STEPS steps: gate path for simulate, gate
+    path plus reference over all rows for compare."""
+
+    @pytest.mark.parametrize(
+        "command, payload, extra",
+        [
+            ("simulate", gp_config_dict(t=1e20, eps=0.1), []),
+            ("compare", gp_config_dict(oracle_dt=1e-300), []),
+            ("compare", gp_config_dict(t=1.6, eps=0.08), ["--halvings", "60"]),
+        ],
+        ids=["huge-t", "tiny-oracle-dt", "60-halvings"],
+    )
+    def test_refused_within_a_time_limit(self, tmp_path, command, payload, extra):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        proc = run_child(["-m", "nlqsim.cli", command, "--config", str(cfg_path),
+                          "--out", str(out), *extra], timeout=30)
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("config error: ")
+        assert "steps, above the cap of 100000000" in lines[0]
+        assert not out.exists()
+
+    def test_cap_is_inclusive(self):
+        assert cli.MAX_STEPS == 10**8
+        cfg = config_from_dict(gp_config_dict(t=0.5 * cli.MAX_STEPS, eps=0.5))
+        assert cfg.eps == 0.5
+        with pytest.raises(ConfigError, match=r"gate path at eps takes 100000001 steps"):
+            config_from_dict(gp_config_dict(t=0.5 * (cli.MAX_STEPS + 1), eps=0.5))
+
+    @staticmethod
+    def no_work(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, "build_problem", refuse)
+
+    def test_override_is_capped(self, tmp_path, capsys, monkeypatch):
+        self.no_work(monkeypatch)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(gp_config_dict()))
+        rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path),
+                       "--eps", "0.5", "--steps", str(cli.MAX_STEPS + 1)])
+        assert rc == 2
+        assert "takes 100000001 steps" in one_error_line(capsys)
+
+    def test_simulate_counts_no_reference_steps(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(gp_config_dict(oracle_dt=1e-300)))
+        assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+
+    def test_compare_counts_every_row(self, tmp_path, capsys, monkeypatch):
+        # 8 + 16 + ... gate steps and 20 times as many reference steps per row:
+        # 21 halvings stay under the cap row by row, not in total; refused
+        # before any work
+        self.no_work(monkeypatch)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(gp_config_dict(t=0.8, eps=0.1)))
+        rc = cli.main(["compare", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                       "--halvings", "21"])
+        assert rc == 2
+        line = one_error_line(capsys)
+        assert line == (
+            "config error: compare (gate path and reference, all 22 row(s)) takes "
+            f"{21 * 8 * (2**22 - 1)} steps, above the cap of 100000000"
+        )
 
 
 # values written over a config entry by the property test below

@@ -39,6 +39,25 @@ def spec(grid):
     return KineticSpec(1.0, grid)
 
 
+@pytest.fixture
+def fft_spec():
+    """A grid past KINETIC_MATRIX_MAX_POINTS: the kinetic step transforms."""
+    return KineticSpec(1.0, GridSpec(points=(512,), dx=0.05, x0=-12.8))
+
+
+def count_axis_builds(monkeypatch):
+    """The arguments of every per-axis unitary build, recorded as they happen."""
+    calls = []
+    build = evolution.axis_unitary
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(evolution, "axis_unitary", counting)
+    return calls
+
+
 class TestKineticPhases:
     def test_zero_momentum_zero_phase(self, spec):
         assert kinetic_phases(spec, 0.3)[0] == 0.0
@@ -89,6 +108,30 @@ class TestKineticPropagator:
             KineticSpec(1e308, grid).propagator(0.1)
 
     def test_built_once_per_run(self, grid, spec, rng, monkeypatch):
+        # the 16-site grid takes the per-axis route: one matrix for its axis
+        calls = count_axis_builds(monkeypatch)
+        evolve(random_register(rng, 4), CouplingMatrix.zeros(16), spec, 1.0, 0.1)
+        assert [args[1:] for args in calls] == [(1.0, 0.1)]
+        assert np.array_equal(calls[0][0], spec.momentum_sq())
+
+    def test_built_once_per_axis_2d(self, rng, monkeypatch):
+        calls = count_axis_builds(monkeypatch)
+        spec = KineticSpec(0.5, GridSpec(points=(4, 8), dx=0.5))
+        evolve(random_register(rng, 5), CouplingMatrix.zeros(32), spec, 1.0, 0.1)
+        assert [(args[0].size,) + args[1:] for args in calls] == [(4, 0.5, 0.1), (8, 0.5, 0.1)]
+
+    def test_keeps_the_latest_step_size(self, spec, monkeypatch):
+        # a step-halving comparison runs each step size once, so only the
+        # latest step size's matrices are kept
+        calls = count_axis_builds(monkeypatch)
+        first = spec.axis_unitaries(0.05)
+        assert spec.axis_unitaries(0.05) is first
+        spec.axis_unitaries(0.1)
+        again = spec.axis_unitaries(0.05)
+        assert [args[2] for args in calls] == [0.05, 0.1, 0.05]
+        assert np.array_equal(again[0], first[0])
+
+    def test_factors_built_once_on_fft_grid(self, fft_spec, rng, monkeypatch):
         calls = []
         phases = evolution.kinetic_phases
 
@@ -97,19 +140,94 @@ class TestKineticPropagator:
             return phases(*args)
 
         monkeypatch.setattr(evolution, "kinetic_phases", counting)
-        evolve(random_register(rng, 4), CouplingMatrix.zeros(16), spec, 1.0, 0.1)
-        assert calls == [(spec, 0.1)]
+        evolve(random_register(rng, 9), CouplingMatrix.zeros(512), fft_spec, 0.3, 0.1)
+        assert calls == [(fft_spec, 0.1)]
 
-    def test_matches_per_step_phases(self, grid, spec, rng):
-        # the kinetic step with cached factors equals transform, exp of the
-        # phases, inverse transform
-        r = random_register(rng, 4)
+    def test_matches_per_step_phases(self, fft_spec, rng):
+        # on a grid past the per-axis threshold, the kinetic step with cached
+        # factors equals transform, exp of the phases, inverse transform
+        r = random_register(rng, 9)
         expected = r.copy()
         statevec.dft_principal(expected)
-        statevec.apply_principal_diagonal(expected, kinetic_phases(spec, 0.05))
+        statevec.apply_principal_diagonal(expected, kinetic_phases(fft_spec, 0.05))
         statevec.dft_principal(expected, inverse=True)
-        apply_kinetic(r, spec, 0.05)
+        apply_kinetic(r, fft_spec, 0.05)
         assert np.array_equal(r.amps, expected.amps)
+
+
+class TestPerAxisRoute:
+    """On small grids apply_kinetic multiplies by one circulant unitary per
+    axis; the transform route stays the reference it must agree with."""
+
+    POINTS = [(m,) for m in (2, 4, 8, 16, 32, 64, 128, 256)] + [
+        (2, 2), (2, 8), (8, 2), (16, 16), (128, 128),
+    ]
+
+    @staticmethod
+    def register(rng, size, live_ancilla):
+        amps = np.zeros(2 * size, dtype=complex)
+        amps[0::2] = rng.normal(size=size) + 1j * rng.normal(size=size)
+        if live_ancilla:
+            amps[1::2] = rng.normal(size=size) + 1j * rng.normal(size=size)
+        return statevec.Register(int(size).bit_length() - 1, amps / np.linalg.norm(amps))
+
+    @pytest.mark.parametrize(
+        "points, route",
+        [((256,), "axes"), ((128, 128), "axes"), ((512,), "dft"), ((2, 256), "dft")],
+    )
+    def test_route_follows_the_axis_sum(self, monkeypatch, points, route):
+        calls = []
+        monkeypatch.setattr(statevec, "dft_principal", lambda r, **kw: calls.append("dft") or r)
+        monkeypatch.setattr(statevec, "apply_principal_axes", lambda r, m: calls.append("axes") or r)
+        spec = KineticSpec(1.0, GridSpec(points=points, dx=0.1))
+        apply_kinetic(statevec.uniform_state(spec.grid.n_qubits), spec, 0.01)
+        assert calls == (["axes"] if route == "axes" else ["dft", "dft"])
+
+    @pytest.mark.parametrize("points", POINTS)
+    @pytest.mark.parametrize("live_ancilla", [False, True])
+    def test_routes_agree_after_100_steps(self, rng, monkeypatch, points, live_ancilla):
+        spec = KineticSpec(0.7, GridSpec(points=points, dx=0.3))
+        r = self.register(rng, spec.grid.size, live_ancilla)
+        expected = r.copy()
+        for _ in range(100):
+            apply_kinetic(r, spec, 0.01)
+        monkeypatch.setattr(evolution, "KINETIC_MATRIX_MAX_POINTS", 0)
+        for _ in range(100):
+            apply_kinetic(expected, spec, 0.01)
+        assert np.max(np.abs(r.amps - expected.amps)) <= 1e-12
+        assert r.ancilla1.any() == live_ancilla
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64, 128, 256])
+    def test_axis_matrix_is_unitary(self, m):
+        spec = KineticSpec(1.0, GridSpec(points=(m,), dx=0.1))
+        (u,) = spec.axis_unitaries(0.05)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(m), 2) <= 1e-14
+        assert not u.flags.writeable
+        assert spec.axis_unitaries(0.05)[0] is u
+
+    def test_circulant_of_the_factors(self):
+        # U = DFT^-1 . diag(factors) . DFT, with the unitary DFT matrix
+        spec = KineticSpec(1.0, GridSpec(points=(8,), dx=0.5))
+        (u,) = spec.axis_unitaries(0.3)
+        dft = np.fft.fft(np.eye(8), norm="ortho")
+        expected = dft.conj().T @ np.diag(spec.propagator(0.3)) @ dft
+        assert np.max(np.abs(u - expected)) < 1e-15
+
+    def test_norm_drift_long_run(self):
+        grid = GridSpec(points=(64,), dx=0.25, x0=-8.0)
+        spec = KineticSpec(1.0, grid)
+        r = init_from_amplitudes(gaussian_packet(grid, 0.0, 1.0, 0.5))
+        for _ in range(20000):
+            apply_kinetic(r, spec, 0.01)
+        assert abs(r.norm() - 1.0) <= 1e-10
+
+    @pytest.mark.parametrize("points", [(16,), (8, 8), (512,)])
+    def test_non_finite_phase_is_a_simulation_error(self, rng, points):
+        # eps * c_T * p^2 overflows to inf on either route
+        spec = KineticSpec(1e308, GridSpec(points=points, dx=0.5))
+        r = random_register(rng, spec.grid.n_qubits)
+        with np.errstate(all="ignore"), pytest.raises(SimulationError, match="kinetic"):
+            apply_kinetic(r, spec, 0.1)
 
 
 class TestTracerSeams:
@@ -122,13 +240,13 @@ class TestTracerSeams:
         (nlcompiler, "execute"),
         (evolution, "apply_kinetic"),
         (statevec, "dft_principal"),
+        (statevec, "apply_principal_axes"),
         (statevec, "apply_mcx_k"),
         (statevec, "apply_nonlinear"),
         (statevec, "apply_ancilla_phase"),
     ]
 
-    @pytest.mark.parametrize("mode", evolution.MODES)
-    def test_each_seam_called_per_step(self, grid, spec, rng, monkeypatch, mode):
+    def count_seams(self, monkeypatch):
         counts = {}
         for module, name in self.SEAMS:
             key = f"{module.__name__.split('.')[-1]}.{name}"
@@ -139,6 +257,11 @@ class TestTracerSeams:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
+        return counts
+
+    @pytest.mark.parametrize("mode", evolution.MODES)
+    def test_each_seam_called_per_step(self, grid, spec, rng, monkeypatch, mode):
+        counts = self.count_seams(monkeypatch)
         steps = 7
         result = evolve(random_register(rng, 4), random_coupling(rng, 4, scale=0.3), spec,
                         steps * 0.05, 0.05, mode=mode)
@@ -149,10 +272,28 @@ class TestTracerSeams:
             "nlcompiler.apply_w_direct": steps if mode == "direct" else 0,
             "nlcompiler.execute": steps if mode == "compiled" else 0,
             "evolution.apply_kinetic": steps,
-            "statevec.dft_principal": 2 * steps,
+            # the 16-site grid takes the per-axis route: no transform
+            "statevec.dft_principal": 0,
+            "statevec.apply_principal_axes": steps,
             "statevec.apply_mcx_k": gates * per_step.mcx,
             "statevec.apply_nonlinear": gates * per_step.nonlinear,
             "statevec.apply_ancilla_phase": gates * per_step.ancilla_phase,
+        }
+
+    def test_fft_side_grid_transforms_twice_per_step(self, fft_spec, rng, monkeypatch):
+        counts = self.count_seams(monkeypatch)
+        steps = 3
+        evolve(random_register(rng, 9), CouplingMatrix.zeros(512), fft_spec,
+               steps * 0.05, 0.05, mode="direct")
+        assert counts == {
+            "nlcompiler.apply_w_direct": steps,
+            "nlcompiler.execute": 0,
+            "evolution.apply_kinetic": steps,
+            "statevec.dft_principal": 2 * steps,
+            "statevec.apply_principal_axes": 0,
+            "statevec.apply_mcx_k": 0,
+            "statevec.apply_nonlinear": 0,
+            "statevec.apply_ancilla_phase": 0,
         }
 
 

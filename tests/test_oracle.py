@@ -254,13 +254,30 @@ class TestFusedTwoModes:
 
     def test_non_finite_mode_2_named(self, state):
         """A potential that is non-finite in mode 2 only is reported as mode 2
-        after mode 1 passes its check. One step, because from the second step
-        on mode 1 feels mode 2's NaN density through 0 * NaN."""
+        after mode 1 passes its check."""
         bad = replace(state, g22=np.inf, g12=0.0)
         with np.errstate(invalid="ignore"), pytest.raises(
             SimulationError, match=r"^mode 2 norm drifted to .* at step 1; "
         ):
             gpe2_solve(bad, 1e-3, 1e-3)
+
+    def test_non_finite_mode_2_named_at_the_check_interval(self, state):
+        """With g12 exactly 0 the coupling adds no term, so mode 2's NaN
+        density never reaches mode 1 (0 * NaN would), and the first check,
+        at step 100, still names mode 2; the norm prints as a plain float."""
+        bad = replace(state, g22=np.inf, g12=0.0)
+        with np.errstate(invalid="ignore"), pytest.raises(
+            SimulationError, match=r"^mode 2 norm drifted to nan at step 100; reduce dt$"
+        ):
+            gpe2_solve(bad, 0.2, 1e-3)
+
+    def test_zero_coupling_adds_no_term(self, state):
+        # a finite run with g12 = 0 matches the loop that adds the 0 terms
+        free = replace(state, g12=0.0)
+        out = gpe2_solve(free, 0.2, 0.2 / 99)
+        p1, p2 = unfused_two_mode_solve(free, 0.2, 99)
+        assert np.max(np.abs(out.phi1.values - p1)) <= 1e-12
+        assert np.max(np.abs(out.phi2.values - p2)) <= 1e-12
 
 
 #: grids for the matrix-free routes: 1-d, 2-point axes, 2-d

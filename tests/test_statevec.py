@@ -8,6 +8,7 @@ from nlqsim.statevec import (
     apply_ancilla_phase,
     apply_mcx_k,
     apply_nonlinear,
+    apply_principal_axes,
     apply_principal_diagonal,
     basis_state,
     branch_weights,
@@ -190,6 +191,84 @@ class TestPrincipalDiagonal:
     def test_length_mismatch(self, rng):
         with pytest.raises(ValueError):
             apply_principal_diagonal(random_register(rng, 2), np.zeros(3))
+
+
+class TestPhaseFactorBits:
+    """The gates take their phase factor from cmath.exp; the bits must be
+    those of np.exp on the same angle."""
+
+    @staticmethod
+    def live_register(rng):
+        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+        return Register(3, amps / np.linalg.norm(amps))
+
+    def test_nonlinear_bit_equal_to_np_exp(self, rng):
+        for _ in range(500):
+            r = self.live_register(rng)
+            gamma = float(rng.normal() * 10.0 ** rng.integers(-3, 4))
+            w = branch_weights(r)
+            expected = r.amps.copy()
+            expected[0::2] *= np.exp(1j * gamma * w.p0)
+            expected[1::2] *= np.exp(1j * gamma * w.p1)
+            apply_nonlinear(r, gamma)
+            assert np.array_equal(r.amps, expected)
+
+    def test_ancilla_phase_bit_equal_to_np_exp(self, rng):
+        for _ in range(500):
+            r = self.live_register(rng)
+            lam = float(rng.normal() * 10.0 ** rng.integers(-3, 4))
+            expected = r.amps.copy()
+            expected[1::2] *= np.exp(1j * lam)
+            apply_ancilla_phase(r, lam)
+            assert np.array_equal(r.amps, expected)
+
+
+class TestPrincipalAxes:
+    @staticmethod
+    def random_unitary(rng, m):
+        q, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        return q
+
+    @pytest.mark.parametrize("shape", [(2,), (64,), (2, 8), (8, 2), (16, 16)])
+    def test_matches_kronecker_product(self, rng, shape):
+        size = int(np.prod(shape))
+        amps = rng.normal(size=2 * size) + 1j * rng.normal(size=2 * size)
+        r = Register(size.bit_length() - 1, amps / np.linalg.norm(amps))
+        mats = tuple(self.random_unitary(rng, m) for m in shape)
+        full = mats[0] if len(mats) == 1 else np.kron(mats[0], mats[1])
+        expected = r.amps.copy()
+        expected[0::2] = full @ expected[0::2]
+        expected[1::2] = full @ expected[1::2]
+        apply_principal_axes(r, mats)
+        assert np.max(np.abs(r.amps - expected)) < 1e-13
+        assert abs(r.norm() - 1.0) < 1e-12
+
+    def test_clean_ancilla_stays_exactly_zero(self, rng):
+        r = random_register(rng, 4)
+        apply_principal_axes(r, (self.random_unitary(rng, 4), self.random_unitary(rng, 4)))
+        assert not r.ancilla1.any()
+
+    def test_zero_ancilla0_branch(self, rng):
+        r = Register(3, np.zeros(16))
+        r.ancilla1[:] = rng.normal(size=8) / np.sqrt(8)
+        u = self.random_unitary(rng, 8)
+        expected = u @ r.ancilla1
+        apply_principal_axes(r, (u,))
+        assert np.max(np.abs(r.ancilla1 - expected)) < 1e-14
+        assert not r.ancilla0.any()
+
+    def test_identity_leaves_register(self, rng):
+        r = random_register(rng, 5)
+        before = r.amps.copy()
+        apply_principal_axes(r, (np.eye(4), np.eye(8)))
+        assert np.array_equal(r.amps, before)
+
+    def test_bad_shapes(self, rng):
+        r = random_register(rng, 4)
+        with pytest.raises(ValueError, match="cover"):
+            apply_principal_axes(r, (np.eye(8),))
+        with pytest.raises(ValueError, match="one or two"):
+            apply_principal_axes(r, (np.eye(2),) * 4)
 
 
 class TestDft:
