@@ -16,9 +16,10 @@ reals must be finite JSON numbers and integers JSON integers within their
 bounds. The --eps/--steps/--mode overrides re-enter config_from_dict.
 
 Every run is capped at MAX_STEPS steps: the gate-path steps of a
-simulate/compare config (checked by config_from_dict), and the gate-path
-plus reference steps summed over all rows of a compare run (checked by
-run_compare before any work). A run above the cap is a config error.
+simulate/compare config (checked by config_from_dict), and for a compare run
+the gate-path steps of all rows plus the reference steps of the solves it
+makes (checked by run_compare before any work). A run above the cap is a
+config error.
 
 Exit codes: 0 success, 1 numerical failure or an allocation that failed, 2
 usage or config error, each failure reported as one stderr line, never a
@@ -106,7 +107,9 @@ class ExperimentConfig:
     def oracle_step(self, eps: float) -> float:
         """Reference step for a run of step eps: oracle_dt if set, else a
         twentieth of eps, so the reference error is negligible against the
-        first-order step error."""
+        first-order step error. The rows of `compare --halvings` share one
+        reference at the finest row's step, continued from each row's final
+        time to the next."""
         return eps / 20.0 if self.oracle_dt is None else self.oracle_dt
 
 
@@ -362,24 +365,37 @@ def run_compare(cfg: ExperimentConfig, out_dir: str, halvings: int = 0) -> dict:
     row_steps = [evolution.n_steps_for(cfg.t, eps) for eps in row_eps]
     for i, n_steps in enumerate(row_steps[1:], 1):
         _check_step_cap(n_steps, f"the gate path at eps/2**{i}")
-    total = sum(
-        n_steps + oracle.step_count(n_steps * eps, cfg.oracle_step(eps))
-        for n_steps, eps in zip(row_steps, row_eps)
+    # both paths of a row integrate to its final time t_run. Halving eps and
+    # doubling the step count are exact, so the rows share one t_run whenever
+    # t is a multiple of eps. The reference runs at the finest row's step and
+    # reaches each distinct t_run from the next lower one (0 at first), so
+    # its steps add up to those of a single solve to the latest t_run, not
+    # of one solve per row
+    t_runs = [n_steps * eps for n_steps, eps in zip(row_steps, row_eps)]
+    ref_dt = cfg.oracle_step(row_eps[-1])
+    ends = sorted(set(t_runs))
+    starts = dict(zip(ends, [0.0] + ends[:-1]))
+    total = sum(row_steps) + sum(
+        oracle.step_count(end - start, ref_dt) for end, start in starts.items()
     )
     _check_step_cap(total, f"compare (gate path and reference, all {len(row_eps)} row(s))")
     f, r0 = build_problem(cfg)
     spec = KineticSpec(cfg.kinetic_prefactor, cfg.grid)
     rule = build_oracle_potential(cfg)
-    phi0 = FieldState.from_amplitudes(r0.ancilla0.copy(), cfg.grid)
+    references = {0.0: FieldState.from_amplitudes(r0.ancilla0.copy(), cfg.grid)}
 
-    def one_comparison(eps: float) -> dict:
-        n_steps = evolution.n_steps_for(cfg.t, eps)
-        t_run = n_steps * eps  # both paths integrate to the same final time
+    def reference(t_run: float) -> FieldState:
+        # solved when a row first needs it, after that row's gate path
+        if t_run not in references:
+            start = starts[t_run]
+            references[t_run] = oracle.split_step_solve(
+                reference(start), rule, cfg.kinetic_prefactor, t_run - start, ref_dt
+            )
+        return references[t_run]
+
+    def one_comparison(eps: float, n_steps: int, t_run: float) -> dict:
         result = evolution.evolve(r0, f, spec, t_run, eps, mode=cfg.mode)
-        ref = oracle.split_step_solve(
-            phi0, rule, cfg.kinetic_prefactor, t_run, cfg.oracle_step(eps)
-        )
-        ref_amps = ref.to_amplitudes()
+        ref_amps = reference(t_run).to_amplitudes()
         quantum = result.final.ancilla0.copy()
         ov = np.vdot(ref_amps, quantum)
         fid = float(abs(ov))
@@ -397,7 +413,7 @@ def run_compare(cfg: ExperimentConfig, out_dir: str, halvings: int = 0) -> dict:
             "norm_drift": result.norm_drift,
         }
 
-    rows = [one_comparison(eps) for eps in row_eps]
+    rows = [one_comparison(*row) for row in zip(row_eps, row_steps, t_runs)]
     for i in range(len(rows) - 1):
         nxt = rows[i + 1]
         rows[i]["l2_ratio"] = rows[i]["l2_error"] / nxt["l2_error"]
@@ -600,7 +616,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="gate-level run vs classical reference")
     add_common(p_cmp)
     p_cmp.add_argument("--halvings", type=int, default=0,
-                       help="extra runs at eps/2, eps/4, ... with ratio table")
+                       help="extra runs at eps/2, eps/4, ... with ratio table; rows "
+                            "share one reference, continued through their final "
+                            "times, at the finest row's eps/20 unless oracle_dt "
+                            "is set")
 
     p_res = sub.add_parser("resources", help="gate-count table")
     p_res.add_argument("--n-min", type=int, default=1)

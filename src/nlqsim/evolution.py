@@ -126,12 +126,20 @@ class Observables:
 
 
 def n_steps_for(t: float, eps: float) -> int:
-    """floor(t/eps) with a guard against floating-point shortfall."""
+    """floor(t/eps) with a guard against floating-point shortfall.
+
+    A t written as n * eps reads back as t/eps a few ulps off n, below n as
+    often as above, so a quotient within 1e-9 plus four ulps of its nearest
+    integer counts as that integer. The relative part keeps large counts
+    exact, and rounds up only a quotient that close to an integer.
+    """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
     if not eps > 0:
         raise ValueError(f"step size must be positive, got {eps}")
-    return int(math.floor(t / eps + 1e-9))
+    q = t / eps
+    n = round(q)
+    return n if abs(q - n) <= 1e-9 + 4 * q * 2**-52 else math.floor(q)
 
 
 def kinetic_phases(spec: KineticSpec, eps: float) -> np.ndarray:

@@ -186,6 +186,14 @@ def apply_principal_factors(r: Register, factors: np.ndarray) -> Register:
     return r
 
 
+def _live_branches(r: Register) -> tuple[np.ndarray, ...]:
+    """The ancilla branches a linear map over the principal index must
+    touch: the ancilla-|0> branch, and the ancilla-|1> branch unless it is
+    exactly zero (a linear map leaves a zero branch zero)."""
+    a1 = r.ancilla1
+    return (r.ancilla0, a1) if a1.any() else (r.ancilla0,)
+
+
 def dft_principal(
     r: Register, inverse: bool = False, axes_shape: tuple[int, ...] | None = None
 ) -> Register:
@@ -199,19 +207,20 @@ def dft_principal(
     identity to machine precision).
 
     Each ancilla branch is copied out and transformed as its own contiguous
-    array, bit-identical to one transform of the interleaved register. A
-    branch that is exactly zero is skipped, since its transform is zero; at
-    step boundaries that is the whole ancilla-|1> branch.
+    array, bit-identical to one transform of the interleaved register. The
+    ancilla-|1> branch is skipped when it is exactly zero, as it is at every
+    step boundary, since its transform is zero. The ancilla-|0> branch is
+    always transformed: it is practically never zero, and a zero one
+    transforms to zero, so testing it would only cost time.
     """
     if axes_shape is None:
         axes_shape = (r.num_states,)
     if math.prod(axes_shape) != r.num_states:
         raise ValueError(f"axes shape {axes_shape} does not cover 2**{r.n} states")
     transform = np.fft.ifftn if inverse else np.fft.fftn
-    for branch in (r.ancilla0, r.ancilla1):
-        if branch.any():
-            block = np.ascontiguousarray(branch).reshape(axes_shape)
-            branch[:] = transform(block, norm="ortho").reshape(-1)
+    for branch in _live_branches(r):
+        block = np.ascontiguousarray(branch).reshape(axes_shape)
+        branch[:] = transform(block, norm="ortho").reshape(-1)
     return r
 
 
@@ -223,19 +232,19 @@ def apply_principal_axes(r: Register, matrices: tuple[np.ndarray, ...]) -> Regis
     matrix: the whole index; two: rows and columns of a 2-d field), and
     ``matrices[a]`` acts on axis a. Each ancilla branch is copied out,
     multiplied as its own contiguous array and written back, as in
-    `dft_principal`; a branch that is exactly zero is skipped.
+    `dft_principal`: the ancilla-|1> branch only when it is not exactly zero,
+    the ancilla-|0> branch always.
     """
     if not 1 <= len(matrices) <= 2:
         raise ValueError(f"need one or two axis matrices, got {len(matrices)}")
     shape = tuple(m.shape[0] for m in matrices)
     if math.prod(shape) != r.num_states:
         raise ValueError(f"axis matrices {shape} do not cover 2**{r.n} states")
-    for branch in (r.ancilla0, r.ancilla1):
-        if branch.any():
-            block = matrices[0] @ np.ascontiguousarray(branch).reshape(shape)
-            if len(matrices) == 2:
-                block = block @ matrices[1].T
-            branch[:] = block.reshape(-1)
+    for branch in _live_branches(r):
+        block = matrices[0] @ np.ascontiguousarray(branch).reshape(shape)
+        if len(matrices) == 2:
+            block = block @ matrices[1].T
+        branch[:] = block.reshape(-1)
     return r
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,6 +314,79 @@ class TestCompare:
         assert table[-1]["l2_ratio"] == ""
         for line, row in zip(table[:-1], rows):
             assert float(line["l2_ratio"]) == row["l2_ratio"]
+
+    @pytest.mark.parametrize(
+        "payload, halvings, t_runs, ref_steps",
+        [
+            # the acceptance Hartree config: t is a multiple of eps, so every
+            # row ends at 1.6
+            (hartree_config_dict(grid={"points": [64], "dx": 0.25, "x0": -8.0},
+                                 initial_state={"preset": "gaussian", "center": -2.0,
+                                                "sigma": 1.0, "kappa": -1.0},
+                                 t=1.6, eps=0.08), 3, [1.6], 3200),
+            # rows of 3, 6, 13 and 26 steps end at 3 * 0.3 and at 13 * 0.075
+            (hartree_config_dict(t=1.0, eps=0.3), 3, [3 * 0.3, 13 * (0.3 / 4)], 520),
+            # rows of 1, 2, 5 and 11 steps end at 0.7, 0.875 and 0.9625
+            (hartree_config_dict(t=1.0, eps=0.7), 3, [0.7, 5 * (0.7 / 4), 11 * (0.7 / 8)],
+             220),
+            # t just under 10 steps of 0.1: the first row counts 10 steps and
+            # ends last, at 1.0; the later rows of 19, 39 and 79 steps end
+            # before it
+            (hartree_config_dict(t=0.99999999993, eps=0.1), 3,
+             [19 * (0.1 / 2), 39 * (0.1 / 4), 79 * (0.1 / 8), 10 * 0.1], 1600),
+        ],
+        ids=["acceptance", "two-final-times", "three-final-times", "first-row-last"],
+    )
+    def test_reference_is_continued_through_the_final_times(
+        self, tmp_path, monkeypatch, payload, halvings, t_runs, ref_steps
+    ):
+        solves = []
+
+        def counting(phi0, rule, c_T, t, dt, *args):
+            out = solve(phi0, rule, c_T, t, dt, *args)
+            solves.append((phi0, t, dt, out))
+            return out
+
+        solve = cli.oracle.split_step_solve
+        monkeypatch.setattr(cli.oracle, "split_step_solve", counting)
+        cfg = config_from_dict(payload)
+        rows = cli.run_compare(cfg, str(tmp_path), halvings=halvings)["comparisons"]
+        finest = rows[-1]["eps"]
+        assert finest == cfg.eps / 2**halvings
+        assert len(rows) == halvings + 1
+        # one solve per final time, from the one before it, at the finest step
+        spans = [end - start for start, end in zip([0.0] + t_runs, t_runs)]
+        assert [(t, dt) for _, t, dt, _ in solves] == [(t, finest / 20.0) for t in spans]
+        for (_, _, _, before), (start, _, _, _) in zip(solves, solves[1:]):
+            assert start is before
+        # as many steps as one solve to the latest final time, never more
+        # than a solve per row at its own eps/20 would take
+        steps = sum(cli.oracle.step_count(t, dt) for _, t, dt, _ in solves)
+        assert steps == ref_steps == cli.oracle.step_count(t_runs[-1], finest / 20.0)
+        per_row = sum(cli.oracle.step_count(row["n_steps"] * row["eps"], row["eps"] / 20.0)
+                      for row in rows)
+        assert steps < per_row
+
+    def test_finest_row_equals_a_single_row_compare(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(hartree_config_dict(t=0.8, eps=0.08)))
+        runs = {}
+        for name, extra in (("halved", ["--halvings", "2"]), ("single", ["--eps", repr(0.02)])):
+            out = tmp_path / name
+            assert cli.main(["compare", "--config", str(cfg_path), "--out", str(out),
+                             *extra]) == 0
+            runs[name] = json.loads((out / "compare.json").read_text())["comparisons"]
+        assert runs["halved"][-1] == runs["single"][0]
+
+    def test_rows_with_oracle_dt_equal_single_row_compares(self, tmp_path):
+        # every row ends at 0.8 and already used oracle_dt, so sharing its
+        # solve moves no bit
+        cfg = config_from_dict(hartree_config_dict(t=0.8, eps=0.08, oracle_dt=0.002))
+        rows = cli.run_compare(cfg, str(tmp_path / "halved"), halvings=2)["comparisons"]
+        for i, row in enumerate(rows):
+            single = cli.run_compare(replace(cfg, eps=row["eps"]), str(tmp_path / str(i)))
+            shared = {k: v for k, v in row.items() if not k.endswith("_ratio")}
+            assert shared == single["comparisons"][0]
 
     def test_stencil_bug_raises_compare_error(self, tmp_path, monkeypatch):
         """The reference builds the Navier-Stokes potential from the physics,
@@ -792,9 +866,9 @@ class TestStepCap:
         assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
 
     def test_compare_counts_every_row(self, tmp_path, capsys, monkeypatch):
-        # 8 + 16 + ... gate steps and 20 times as many reference steps per row:
-        # 21 halvings stay under the cap row by row, not in total; refused
-        # before any work
+        # 8 + 16 + ... gate steps, and one reference solve for the one final
+        # time, at a twentieth of the finest row's eps: 21 halvings stay under
+        # the cap row by row, not in total; refused before any work
         self.no_work(monkeypatch)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(gp_config_dict(t=0.8, eps=0.1)))
@@ -804,8 +878,18 @@ class TestStepCap:
         line = one_error_line(capsys)
         assert line == (
             "config error: compare (gate path and reference, all 22 row(s)) takes "
-            f"{21 * 8 * (2**22 - 1)} steps, above the cap of 100000000"
+            f"{8 * (2**22 - 1) + 20 * 8 * 2**21} steps, above the cap of 100000000"
         )
+
+    def test_override_of_many_steps_is_capped(self, tmp_path, capsys, monkeypatch):
+        # t = 100000001 * 0.1 reads back as exactly 100000001 steps, not one fewer
+        self.no_work(monkeypatch)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(gp_config_dict()))
+        rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path),
+                       "--eps", "0.1", "--steps", "100000001"])
+        assert rc == 2
+        assert "the gate path at eps takes 100000001 steps" in one_error_line(capsys)
 
 
 # values written over a config entry by the property test below

@@ -197,6 +197,25 @@ class TestPerAxisRoute:
         assert np.max(np.abs(r.amps - expected.amps)) <= 1e-12
         assert r.ancilla1.any() == live_ancilla
 
+    @pytest.mark.parametrize("points", [(16,), (8, 8)])
+    @pytest.mark.parametrize("route", ["axes", "dft"])
+    def test_zero_ancilla0_branch_stays_zero(self, rng, monkeypatch, points, route):
+        # the ancilla-|0> branch is always mapped, a zero one to zero
+        spec = KineticSpec(0.7, GridSpec(points=points, dx=0.3))
+        r = self.register(rng, spec.grid.size, live_ancilla=True)
+        r.amps[0::2] = 0.0
+        expected = r.ancilla1.copy()
+        if route == "dft":
+            monkeypatch.setattr(evolution, "KINETIC_MATRIX_MAX_POINTS", 0)
+        apply_kinetic(r, spec, 0.01)
+        assert not r.ancilla0.any()
+        expected = np.fft.ifftn(
+            spec.propagator(0.01).reshape(points)
+            * np.fft.fftn(expected.reshape(points), norm="ortho"),
+            norm="ortho",
+        ).reshape(-1)
+        assert np.max(np.abs(r.ancilla1 - expected)) < 1e-13
+
     @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64, 128, 256])
     def test_axis_matrix_is_unitary(self, m):
         spec = KineticSpec(1.0, GridSpec(points=(m,), dx=0.1))
@@ -349,6 +368,20 @@ class TestEvolve:
         assert n_steps_for(1.6, 0.08) == 20
         assert n_steps_for(1.0, 0.3) == 3
         assert n_steps_for(0.0, 0.1) == 0
+
+    def test_step_count_of_large_multiples(self):
+        # t = N * eps reads back as t / eps a few ulps below N for some N
+        # past 1e7, which an absolute guard alone floors to N - 1
+        assert n_steps_for(47762388 * 0.1, 0.1) == 47762388
+        rng = np.random.default_rng(13)
+        for eps in (0.1, 0.08, 0.3, 0.002, 1e-3, 0.7):
+            for n in rng.integers(10**7, 10**8, size=200_000 // 6, endpoint=True).tolist():
+                assert n_steps_for(n * eps, eps) == n, (n, eps)
+
+    def test_step_count_keeps_fractions(self):
+        assert n_steps_for(1.0 - 1e-6, 0.1) == 9
+        assert n_steps_for(1e7 + 0.5, 1.0) == 10**7
+        assert n_steps_for(2.0**52, 1.0) == 2**52
 
     def test_input_register_untouched(self, grid, spec, rng):
         r0 = random_register(rng, 4)
