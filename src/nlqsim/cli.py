@@ -333,10 +333,10 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str) -> dict:
     )
     if not result.snapshots:
         result.snapshots = [
-            evolution.Snapshot(0, 0.0, r0.amps.copy()),
+            evolution.Snapshot(0, 0.0, r0.ancilla0.copy()),
             evolution.Snapshot(
                 result.tally.n_steps, result.tally.n_steps * cfg.eps,
-                result.final.amps.copy(),
+                result.final.ancilla0.copy(),
             ),
         ]
     os.makedirs(out_dir, exist_ok=True)

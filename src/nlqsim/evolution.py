@@ -105,6 +105,8 @@ class KineticSpec:
 
 @dataclass(frozen=True)
 class Snapshot:
+    """Principal amplitudes (the clean ancilla-|0> branch) after a step."""
+
     step: int
     time: float
     amps: np.ndarray
@@ -234,7 +236,7 @@ def evolve(
     snapshots: list[Snapshot] = []
 
     def record(step: int):
-        snapshots.append(Snapshot(step, step * eps, r.amps.copy()))
+        snapshots.append(Snapshot(step, step * eps, r.ancilla0.copy()))
 
     if record_stride > 0:
         record(0)
@@ -281,12 +283,10 @@ def write_trajectory_csv(path, snapshots: list[Snapshot]):
         fh.write("step,time,k,re,im\r\n")
         for snap in snapshots:
             lead = f"{snap.step},{snap.time!r},"
-            # snapshots are taken at step boundaries, where the ancilla is
-            # clean, so the ancilla-|0> branch is the whole field
-            a0 = snap.amps[0::2]
+            a = snap.amps
             rows = [
                 f"{lead}{k},{re!r},{im!r}\r\n"
-                for k, (re, im) in enumerate(zip(a0.real.tolist(), a0.imag.tolist()))
+                for k, (re, im) in enumerate(zip(a.real.tolist(), a.imag.tolist()))
             ]
             fh.write("".join(rows))
 

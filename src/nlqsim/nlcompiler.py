@@ -344,8 +344,8 @@ def apply_w_direct(r: Register, f: CouplingMatrix, eps: float) -> Register:
     """Apply the nonlinear-potential diagonal directly from the densities.
 
     Reads the current probability weights |a_k|^2 off the clean ancilla-|0>
-    branch and multiplies amp[2k] by exp(-i*eps*sum_j f_kj*|a_j|^2). This is
-    the in-process oracle the compiled sequence is checked against. The sum
+    branch and multiplies its amplitude a_k by exp(-i*eps*sum_j f_kj*|a_j|^2).
+    This is the in-process oracle the compiled sequence is checked against. The sum
     is `CouplingMatrix.potential`: O(nnz) from the nonzero entries of a
     sparse coupling such as a stencil, the dense O(N^2) product otherwise.
     """

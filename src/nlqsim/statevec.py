@@ -1,16 +1,16 @@
 """State vector for n principal qubits plus one phase-feedback ancilla.
 
-Index layout: ``amps[2*k + b]`` holds the amplitude of principal basis state
-|k> with ancilla bit b, i.e. the ancilla is the least significant bit of the
-flat index. The two ancilla branches are then the stride-2 views
-``amps[0::2]`` and ``amps[1::2]``, which keeps every branch operation a cheap
-strided update.
+Index layout: with N = 2**n, ``amps[b*N + k]`` holds principal basis state
+|k> with ancilla bit b. The ancilla is the most significant bit, so the
+branches are the contiguous halves ``amps[:N]`` (`ancilla0`) and ``amps[N:]``
+(`ancilla1`), the two rows of ``amps.reshape(2, N)``. Only this module knows
+the layout; everything else goes through the branch views.
 
 Every gate implemented here is either phase-only or an amplitude swap, so the
-2-norm is preserved to machine precision. Branch probabilities are reduced
-with numpy's pairwise summation, which is deterministic for a fixed array
-length; the feedback phases of the nonlinear gate are therefore
-bit-reproducible from run to run.
+2-norm is preserved to machine precision. Both branch weights come from one
+``np.add.reduce`` over the rows of the squared magnitudes, numpy's pairwise
+summation of each row, which is deterministic for a fixed length; the
+feedback phases of the nonlinear gate are therefore bit-reproducible.
 
 The gate set is deliberately small: the ancilla-flip on a single principal
 index, the branch-probability phase gate, an ancilla-conditioned phase, a
@@ -35,7 +35,7 @@ NORM_TOL = 1e-12
 
 @dataclass
 class Register:
-    """Amplitudes of an (n+1)-qubit system, ancilla stored as the flat LSB."""
+    """Amplitudes of an (n+1)-qubit system, ancilla stored as the flat MSB."""
 
     n: int
     amps: np.ndarray
@@ -58,12 +58,12 @@ class Register:
     @property
     def ancilla0(self) -> np.ndarray:
         """View of the ancilla-|0> branch amplitudes (length 2**n)."""
-        return self.amps[0::2]
+        return self.amps[: self.num_states]
 
     @property
     def ancilla1(self) -> np.ndarray:
         """View of the ancilla-|1> branch amplitudes (length 2**n)."""
-        return self.amps[1::2]
+        return self.amps[self.num_states :]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -73,8 +73,7 @@ class Register:
 
     def principal_probabilities(self) -> np.ndarray:
         """|amplitude|^2 per principal index, summed over the ancilla bit."""
-        mags = np.abs(self.amps) ** 2
-        return mags[0::2] + mags[1::2]
+        return (np.abs(self.amps.reshape(2, -1)) ** 2).sum(axis=0)
 
     def ancilla_is_clean(self, tol: float = NORM_TOL) -> bool:
         """True when all weight sits in the ancilla-|0> branch."""
@@ -104,7 +103,7 @@ def init_from_amplitudes(a: np.ndarray) -> Register:
         raise ValueError("unnormalizable")
     n = int(size.bit_length() - 1)
     amps = np.zeros(2 * size, dtype=np.complex128)
-    amps[0::2] = a / nrm
+    amps[:size] = a / nrm
     return Register(n, amps)
 
 
@@ -120,11 +119,16 @@ def uniform_state(n: int) -> Register:
     return init_from_amplitudes(np.ones(2**n, dtype=np.complex128))
 
 
+def _weights(r: Register) -> list[float]:
+    """[p0, p1], both branch rows summed in one deterministic reduction."""
+    mags = np.abs(r.amps)
+    mags *= mags
+    return np.add.reduce(mags.reshape(2, -1), axis=1).tolist()
+
+
 def branch_weights(r: Register) -> BranchWeights:
     """Ancilla branch probabilities, reduced in a fixed deterministic order."""
-    p0 = float(np.add.reduce(np.abs(r.ancilla0) ** 2))
-    p1 = float(np.add.reduce(np.abs(r.ancilla1) ** 2))
-    return BranchWeights(p0, p1)
+    return BranchWeights(*_weights(r))
 
 
 def apply_mcx_k(r: Register, k: int) -> Register:
@@ -133,10 +137,10 @@ def apply_mcx_k(r: Register, k: int) -> Register:
     Semantically this is the multi-controlled NOT conditioned on every bit of
     k; the simulator applies it as a native two-amplitude swap. An involution.
     """
-    if not 0 <= k < r.num_states:
+    amps, size = r.amps, r.num_states
+    if not 0 <= k < size:
         raise ValueError(f"index {k} out of range for {r.n} principal qubits")
-    amps = r.amps
-    amps[2 * k], amps[2 * k + 1] = amps[2 * k + 1], amps[2 * k]
+    amps[k], amps[size + k] = amps[size + k], amps[k]
     return r
 
 
@@ -150,18 +154,17 @@ def apply_nonlinear(r: Register, gamma: float) -> Register:
     written out on the full register. Phase-only, hence norm-preserving; an
     empty branch just receives an irrelevant phase. The factors come from
     ``cmath.exp`` on the Python complex, which gives the bits of ``np.exp``
-    without its array-call overhead.
+    without its array-call overhead, and multiply both branch rows at once.
     """
-    w = branch_weights(r)
-    a0, a1 = r.ancilla0, r.ancilla1
-    a0 *= cmath.exp(1j * gamma * w.p0)
-    a1 *= cmath.exp(1j * gamma * w.p1)
+    p0, p1 = _weights(r)
+    branches = r.amps.reshape(2, -1)
+    branches *= np.array([[cmath.exp(1j * gamma * p0)], [cmath.exp(1j * gamma * p1)]])
     return r
 
 
 def apply_ancilla_phase(r: Register, lam: float) -> Register:
     """Multiply every ancilla-|1> amplitude by exp(i*lam)."""
-    a1 = r.ancilla1
+    a1 = r.amps[1 << r.n :]
     a1 *= cmath.exp(1j * lam)
     return r
 
@@ -180,18 +183,18 @@ def apply_principal_factors(r: Register, factors: np.ndarray) -> Register:
     """
     if factors.shape != (r.num_states,):
         raise ValueError(f"need {r.num_states} factors, got shape {factors.shape}")
-    a0, a1 = r.ancilla0, r.ancilla1
-    a0 *= factors
-    a1 *= factors
+    branches = r.amps.reshape(2, -1)
+    branches *= factors
     return r
 
 
 def _live_branches(r: Register) -> tuple[np.ndarray, ...]:
-    """The ancilla branches a linear map over the principal index must
-    touch: the ancilla-|0> branch, and the ancilla-|1> branch unless it is
-    exactly zero (a linear map leaves a zero branch zero)."""
-    a1 = r.ancilla1
-    return (r.ancilla0, a1) if a1.any() else (r.ancilla0,)
+    """The contiguous branch views a linear map over the principal index must
+    update in place: the ancilla-|0> branch, and the ancilla-|1> branch unless
+    it is exactly zero (a linear map leaves a zero branch zero)."""
+    size = 1 << r.n
+    a0, a1 = r.amps[:size], r.amps[size:]
+    return (a0, a1) if a1.any() else (a0,)
 
 
 def dft_principal(
@@ -206,12 +209,11 @@ def dft_principal(
     exp(-2*pi*i*k*m/M) kernel; inverse undoes it exactly (round trip is
     identity to machine precision).
 
-    Each ancilla branch is copied out and transformed as its own contiguous
-    array, bit-identical to one transform of the interleaved register. The
-    ancilla-|1> branch is skipped when it is exactly zero, as it is at every
-    step boundary, since its transform is zero. The ancilla-|0> branch is
-    always transformed: it is practically never zero, and a zero one
-    transforms to zero, so testing it would only cost time.
+    Each branch is transformed as its own contiguous block, bit-identical
+    to one transform of the stacked branches. The ancilla-|1> branch is
+    skipped when it is exactly zero, as at every step boundary. The
+    ancilla-|0> branch is always transformed: it is practically never zero,
+    and a zero one transforms to zero, so testing it would only cost time.
     """
     if axes_shape is None:
         axes_shape = (r.num_states,)
@@ -219,8 +221,7 @@ def dft_principal(
         raise ValueError(f"axes shape {axes_shape} does not cover 2**{r.n} states")
     transform = np.fft.ifftn if inverse else np.fft.fftn
     for branch in _live_branches(r):
-        block = np.ascontiguousarray(branch).reshape(axes_shape)
-        branch[:] = transform(block, norm="ortho").reshape(-1)
+        branch[:] = transform(branch.reshape(axes_shape), norm="ortho").reshape(-1)
     return r
 
 
@@ -230,10 +231,8 @@ def apply_principal_axes(r: Register, matrices: tuple[np.ndarray, ...]) -> Regis
 
     The principal index is factored row-major into one axis per matrix (one
     matrix: the whole index; two: rows and columns of a 2-d field), and
-    ``matrices[a]`` acts on axis a. Each ancilla branch is copied out,
-    multiplied as its own contiguous array and written back, as in
-    `dft_principal`: the ancilla-|1> branch only when it is not exactly zero,
-    the ancilla-|0> branch always.
+    ``matrices[a]`` acts on axis a. Each branch is multiplied as its own
+    contiguous block and written back, skipped as in `dft_principal`.
     """
     if not 1 <= len(matrices) <= 2:
         raise ValueError(f"need one or two axis matrices, got {len(matrices)}")
@@ -241,7 +240,7 @@ def apply_principal_axes(r: Register, matrices: tuple[np.ndarray, ...]) -> Regis
     if math.prod(shape) != r.num_states:
         raise ValueError(f"axis matrices {shape} do not cover 2**{r.n} states")
     for branch in _live_branches(r):
-        block = matrices[0] @ np.ascontiguousarray(branch).reshape(shape)
+        block = matrices[0] @ branch.reshape(shape)
         if len(matrices) == 2:
             block = block @ matrices[1].T
         branch[:] = block.reshape(-1)

@@ -937,9 +937,35 @@ class TestConfigProperty:
                            initial_state={"preset": "file", "path": "state.csv"}),
         ]
 
-    def test_mutated_configs_raise_only_config_error(self, bases):
+    @staticmethod
+    def mutated(data, configs, numbers_only=False):
+        """A deep copy of one base config with one to three entries set to a
+        mutant, dropped, or joined by an extra entry; with numbers_only, only
+        numeric entries are set, and only to numeric mutants."""
         import copy
 
+        from hypothesis import strategies as st
+
+        cfg = copy.deepcopy(data.draw(st.sampled_from(configs)))
+        mutants = [m for m in MUTANTS if isinstance(m, (int, float))] if numbers_only else MUTANTS
+        for _ in range(data.draw(st.integers(1, 3))):
+            entries = config_entries(cfg, [])
+            if numbers_only:
+                entries = [(node, key) for node, key in entries
+                           if isinstance(node[key], (int, float))]
+            node, key = data.draw(st.sampled_from(entries))
+            action = "set" if numbers_only else data.draw(st.sampled_from(["set", "drop", "add"]))
+            if action == "set":
+                node[key] = copy.deepcopy(data.draw(st.sampled_from(mutants)))
+            elif action == "drop":
+                del node[key]
+            elif isinstance(node, dict):
+                node[f"extra_{key}"] = 1.0
+            else:
+                node.append(copy.deepcopy(data.draw(st.sampled_from(MUTANTS))))
+        return cfg
+
+    def test_mutated_configs_raise_only_config_error(self, bases):
         from hypothesis import given, settings, strategies as st
 
         base_dir, configs = bases
@@ -947,22 +973,42 @@ class TestConfigProperty:
         @settings(max_examples=200, deadline=None, derandomize=True, database=None)
         @given(st.data())
         def check(data):
-            cfg = copy.deepcopy(data.draw(st.sampled_from(configs)))
-            for _ in range(data.draw(st.integers(1, 3))):
-                node, key = data.draw(st.sampled_from(config_entries(cfg, [])))
-                action = data.draw(st.sampled_from(["set", "drop", "add"]))
-                if action == "set":
-                    node[key] = copy.deepcopy(data.draw(st.sampled_from(MUTANTS)))
-                elif action == "drop":
-                    del node[key]
-                elif isinstance(node, dict):
-                    node[f"extra_{key}"] = 1.0
-                else:
-                    node.append(copy.deepcopy(data.draw(st.sampled_from(MUTANTS))))
+            cfg = self.mutated(data, configs)
             try:
                 with np.errstate(all="ignore"):
                     cli.build_problem(config_from_dict(cfg, base_dir=base_dir))
             except ConfigError:
                 pass
+
+        check()
+
+    def test_mutated_configs_run_to_an_exit_code(self, bases):
+        """Whole short `simulate` and `compare` runs of mutated configs end in
+        exit 0, 1 or 2, never a traceback; a failure is one stderr line. The
+        mutants are numbers, so that runs get past the config boundary the
+        test above covers for every mutant."""
+        import contextlib
+        import io
+
+        from hypothesis import given, settings, strategies as st
+
+        base_dir, configs = bases
+        cfg_path = os.path.join(base_dir, "run.json")
+        out_dir = os.path.join(base_dir, "out")
+
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @given(st.data())
+        def check(data):
+            with open(cfg_path, "w") as fh:
+                json.dump(self.mutated(data, configs, numbers_only=True), fh)
+            command = data.draw(st.sampled_from(["simulate", "compare"]))
+            steps = data.draw(st.sampled_from([0, 1, 3]))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main([command, "--config", cfg_path, "--out", out_dir,
+                               "--steps", str(steps)])
+            assert rc in (0, 1, 2)
+            if rc:
+                assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
         check()

@@ -165,11 +165,12 @@ class TestPerAxisRoute:
 
     @staticmethod
     def register(rng, size, live_ancilla):
-        amps = np.zeros(2 * size, dtype=complex)
-        amps[0::2] = rng.normal(size=size) + 1j * rng.normal(size=size)
+        r = statevec.Register(int(size).bit_length() - 1, np.zeros(2 * size))
+        r.ancilla0[:] = rng.normal(size=size) + 1j * rng.normal(size=size)
         if live_ancilla:
-            amps[1::2] = rng.normal(size=size) + 1j * rng.normal(size=size)
-        return statevec.Register(int(size).bit_length() - 1, amps / np.linalg.norm(amps))
+            r.ancilla1[:] = rng.normal(size=size) + 1j * rng.normal(size=size)
+        r.amps /= r.norm()
+        return r
 
     @pytest.mark.parametrize(
         "points, route",
@@ -203,7 +204,7 @@ class TestPerAxisRoute:
         # the ancilla-|0> branch is always mapped, a zero one to zero
         spec = KineticSpec(0.7, GridSpec(points=points, dx=0.3))
         r = self.register(rng, spec.grid.size, live_ancilla=True)
-        r.amps[0::2] = 0.0
+        r.ancilla0[:] = 0.0
         expected = r.ancilla1.copy()
         if route == "dft":
             monkeypatch.setattr(evolution, "KINETIC_MATRIX_MAX_POINTS", 0)
@@ -559,19 +560,16 @@ class TestTrajectoryExport:
             writer = csv.writer(fh)
             writer.writerow(["step", "time", "k", "re", "im"])
             for snap in snapshots:
-                a0 = snap.amps[0::2]
-                for k in range(a0.shape[0]):
-                    row = [repr(float(a0[k].real)), repr(float(a0[k].imag))]
+                for k, a in enumerate(snap.amps):
+                    row = [repr(float(a.real)), repr(float(a.imag))]
                     writer.writerow([snap.step, repr(snap.time), k, *row])
 
     def test_bytes_match_csv_writer(self, tmp_path, rng):
         special = np.array([-0.0, 0.0, 1e-300, -2.5e-310, 1.7e150, -3.3e-5, 1.0, 123456.789])
-        amps = np.empty(16, dtype=complex)
-        amps[0::2] = special + 1j * special[::-1]
-        amps[1::2] = 0.0
+        amps = special + 1j * special[::-1]
         snapshots = [
             Snapshot(0, 0.0, amps),
-            Snapshot(3, 3 * 0.1, rng.normal(size=16) + 1j * rng.normal(size=16)),
+            Snapshot(3, 3 * 0.1, rng.normal(size=8) + 1j * rng.normal(size=8)),
             Snapshot(12, 12 * 0.1, amps[::-1].copy()),
         ]
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"

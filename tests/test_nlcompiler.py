@@ -235,7 +235,7 @@ class TestOracleEquivalence:
         f = CouplingMatrix.from_dense(np.diag(np.full(8, 2.5)))
         apply_w_direct(r, f, 0.1)
         assert fidelity(ref, r) == pytest.approx(1.0, abs=1e-14)
-        assert r.amps[0] == pytest.approx(ref.amps[0] * np.exp(-1j * 0.1 * 2.5 / 8))
+        assert r.ancilla0[0] == pytest.approx(ref.ancilla0[0] * np.exp(-1j * 0.1 * 2.5 / 8))
 
     def test_w_direct_zero_coupling(self, rng):
         r = random_register(rng, 2)
@@ -356,7 +356,7 @@ class TestTensorSquare:
     def test_basis(self):
         doubled = tensor_square(statevec.basis_state(2, 0))
         assert doubled.n == 4
-        assert doubled.amps[0] == 1.0
+        assert doubled.ancilla0[0] == 1.0
 
     def test_uniform(self):
         doubled = tensor_square(statevec.uniform_state(1))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -24,18 +26,19 @@ from conftest import random_register
 class TestInit:
     def test_basis_state(self):
         r = init_from_amplitudes(np.array([1.0, 0.0]))
-        assert r.amps[0] == 1.0
-        assert np.all(r.amps[1:] == 0.0)
+        assert r.ancilla0[0] == 1.0
+        assert r.ancilla0[1] == 0.0
+        assert np.all(r.ancilla1 == 0.0)
 
     def test_normalization(self):
         r = init_from_amplitudes(np.array([1.0, 1.0]))
-        assert r.amps[0] == pytest.approx(1 / np.sqrt(2))
-        assert r.amps[2] == pytest.approx(1 / np.sqrt(2))
+        assert r.ancilla0[0] == pytest.approx(1 / np.sqrt(2))
+        assert r.ancilla0[1] == pytest.approx(1 / np.sqrt(2))
 
     def test_three_four_five(self):
         r = init_from_amplitudes(np.array([3.0, 4.0j]))
-        assert r.amps[0] == pytest.approx(0.6)
-        assert r.amps[2] == pytest.approx(0.8j)
+        assert r.ancilla0[0] == pytest.approx(0.6)
+        assert r.ancilla0[1] == pytest.approx(0.8j)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="unnormalizable"):
@@ -57,10 +60,42 @@ class TestInit:
     def test_clean_ancilla_threshold(self, factor, clean):
         """The ancilla-|1> weight is compared with tol itself, spread over
         two entries so the test sums the branch."""
-        amps = np.zeros(8, dtype=complex)
-        amps[0] = 1.0
-        amps[1::2][[1, 3]] = np.sqrt(0.5 * NORM_TOL * factor) * np.array([1j, -1])
-        assert Register(2, amps).ancilla_is_clean() is clean
+        r = Register(2, np.zeros(8))
+        r.ancilla0[0] = 1.0
+        r.ancilla1[[1, 3]] = np.sqrt(0.5 * NORM_TOL * factor) * np.array([1j, -1])
+        assert r.ancilla_is_clean() is clean
+
+
+def split_register(a0: complex, a1: complex) -> Register:
+    """a0|0>|0>_a + a1|1>|1>_a on one principal qubit."""
+    r = Register(1, np.zeros(4))
+    r.ancilla0[0], r.ancilla1[1] = a0, a1
+    return r
+
+
+class TestStorageOrder:
+    """The register is stored branch-major: amps[b*N + k] is |k> with
+    ancilla bit b, and the branch views are the two halves."""
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_amps_are_the_two_halves_joined(self, rng, n):
+        amps = rng.normal(size=2 ** (n + 1)) + 1j * rng.normal(size=2 ** (n + 1))
+        r = Register(n, amps)
+        assert np.array_equal(r.amps, np.concatenate([r.ancilla0, r.ancilla1]))
+        assert np.array_equal(r.ancilla0, amps[: 2**n])
+        assert np.array_equal(r.ancilla1, amps[2**n :])
+        assert np.shares_memory(r.ancilla0, r.amps) and np.shares_memory(r.ancilla1, r.amps)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_mcx_swaps_k_and_n_plus_k(self, rng, n):
+        size = 2**n
+        amps = rng.normal(size=2 * size) + 1j * rng.normal(size=2 * size)
+        r = Register(n, amps / np.linalg.norm(amps))
+        for k in (0, size - 1, int(rng.integers(size))):
+            expected = r.amps.copy()
+            expected[[k, size + k]] = expected[[size + k, k]]
+            apply_mcx_k(r, k)
+            assert np.array_equal(r.amps, expected)
 
 
 class TestBranchWeights:
@@ -69,16 +104,12 @@ class TestBranchWeights:
         assert (w.p0, w.p1) == (1.0, 0.0)
 
     def test_bell_like(self):
-        amps = np.zeros(4, dtype=complex)
-        amps[0] = amps[3] = 1 / np.sqrt(2)  # |0>|0>_a + |1>|1>_a
-        w = branch_weights(Register(1, amps))
+        w = branch_weights(split_register(1 / np.sqrt(2), 1 / np.sqrt(2)))
         assert w.p0 == pytest.approx(0.5)
         assert w.p1 == pytest.approx(0.5)
 
     def test_unequal_split(self):
-        amps = np.zeros(4, dtype=complex)
-        amps[0], amps[3] = 0.6, 0.8
-        w = branch_weights(Register(1, amps))
+        w = branch_weights(split_register(0.6, 0.8))
         assert w.p0 == pytest.approx(0.36)
         assert w.p1 == pytest.approx(0.64)
 
@@ -100,12 +131,12 @@ class TestBranchWeights:
 class TestMcx:
     def test_flips_target(self):
         r = apply_mcx_k(basis_state(2, 3), 3)
-        assert r.amps[2 * 3 + 1] == 1.0
-        assert r.amps[2 * 3] == 0.0
+        assert r.ancilla1[3] == 1.0
+        assert r.ancilla0[3] == 0.0
 
     def test_other_indices_untouched(self):
         r = apply_mcx_k(basis_state(2, 1), 3)
-        assert r.amps[2 * 1] == 1.0
+        assert r.ancilla0[1] == 1.0
 
     def test_involution(self, rng):
         r = random_register(rng, 3)
@@ -134,11 +165,9 @@ class TestNonlinear:
 
     def test_split_branch_phases(self):
         # 0.6|0>|0>_a + 0.8|1>|1>_a with angle pi
-        amps = np.zeros(4, dtype=complex)
-        amps[0], amps[3] = 0.6, 0.8
-        r = apply_nonlinear(Register(1, amps), np.pi)
-        assert r.amps[0] == pytest.approx(0.6 * np.exp(1j * np.pi * 0.36))
-        assert r.amps[3] == pytest.approx(0.8 * np.exp(1j * np.pi * 0.64))
+        r = apply_nonlinear(split_register(0.6, 0.8), np.pi)
+        assert r.ancilla0[0] == pytest.approx(0.6 * np.exp(1j * np.pi * 0.36))
+        assert r.ancilla1[1] == pytest.approx(0.8 * np.exp(1j * np.pi * 0.64))
 
     def test_angles_additive(self, rng):
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -166,7 +195,7 @@ class TestAncillaPhase:
     def test_quarter_turn(self):
         r = apply_mcx_k(basis_state(2, 3), 3)  # |3>|1>_a
         apply_ancilla_phase(r, np.pi / 2)
-        assert r.amps[7] == pytest.approx(1j)
+        assert r.ancilla1[3] == pytest.approx(1j)
 
 
 class TestPrincipalDiagonal:
@@ -185,8 +214,8 @@ class TestPrincipalDiagonal:
     def test_z_action(self):
         r = init_from_amplitudes(np.array([1.0, 1.0]))
         apply_principal_diagonal(r, np.array([0.0, np.pi]))
-        assert r.amps[0] == pytest.approx(1 / np.sqrt(2))
-        assert r.amps[2] == pytest.approx(-1 / np.sqrt(2))
+        assert r.ancilla0[0] == pytest.approx(1 / np.sqrt(2))
+        assert r.ancilla0[1] == pytest.approx(-1 / np.sqrt(2))
 
     def test_length_mismatch(self, rng):
         with pytest.raises(ValueError):
@@ -198,29 +227,45 @@ class TestPhaseFactorBits:
     those of np.exp on the same angle."""
 
     @staticmethod
-    def live_register(rng):
-        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-        return Register(3, amps / np.linalg.norm(amps))
+    def live_register(rng, n=3):
+        """Both branches dense: every amplitude nonzero."""
+        amps = rng.normal(size=2 ** (n + 1)) + 1j * rng.normal(size=2 ** (n + 1))
+        return Register(n, amps / np.linalg.norm(amps))
 
     def test_nonlinear_bit_equal_to_np_exp(self, rng):
-        for _ in range(500):
-            r = self.live_register(rng)
-            gamma = float(rng.normal() * 10.0 ** rng.integers(-3, 4))
-            w = branch_weights(r)
-            expected = r.amps.copy()
-            expected[0::2] *= np.exp(1j * gamma * w.p0)
-            expected[1::2] *= np.exp(1j * gamma * w.p1)
-            apply_nonlinear(r, gamma)
-            assert np.array_equal(r.amps, expected)
+        """Both weights come from one reduction; they must be the bits of a
+        separate pairwise sum over each branch, and the phases those of
+        np.exp on them, for n = 1..10 on clean registers with 0, 1 and 2
+        flipped indices and on live registers whose branches are both dense
+        (500 each, so every row is reduced in full)."""
+        for n, flips in itertools.product(range(1, 11), (0, 1, 2, "live")):
+            for _ in range(500 if flips == "live" else 50):
+                if flips == "live":
+                    r = self.live_register(rng, n)
+                else:
+                    r = random_register(rng, n)
+                    for k in rng.choice(2**n, size=min(flips, 2**n), replace=False).tolist():
+                        apply_mcx_k(r, k)
+                gamma = float(rng.normal() * 10.0 ** rng.integers(-3, 4))
+                p0 = float(np.add.reduce(np.abs(r.ancilla0) ** 2))
+                p1 = float(np.add.reduce(np.abs(r.ancilla1) ** 2))
+                assert branch_weights(r) == statevec.BranchWeights(p0, p1), (n, flips)
+                expected = r.copy()
+                a0, a1 = expected.ancilla0, expected.ancilla1
+                a0 *= np.exp(1j * gamma * p0)
+                a1 *= np.exp(1j * gamma * p1)
+                apply_nonlinear(r, gamma)
+                assert np.array_equal(r.amps, expected.amps), (n, flips)
 
     def test_ancilla_phase_bit_equal_to_np_exp(self, rng):
         for _ in range(500):
             r = self.live_register(rng)
             lam = float(rng.normal() * 10.0 ** rng.integers(-3, 4))
-            expected = r.amps.copy()
-            expected[1::2] *= np.exp(1j * lam)
+            expected = r.copy()
+            a1 = expected.ancilla1
+            a1 *= np.exp(1j * lam)
             apply_ancilla_phase(r, lam)
-            assert np.array_equal(r.amps, expected)
+            assert np.array_equal(r.amps, expected.amps)
 
 
 class TestPrincipalAxes:
@@ -236,11 +281,11 @@ class TestPrincipalAxes:
         r = Register(size.bit_length() - 1, amps / np.linalg.norm(amps))
         mats = tuple(self.random_unitary(rng, m) for m in shape)
         full = mats[0] if len(mats) == 1 else np.kron(mats[0], mats[1])
-        expected = r.amps.copy()
-        expected[0::2] = full @ expected[0::2]
-        expected[1::2] = full @ expected[1::2]
+        expected = r.copy()
+        for branch in (expected.ancilla0, expected.ancilla1):
+            branch[:] = full @ branch
         apply_principal_axes(r, mats)
-        assert np.max(np.abs(r.amps - expected)) < 1e-13
+        assert np.max(np.abs(r.amps - expected.amps)) < 1e-13
         assert abs(r.norm() - 1.0) < 1e-12
 
     def test_clean_ancilla_stays_exactly_zero(self, rng):
@@ -274,8 +319,9 @@ class TestPrincipalAxes:
 class TestDft:
     def test_uniform_to_origin(self):
         r = dft_principal(uniform_state(3))
-        assert abs(r.amps[0]) == pytest.approx(1.0)
-        assert np.max(np.abs(r.amps[2:])) < 1e-14
+        assert abs(r.ancilla0[0]) == pytest.approx(1.0)
+        assert np.max(np.abs(r.ancilla0[1:])) < 1e-14
+        assert not r.ancilla1.any()
 
     def test_origin_to_uniform(self):
         r = dft_principal(basis_state(3, 0))
@@ -302,19 +348,22 @@ class TestDft:
     SHAPES = [(64,), (1024,), (32, 32), (8, 16)]
 
     @staticmethod
-    def block_transform(amps, shape, inverse):
-        """Reference: one transform of the interleaved (..., 2) register."""
+    def block_transform(r, shape, inverse):
+        """Reference: one transform of both branches stacked as (2, *shape),
+        returned as the transformed (ancilla0, ancilla1) branches."""
         transform = np.fft.ifftn if inverse else np.fft.fftn
-        axes = tuple(range(len(shape)))
-        return transform(amps.reshape(*shape, 2), axes=axes, norm="ortho").reshape(-1)
+        stacked = np.stack([r.ancilla0.reshape(shape), r.ancilla1.reshape(shape)])
+        axes = tuple(range(1, len(shape) + 1))
+        return transform(stacked, axes=axes, norm="ortho").reshape(2, -1)
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("inverse", [False, True])
     def test_clean_register_bit_equal_to_block_transform(self, rng, shape, inverse):
         r = random_register(rng, int(np.log2(np.prod(shape))))
-        expected = self.block_transform(r.amps, shape, inverse)
+        expected0, expected1 = self.block_transform(r, shape, inverse)
         dft_principal(r, inverse=inverse, axes_shape=shape)
-        assert np.array_equal(r.amps, expected)
+        assert np.array_equal(r.ancilla0, expected0)
+        assert np.array_equal(r.ancilla1, expected1)
         assert not r.ancilla1.any()
 
     @pytest.mark.parametrize("shape", SHAPES)
@@ -323,9 +372,10 @@ class TestDft:
         amps = rng.normal(size=2 * size) + 1j * rng.normal(size=2 * size)
         r = Register(int(np.log2(size)), amps / np.linalg.norm(amps))
         before = r.amps.copy()
-        expected = self.block_transform(r.amps, shape, inverse=False)
+        expected0, expected1 = self.block_transform(r, shape, inverse=False)
         dft_principal(r, axes_shape=shape)
-        assert np.max(np.abs(r.amps - expected)) < 1e-14
+        assert np.max(np.abs(r.ancilla0 - expected0)) < 1e-14
+        assert np.max(np.abs(r.ancilla1 - expected1)) < 1e-14
         dft_principal(r, inverse=True, axes_shape=shape)
         assert np.max(np.abs(r.amps - before)) < 1e-12
 
@@ -333,9 +383,9 @@ class TestDft:
         # only the ancilla-|1> branch is live: it alone is transformed
         r = Register(3, np.zeros(16))
         r.ancilla1[:] = rng.normal(size=8) / np.sqrt(8)
-        expected = self.block_transform(r.amps, (8,), inverse=False)
+        _, expected1 = self.block_transform(r, (8,), inverse=False)
         dft_principal(r)
-        assert np.max(np.abs(r.amps - expected)) < 1e-14
+        assert np.max(np.abs(r.ancilla1 - expected1)) < 1e-14
         assert not r.ancilla0.any()
 
 
