@@ -317,6 +317,14 @@ def build_oracle_potential(cfg: ExperimentConfig):
     return oracle.coupling_potential(cfg.coupling_csv, cfg.grid)
 
 
+def _write_csv(path: str, rows: list[dict], columns) -> None:
+    """One header line, then one line per row; a missing column is empty."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([row.get(c, "") for c in columns] for row in rows)
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -326,26 +334,16 @@ def _write_json(path: str, payload: dict) -> None:
 def run_simulate(cfg: ExperimentConfig, out_dir: str) -> dict:
     f, r0 = build_problem(cfg)
     spec = KineticSpec(cfg.kinetic_prefactor, cfg.grid)
-    stride = cfg.record_stride
+    n_steps = evolution.n_steps_for(cfg.t, cfg.eps)
+    # stride 0 writes the first and last states: one stride covering the run
     result = evolution.evolve(
-        r0, f, spec, cfg.t, cfg.eps,
-        mode=cfg.mode, record_stride=stride, basic_c=cfg.basic_c,
+        r0, f, spec, n_steps, cfg.eps, mode=cfg.mode,
+        record_stride=cfg.record_stride or max(n_steps, 1), basic_c=cfg.basic_c,
     )
-    if not result.snapshots:
-        result.snapshots = [
-            evolution.Snapshot(0, 0.0, r0.ancilla0.copy()),
-            evolution.Snapshot(
-                result.tally.n_steps, result.tally.n_steps * cfg.eps,
-                result.final.ancilla0.copy(),
-            ),
-        ]
     os.makedirs(out_dir, exist_ok=True)
     traj_path = os.path.join(out_dir, "trajectory.csv")
     evolution.write_trajectory_csv(traj_path, result.snapshots)
-    summary = evolution.summary_dict(
-        result, cfg.grid, f, cfg.kinetic_prefactor,
-        extra={"config": config_to_dict(cfg)},
-    )
+    summary = evolution.summary_dict(result, spec, f, extra={"config": config_to_dict(cfg)})
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     return summary
 
@@ -394,7 +392,7 @@ def run_compare(cfg: ExperimentConfig, out_dir: str, halvings: int = 0) -> dict:
         return references[t_run]
 
     def one_comparison(eps: float, n_steps: int, t_run: float) -> dict:
-        result = evolution.evolve(r0, f, spec, t_run, eps, mode=cfg.mode)
+        result = evolution.evolve(r0, f, spec, n_steps, eps, mode=cfg.mode)
         ref_amps = reference(t_run).to_amplitudes()
         quantum = result.final.ancilla0.copy()
         ov = np.vdot(ref_amps, quantum)
@@ -422,21 +420,10 @@ def run_compare(cfg: ExperimentConfig, out_dir: str, halvings: int = 0) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "compare.json"), report)
     if halvings:
-        with open(os.path.join(out_dir, "convergence.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["eps", "n_steps", "infidelity", "l2_error", "l2_ratio"]
-            )
-            for row in rows:
-                writer.writerow(
-                    [
-                        repr(row["eps"]),
-                        row["n_steps"],
-                        repr(row["infidelity"]),
-                        repr(row["l2_error"]),
-                        repr(row["l2_ratio"]) if "l2_ratio" in row else "",
-                    ]
-                )
+        _write_csv(
+            os.path.join(out_dir, "convergence.csv"), rows,
+            ("eps", "n_steps", "infidelity", "l2_error", "l2_ratio"),
+        )
     return report
 
 
@@ -497,11 +484,7 @@ def run_resources(
         }
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "resources.json"), report)
-    with open(os.path.join(out_dir, "resources.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(rows[0].keys())
-        for row in rows:
-            writer.writerow(row.values())
+    _write_csv(os.path.join(out_dir, "resources.csv"), rows, rows[0].keys())
     return report
 
 
@@ -567,12 +550,7 @@ def run_bec(
     }
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "bec.json"), report)
-    with open(os.path.join(out_dir, "bec.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["coupling_scale", "measured_relative", "predicted_relative", "deviation"])
-        for row in rows:
-            writer.writerow([repr(row[k]) for k in
-                             ("coupling_scale", "measured_relative", "predicted_relative", "deviation")])
+    _write_csv(os.path.join(out_dir, "bec.csv"), rows, rows[0].keys())
     return report
 
 

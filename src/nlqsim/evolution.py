@@ -11,10 +11,11 @@ m <= M/2 and 2*pi*(m-M)/(M*dx) above (Nyquist assigned to -M/2; only p^2
 enters, so the sign choice is immaterial). On 2-d grids each axis is
 transformed and the ladders add, so U_eps is also the product over the axes
 of the circulant unitaries U_a = DFT^-1 . exp(-i*eps*c_T*p_a^2) . DFT.
-Grids whose axis lengths sum to at most KINETIC_MATRIX_MAX_POINTS apply
-those precomputed per-axis matrices (`statevec.apply_principal_axes`);
-larger grids transform (`statevec.dft_principal`), multiply by the cached
-factors (`statevec.apply_principal_factors`) and transform back.
+`KineticSpec.operator(eps)` builds one of the two forms, once per step
+size: grids whose axis lengths sum to at most KINETIC_MATRIX_MAX_POINTS get
+those per-axis matrices (applied by `statevec.apply_principal_axes`),
+larger grids the factors exp(-i*eps*c_T*p^2), applied between a transform
+(`statevec.dft_principal`) and its inverse.
 
 The splitting is first order in eps by construction; halving eps halves the
 state error against a converged reference. Gate counts for the potential
@@ -59,35 +60,29 @@ class KineticSpec:
 
     c_T: float
     grid: GridSpec
-    _propagators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _axis_unitaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _operator: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.c_T):
             raise ValueError("kinetic prefactor must be finite")
 
-    def propagator(self, eps: float) -> np.ndarray:
-        """Read-only factors exp(i * kinetic_phases(self, eps)), built once
-        per step size, so a run exponentiates them once instead of every step."""
-        factors = self._propagators.get(eps)
-        if factors is None:
-            factors = _unit_factors(kinetic_phases(self, eps), eps)
-            factors.flags.writeable = False
-            self._propagators[eps] = factors
-        return factors
-
-    def axis_unitaries(self, eps: float) -> tuple[np.ndarray, ...]:
-        """Read-only per-axis kinetic unitaries (`axis_unitary`), built once
-        per step size and kept for the latest one; applied along their axes
-        they give the propagator."""
-        mats = self._axis_unitaries.get(eps)
-        if mats is None:
-            mats = tuple(axis_unitary(p_sq, self.c_T, eps) for p_sq in self.axis_momentum_sq())
-            # keep one step size: a run steps at one eps, and each row of a
-            # step-halving comparison at its own
-            self._axis_unitaries.clear()
-            self._axis_unitaries[eps] = mats
-        return mats
+    def operator(self, eps: float) -> tuple[np.ndarray, ...] | np.ndarray:
+        """The kinetic step of size eps, read-only and built on first use: a
+        tuple of per-axis unitaries (`axis_unitary`) when the axis lengths sum
+        to at most KINETIC_MATRIX_MAX_POINTS, else the flat factors
+        exp(i * kinetic_phases(self, eps)). Only the latest step size is
+        kept: a run steps at one eps, and each row of a step-halving
+        comparison at its own."""
+        op = self._operator.get(eps)
+        if op is None:
+            if sum(self.grid.points) <= KINETIC_MATRIX_MAX_POINTS:
+                op = tuple(axis_unitary(p_sq, self.c_T, eps) for p_sq in self.axis_momentum_sq())
+            else:
+                op = _unit_factors(kinetic_phases(self, eps), eps)
+                op.flags.writeable = False
+            self._operator.clear()
+            self._operator[eps] = op
+        return op
 
     def axis_momentum_sq(self) -> list[np.ndarray]:
         """p_a^2 on each grid axis, over the wrapped ladder of that axis."""
@@ -153,7 +148,9 @@ def _unit_factors(phases: np.ndarray, eps: float) -> np.ndarray:
     """exp(i * phases); a phase that overflowed gives a NaN factor, refused here."""
     factors = np.exp(1j * phases)
     if not np.isfinite(factors).all():
-        raise SimulationError(f"non-finite kinetic phase at step {eps}; lower c_T or eps")
+        raise SimulationError(
+            f"non-finite kinetic phase for step size eps = {eps}; lower c_T or eps"
+        )
     return factors
 
 
@@ -169,17 +166,16 @@ def axis_unitary(p_sq: np.ndarray, c_T: float, eps: float) -> np.ndarray:
 
 
 def apply_kinetic(r: Register, spec: KineticSpec, eps: float) -> Register:
-    """Kinetic propagator exp(-i*eps*c_T*p^2).
-
-    Grids whose axis lengths sum to at most KINETIC_MATRIX_MAX_POINTS
-    multiply by the cached per-axis unitaries; larger grids transform, apply
-    the cached dispersion factors and transform back.
+    """Kinetic propagator exp(-i*eps*c_T*p^2), in the form `spec.operator`
+    built for the grid: per-axis unitaries multiply along their axes; flat
+    factors multiply between a transform and its inverse.
     """
-    if sum(spec.grid.points) <= KINETIC_MATRIX_MAX_POINTS:
-        return statevec.apply_principal_axes(r, spec.axis_unitaries(eps))
+    op = spec.operator(eps)
+    if isinstance(op, tuple):
+        return statevec.apply_principal_axes(r, op)
     shape = spec.grid.points
     statevec.dft_principal(r, inverse=False, axes_shape=shape)
-    statevec.apply_principal_factors(r, spec.propagator(eps))
+    statevec.apply_principal_factors(r, op)
     statevec.dft_principal(r, inverse=True, axes_shape=shape)
     return r
 
@@ -208,24 +204,23 @@ def evolve(
     r0: Register,
     f: CouplingMatrix,
     spec: KineticSpec,
-    t: float,
+    n_steps: int,
     eps: float,
     mode: str = "direct",
     record_stride: int = 0,
     basic_c: int = 1,
 ) -> EvolutionResult:
-    """Run n = floor(t/eps) steps from r0; r0 itself is left untouched.
+    """Run n_steps steps of size eps from r0; r0 itself is left untouched.
 
     With record_stride > 0, snapshots are taken at step 0, every
-    record_stride steps, and at the end; record_stride = 0 records none at
-    all (the `simulate` command then writes the first and last states). The
-    tally is the closed form on the schedule's nonzero angles, the gates a
-    compiled step executes; direct mode counts them without building the
-    gate list.
+    record_stride steps, and at the end (a stride of at least n_steps
+    records the first and last states only); record_stride = 0 records
+    none. The tally is the closed form on the schedule's nonzero angles,
+    the gates a compiled step executes; direct mode counts them without
+    building the gate list.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    n_steps = n_steps_for(t, eps)
     r = r0.copy()
     try:
         sparsity = nlcompiler.gammas_from_coupling(f, eps).sparsity()
@@ -252,9 +247,7 @@ def evolve(
     return EvolutionResult(final=r, tally=tally, snapshots=snapshots, norm_drift=drift)
 
 
-def observables(
-    r: Register, grid: GridSpec, f: CouplingMatrix, c_T: float = 1.0
-) -> Observables:
+def observables(r: Register, spec: KineticSpec, f: CouplingMatrix) -> Observables:
     """Density, momentum density and the conserved energy functional.
 
     energy = sum_m c_T*p_m^2*|a~_m|^2 + (1/2)*sum_kj f_kj*|a_k|^2*|a_j|^2;
@@ -264,9 +257,8 @@ def observables(
     """
     dens = r.principal_probabilities()
     work = r.copy()
-    statevec.dft_principal(work, inverse=False, axes_shape=grid.points)
+    statevec.dft_principal(work, inverse=False, axes_shape=spec.grid.points)
     mom_dens = work.principal_probabilities()
-    spec = KineticSpec(c_T, grid)
     kinetic = float(np.sum(spec.momentum_sq() * mom_dens))
     interaction = 0.5 * float(dens @ f.potential(dens))
     return Observables(density=dens, momentum_density=mom_dens, energy=kinetic + interaction)
@@ -292,14 +284,10 @@ def write_trajectory_csv(path, snapshots: list[Snapshot]):
 
 
 def summary_dict(
-    result: EvolutionResult,
-    grid: GridSpec,
-    f: CouplingMatrix,
-    c_T: float,
-    extra: dict | None = None,
+    result: EvolutionResult, spec: KineticSpec, f: CouplingMatrix, extra: dict | None = None
 ) -> dict:
     """Machine-readable run summary (deterministic float formatting)."""
-    obs = observables(result.final, grid, f, c_T)
+    obs = observables(result.final, spec, f)
     out = {
         "final_energy": obs.energy,
         "norm_drift": result.norm_drift,

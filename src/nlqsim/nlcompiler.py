@@ -58,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import statevec
-from .statevec import NORM_TOL, Register
+from .statevec import Register
 
 #: a coupling with at most this fraction of nonzero entries computes its
 #: potential from those entries; a denser one uses the BLAS matrix-vector
@@ -351,7 +351,7 @@ def apply_w_direct(r: Register, f: CouplingMatrix, eps: float) -> Register:
     """
     if f.dim != r.num_states:
         raise ValueError(f"coupling is {f.dim}-dimensional, register has {r.num_states}")
-    if not r.ancilla_is_clean(NORM_TOL):
+    if not r.ancilla_is_clean():
         raise ValueError("ancilla not clean")
     a0 = r.ancilla0
     dens = np.abs(a0) ** 2
@@ -402,7 +402,7 @@ def tensor_square(r: Register, max_result_qubits: int = 24) -> Register:
     register produces phases containing |a_j|^2 * |a_k|^2 terms (one route to
     higher-than-quadratic density dependence). Requires a clean ancilla.
     """
-    if not r.ancilla_is_clean(NORM_TOL):
+    if not r.ancilla_is_clean():
         raise ValueError("ancilla not clean")
     n2 = 2 * r.n
     if n2 + 1 > max_result_qubits:

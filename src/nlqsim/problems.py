@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nlcompiler import CouplingMatrix
-from .statevec import NORM_TOL, Register
+from .statevec import Register
 
 
 @dataclass(frozen=True)
@@ -318,7 +318,7 @@ def madelung_fields(r: Register, grid: GridSpec) -> MadelungFields:
     """
     if grid.size != r.num_states:
         raise ValueError(f"grid has {grid.size} sites, register {r.num_states} states")
-    if not r.ancilla_is_clean(NORM_TOL):
+    if not r.ancilla_is_clean():
         raise ValueError("ancilla not clean")
     a = r.ancilla0.reshape(grid.points)
     mags = np.abs(a) ** 2
@@ -377,18 +377,15 @@ def basis_amplitudes(grid: GridSpec, k: int) -> np.ndarray:
     return a
 
 
-def plane_wave_amplitudes(grid: GridSpec, mode: int, axis: int = 0) -> np.ndarray:
-    """Uniform-density state with phase exp(-i*kappa*x), kappa = 2*pi*mode/(M*dx)."""
-    m = grid.points[axis]
+def plane_wave_amplitudes(grid: GridSpec, mode: int) -> np.ndarray:
+    """Uniform-density state with phase exp(-i*kappa*x) along the first axis,
+    kappa = 2*pi*mode/(M*dx)."""
+    m = grid.points[0]
     kappa = 2.0 * np.pi * mode / (m * grid.dx)
-    x = grid.coords(axis)
-    prof = np.exp(-1j * kappa * x)
+    prof = np.exp(-1j * kappa * grid.coords(0))
     if grid.dims == 1:
         return prof
-    field = np.ones(grid.points, dtype=np.complex128)
-    shape = [1] * grid.dims
-    shape[axis] = m
-    return (field * prof.reshape(shape)).reshape(-1)
+    return (np.ones(grid.points, dtype=np.complex128) * prof[:, None]).reshape(-1)
 
 
 def coupling_to_triplet_csv(f: CouplingMatrix, path) -> None:

@@ -75,10 +75,10 @@ class Register:
         """|amplitude|^2 per principal index, summed over the ancilla bit."""
         return (np.abs(self.amps.reshape(2, -1)) ** 2).sum(axis=0)
 
-    def ancilla_is_clean(self, tol: float = NORM_TOL) -> bool:
-        """True when all weight sits in the ancilla-|0> branch."""
+    def ancilla_is_clean(self) -> bool:
+        """True when the ancilla-|1> branch holds at most NORM_TOL of weight."""
         a1 = self.ancilla1
-        return float(np.vdot(a1, a1).real) <= tol
+        return float(np.vdot(a1, a1).real) <= NORM_TOL
 
 
 @dataclass(frozen=True)

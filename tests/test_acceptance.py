@@ -81,7 +81,7 @@ def hartree_errors(eps_list):
     for eps in eps_list:
         n_steps = evolution.n_steps_for(HARTREE_T, eps)
         t_run = n_steps * eps
-        result = evolve(r0, f, spec, t_run, eps, mode="direct")
+        result = evolve(r0, f, spec, n_steps, eps, mode="direct")
         ref = split_step_solve(phi0, rule, HARTREE_CT, t_run, eps / 20.0)
         ref_amps = ref.to_amplitudes()
         out = result.final.ancilla0
@@ -161,7 +161,8 @@ class TestCriterion3:
         acceptance run enforces the same bound inside `evolve`."""
         f = hartree_coupling(HARTREE_KERNEL, HARTREE_GRID)
         spec = KineticSpec(HARTREE_CT, HARTREE_GRID)
-        result = evolve(hartree_initial_register(), f, spec, 100.0, 0.01)
+        n_steps = evolution.n_steps_for(100.0, 0.01)
+        result = evolve(hartree_initial_register(), f, spec, n_steps, 0.01)
         ok = result.tally.n_steps == 10**4 and result.norm_drift < 1e-10
         report(
             "C3 norm conservation",
@@ -199,7 +200,7 @@ class TestCriterion4:
         f = navier_stokes_coupling(1.0, grid)
         spec = KineticSpec(0.5, grid)
         r0 = init_from_amplitudes(gaussian_packet(grid, -1.0, 0.7))
-        result = evolve(r0, f, spec, 0.7, 0.1, mode="compiled")
+        result = evolve(r0, f, spec, evolution.n_steps_for(0.7, 0.1), 0.1, mode="compiled")
         singles, pairs = gammas_from_coupling(f, 0.1).sparsity()
         expected = estimate_resources(3, 7, singles=singles, pairs=pairs)
         if result.tally.total != expected.total:
@@ -234,7 +235,7 @@ class TestCriterion5:
 
         spec = KineticSpec(0.5, grid)
         r0 = init_from_amplitudes(uniform_amplitudes(grid))
-        result = evolve(r0, direct, spec, 100.0, 0.1, mode="compiled")
+        result = evolve(r0, direct, spec, evolution.n_steps_for(100.0, 0.1), 0.1, mode="compiled")
         dens = np.abs(result.final.ancilla0) ** 2
         dev = float(np.max(np.abs(dens - 1.0 / 64.0)))
         ok = identical and result.tally.n_steps == 1000 and dev < 1e-10
@@ -259,8 +260,9 @@ class TestCriterion6:
 
         spec = KineticSpec(0.5, grid)
         r0 = init_from_amplitudes(uniform_amplitudes(grid))
-        with_coupling = evolve(r0, f, spec, 10.0, 0.05, mode="compiled")
-        without = evolve(r0, CouplingMatrix.zeros(64), spec, 10.0, 0.05, mode="compiled")
+        n_steps = evolution.n_steps_for(10.0, 0.05)
+        with_coupling = evolve(r0, f, spec, n_steps, 0.05, mode="compiled")
+        without = evolve(r0, CouplingMatrix.zeros(64), spec, n_steps, 0.05, mode="compiled")
         fid = fidelity(with_coupling.final, without.final)
 
         mode = 2

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import nlqsim
-from nlqsim import cli, problems
+from nlqsim import cli, evolution, problems
 from nlqsim.cli import (
     ConfigError,
     ExperimentConfig,
@@ -108,6 +108,21 @@ class TestSimulate:
         assert summary["norm_drift"] < 1e-12
         traj = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert traj[0] == "step,time,k,re,im"
+
+    @pytest.mark.parametrize(
+        "steps, stride, recorded", [(0, 0, [0]), (0, 2, [0]), (3, 0, [0, 3])]
+    )
+    def test_recorded_steps(self, tmp_path, steps, stride, recorded):
+        # stride 0 writes the first and last states, a zero-step run's once
+        cfg_path = self.write_config(tmp_path, hartree_config_dict(record_stride=stride))
+        argv = ["simulate", "--config", cfg_path, "--out", str(tmp_path), "--steps", str(steps)]
+        assert cli.main(argv) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["n_snapshots"] == len(recorded)
+        with open(tmp_path / "trajectory.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 16 * len(recorded)
+        assert [int(row["step"]) for row in rows[::16]] == recorded
 
     def test_deterministic_summaries(self, tmp_path):
         cfg_path = self.write_config(tmp_path, hartree_config_dict())
@@ -296,6 +311,21 @@ class TestCompare:
         assert len(rows) == 3
         assert 1.5 <= rows[0]["l2_ratio"] <= 2.7
         assert (tmp_path / "convergence.csv").exists()
+
+    def test_rows_hand_evolve_their_step_counts(self, tmp_path, monkeypatch):
+        calls = []
+        evolve = evolution.evolve
+
+        def recording(r0, f, spec, n_steps, eps, **kwargs):
+            calls.append((n_steps, eps))
+            return evolve(r0, f, spec, n_steps, eps, **kwargs)
+
+        monkeypatch.setattr(evolution, "evolve", recording)
+        cfg = config_from_dict(hartree_config_dict(t=1.0, eps=0.3))
+        report = cli.run_compare(cfg, str(tmp_path), halvings=2)
+        assert calls == [(3, 0.3), (6, 0.15), (13, 0.075)]
+        assert all(type(n_steps) is int for n_steps, _ in calls)
+        assert [row["n_steps"] for row in report["comparisons"]] == [3, 6, 13]
 
     def test_convergence_csv_parses(self, tmp_path):
         """Every l2_ratio field is a float literal, except the finest row's,
@@ -682,7 +712,10 @@ class TestConfigBoundary:
             gp_kernel_dict({"form": "gaussian", "sigma": 1e-200, "amplitude": 2.0}), 2,
             "coupling matrix entries must be finite",
         ),
-        "c_T-huge": (gp_config_dict(c_T=1e308), 1, "non-finite kinetic phase"),
+        "c_T-huge": (
+            gp_config_dict(c_T=1e308), 1,
+            "non-finite kinetic phase for step size eps = 0.1; lower c_T or eps",
+        ),
         "step-count-overflow": (
             gp_config_dict(t=1e308, eps=0.08), 2, "the step count t / (eps) overflows",
         ),

@@ -95,41 +95,53 @@ class TestKineticPhases:
 
 
 class TestKineticPropagator:
-    def test_factors_of_the_phases(self, spec):
-        factors = spec.propagator(0.1)
-        assert np.array_equal(factors, np.exp(1j * kinetic_phases(spec, 0.1)))
+    def test_factors_of_the_phases(self, fft_spec):
+        factors = fft_spec.operator(0.1)
+        assert np.array_equal(factors, np.exp(1j * kinetic_phases(fft_spec, 0.1)))
         assert not factors.flags.writeable
-        assert spec.propagator(0.1) is factors
-        assert spec == KineticSpec(spec.c_T, spec.grid)
+        assert fft_spec.operator(0.1) is factors
+        assert fft_spec == KineticSpec(fft_spec.c_T, fft_spec.grid)
 
     def test_non_finite_factors_are_a_simulation_error(self, grid):
         # eps * c_T * p^2 overflows to inf, whose phase factor is NaN
         with np.errstate(all="ignore"), pytest.raises(SimulationError, match="kinetic"):
-            KineticSpec(1e308, grid).propagator(0.1)
+            KineticSpec(1e308, grid).operator(0.1)
 
     def test_built_once_per_run(self, grid, spec, rng, monkeypatch):
         # the 16-site grid takes the per-axis route: one matrix for its axis
         calls = count_axis_builds(monkeypatch)
-        evolve(random_register(rng, 4), CouplingMatrix.zeros(16), spec, 1.0, 0.1)
+        evolve(random_register(rng, 4), CouplingMatrix.zeros(16), spec, n_steps_for(1.0, 0.1), 0.1)
         assert [args[1:] for args in calls] == [(1.0, 0.1)]
         assert np.array_equal(calls[0][0], spec.momentum_sq())
 
     def test_built_once_per_axis_2d(self, rng, monkeypatch):
         calls = count_axis_builds(monkeypatch)
         spec = KineticSpec(0.5, GridSpec(points=(4, 8), dx=0.5))
-        evolve(random_register(rng, 5), CouplingMatrix.zeros(32), spec, 1.0, 0.1)
+        evolve(random_register(rng, 5), CouplingMatrix.zeros(32), spec, n_steps_for(1.0, 0.1), 0.1)
         assert [(args[0].size,) + args[1:] for args in calls] == [(4, 0.5, 0.1), (8, 0.5, 0.1)]
 
     def test_keeps_the_latest_step_size(self, spec, monkeypatch):
         # a step-halving comparison runs each step size once, so only the
         # latest step size's matrices are kept
         calls = count_axis_builds(monkeypatch)
-        first = spec.axis_unitaries(0.05)
-        assert spec.axis_unitaries(0.05) is first
-        spec.axis_unitaries(0.1)
-        again = spec.axis_unitaries(0.05)
+        first = spec.operator(0.05)
+        assert spec.operator(0.05) is first
+        spec.operator(0.1)
+        again = spec.operator(0.05)
         assert [args[2] for args in calls] == [0.05, 0.1, 0.05]
         assert np.array_equal(again[0], first[0])
+
+    @pytest.mark.parametrize("route", ["axes", "dft"])
+    def test_one_operator_on_both_routes(self, spec, fft_spec, route):
+        # one cache serves both routes and keeps only the latest step size
+        spec = spec if route == "axes" else fft_spec
+        first = spec.operator(0.1)
+        spec.operator(0.05)
+        again = spec.operator(0.1)
+        assert len(spec._operator) == 1
+        assert again is not first
+        assert isinstance(again, tuple) == (route == "axes")
+        assert np.array_equal(np.asarray(again), np.asarray(first))
 
     def test_factors_built_once_on_fft_grid(self, fft_spec, rng, monkeypatch):
         calls = []
@@ -140,7 +152,8 @@ class TestKineticPropagator:
             return phases(*args)
 
         monkeypatch.setattr(evolution, "kinetic_phases", counting)
-        evolve(random_register(rng, 9), CouplingMatrix.zeros(512), fft_spec, 0.3, 0.1)
+        evolve(random_register(rng, 9), CouplingMatrix.zeros(512), fft_spec,
+               n_steps_for(0.3, 0.1), 0.1)
         assert calls == [(fft_spec, 0.1)]
 
     def test_matches_per_step_phases(self, fft_spec, rng):
@@ -193,6 +206,7 @@ class TestPerAxisRoute:
         for _ in range(100):
             apply_kinetic(r, spec, 0.01)
         monkeypatch.setattr(evolution, "KINETIC_MATRIX_MAX_POINTS", 0)
+        spec = KineticSpec(spec.c_T, spec.grid)  # the route is picked when the operator is built
         for _ in range(100):
             apply_kinetic(expected, spec, 0.01)
         assert np.max(np.abs(r.amps - expected.amps)) <= 1e-12
@@ -211,7 +225,7 @@ class TestPerAxisRoute:
         apply_kinetic(r, spec, 0.01)
         assert not r.ancilla0.any()
         expected = np.fft.ifftn(
-            spec.propagator(0.01).reshape(points)
+            np.exp(1j * kinetic_phases(spec, 0.01)).reshape(points)
             * np.fft.fftn(expected.reshape(points), norm="ortho"),
             norm="ortho",
         ).reshape(-1)
@@ -220,17 +234,17 @@ class TestPerAxisRoute:
     @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64, 128, 256])
     def test_axis_matrix_is_unitary(self, m):
         spec = KineticSpec(1.0, GridSpec(points=(m,), dx=0.1))
-        (u,) = spec.axis_unitaries(0.05)
+        (u,) = spec.operator(0.05)
         assert np.linalg.norm(u.conj().T @ u - np.eye(m), 2) <= 1e-14
         assert not u.flags.writeable
-        assert spec.axis_unitaries(0.05)[0] is u
+        assert spec.operator(0.05)[0] is u
 
     def test_circulant_of_the_factors(self):
         # U = DFT^-1 . diag(factors) . DFT, with the unitary DFT matrix
         spec = KineticSpec(1.0, GridSpec(points=(8,), dx=0.5))
-        (u,) = spec.axis_unitaries(0.3)
+        (u,) = spec.operator(0.3)
         dft = np.fft.fft(np.eye(8), norm="ortho")
-        expected = dft.conj().T @ np.diag(spec.propagator(0.3)) @ dft
+        expected = dft.conj().T @ np.diag(np.exp(1j * kinetic_phases(spec, 0.3))) @ dft
         assert np.max(np.abs(u - expected)) < 1e-15
 
     def test_norm_drift_long_run(self):
@@ -246,7 +260,8 @@ class TestPerAxisRoute:
         # eps * c_T * p^2 overflows to inf on either route
         spec = KineticSpec(1e308, GridSpec(points=points, dx=0.5))
         r = random_register(rng, spec.grid.n_qubits)
-        with np.errstate(all="ignore"), pytest.raises(SimulationError, match="kinetic"):
+        message = r"^non-finite kinetic phase for step size eps = 0\.1; lower c_T or eps$"
+        with np.errstate(all="ignore"), pytest.raises(SimulationError, match=message):
             apply_kinetic(r, spec, 0.1)
 
 
@@ -284,7 +299,7 @@ class TestTracerSeams:
         counts = self.count_seams(monkeypatch)
         steps = 7
         result = evolve(random_register(rng, 4), random_coupling(rng, 4, scale=0.3), spec,
-                        steps * 0.05, 0.05, mode=mode)
+                        n_steps_for(steps * 0.05, 0.05), 0.05, mode=mode)
         # the gate primitives run only in compiled mode, each as often as the tally says
         gates = steps if mode == "compiled" else 0
         per_step = result.tally.per_step
@@ -304,7 +319,7 @@ class TestTracerSeams:
         counts = self.count_seams(monkeypatch)
         steps = 3
         evolve(random_register(rng, 9), CouplingMatrix.zeros(512), fft_spec,
-               steps * 0.05, 0.05, mode="direct")
+               n_steps_for(steps * 0.05, 0.05), 0.05, mode="direct")
         assert counts == {
             "nlcompiler.apply_w_direct": steps,
             "nlcompiler.execute": 0,
@@ -360,7 +375,7 @@ class TestTrotterStep:
 class TestEvolve:
     def test_zero_time_identity(self, grid, spec, rng):
         r0 = random_register(rng, 4)
-        result = evolve(r0, CouplingMatrix.zeros(16), spec, 0.0, 0.1)
+        result = evolve(r0, CouplingMatrix.zeros(16), spec, n_steps_for(0.0, 0.1), 0.1)
         assert np.array_equal(result.final.amps, r0.amps)
         assert result.tally.n_steps == 0
         assert result.tally.nonlinear_count == 0
@@ -387,12 +402,13 @@ class TestEvolve:
     def test_input_register_untouched(self, grid, spec, rng):
         r0 = random_register(rng, 4)
         before = r0.amps.copy()
-        evolve(r0, random_coupling(rng, 4), spec, 0.5, 0.1)
+        evolve(r0, random_coupling(rng, 4), spec, n_steps_for(0.5, 0.1), 0.1)
         assert np.array_equal(r0.amps, before)
 
     def test_tally_matches_estimate(self, grid, spec, rng):
         f = random_coupling(rng, 4)
-        result = evolve(random_register(rng, 4), f, spec, 1.0, 0.1, mode="compiled")
+        result = evolve(random_register(rng, 4), f, spec,
+                        n_steps_for(1.0, 0.1), 0.1, mode="compiled")
         singles, pairs = nlcompiler.gammas_from_coupling(f, 0.1).sparsity()
         expected = estimate_resources(4, 10, singles=singles, pairs=pairs)
         assert result.tally.per_step == expected.per_step
@@ -405,15 +421,16 @@ class TestEvolve:
 
         monkeypatch.setattr(nlcompiler, "compile_w", no_compile)
         f = random_coupling(rng, 4)
-        result = evolve(random_register(rng, 4), f, spec, 1.0, 0.1, mode="direct")
+        result = evolve(random_register(rng, 4), f, spec,
+                        n_steps_for(1.0, 0.1), 0.1, mode="direct")
         singles, pairs = nlcompiler.gammas_from_coupling(f, 0.1).sparsity()
         assert result.tally == estimate_resources(4, 10, singles=singles, pairs=pairs)
 
     def test_mode_equivalence(self, grid, spec, rng):
         f = random_coupling(rng, 4, scale=0.3)
         r0 = random_register(rng, 4)
-        direct = evolve(r0, f, spec, 2.0, 0.02, mode="direct")
-        compiled = evolve(r0, f, spec, 2.0, 0.02, mode="compiled")
+        direct = evolve(r0, f, spec, n_steps_for(2.0, 0.02), 0.02, mode="direct")
+        compiled = evolve(r0, f, spec, n_steps_for(2.0, 0.02), 0.02, mode="compiled")
         assert fidelity(direct.final, compiled.final) >= 1 - 1e-9
 
     def test_norm_conservation_long_run(self, rng):
@@ -421,13 +438,14 @@ class TestEvolve:
         spec = KineticSpec(1.0, grid)
         f = hartree_coupling(KernelSpec.gaussian(1.0, 2.0), grid)
         r0 = init_from_amplitudes(gaussian_packet(grid, 0.0, 1.0, 0.5))
-        result = evolve(r0, f, spec, 100.0, 0.01)
+        result = evolve(r0, f, spec, n_steps_for(100.0, 0.01), 0.01)
         assert result.tally.n_steps == 10**4
         assert result.norm_drift < 1e-10
 
     def test_snapshots(self, grid, spec, rng):
         r0 = random_register(rng, 4)
-        result = evolve(r0, CouplingMatrix.zeros(16), spec, 1.0, 0.1, record_stride=4)
+        result = evolve(r0, CouplingMatrix.zeros(16), spec,
+                        n_steps_for(1.0, 0.1), 0.1, record_stride=4)
         steps = [s.step for s in result.snapshots]
         assert steps == [0, 4, 8, 10]
         assert result.snapshots[-1].time == pytest.approx(1.0)
@@ -436,19 +454,19 @@ class TestEvolve:
         r0 = random_register(rng, 4)
         f = CouplingMatrix.zeros(16)
         with pytest.raises(ValueError, match="step size"):
-            evolve(r0, f, spec, 0.5, -0.1)
+            evolve(r0, f, spec, n_steps_for(0.5, -0.1), -0.1)
         with pytest.raises(ValueError, match="time"):
-            evolve(r0, f, spec, -0.5, 0.1)
+            evolve(r0, f, spec, n_steps_for(-0.5, 0.1), 0.1)
         # the mode is checked also when the run takes no step
         for t in (0.5, 0.0):
             with pytest.raises(ValueError, match="mode"):
-                evolve(r0, f, spec, t, 0.1, mode="magic")
+                evolve(r0, f, spec, n_steps_for(t, 0.1), 0.1, mode="magic")
 
     def test_non_finite_angle_is_a_simulation_error(self, spec, rng):
         # each entry is finite, but eps * f overflows
         f = CouplingMatrix.from_dense(np.full((16, 16), 1e308))
         with np.errstate(all="ignore"), pytest.raises(SimulationError, match="rotation angle"):
-            evolve(random_register(rng, 4), f, spec, 8.0, 8.0)
+            evolve(random_register(rng, 4), f, spec, n_steps_for(8.0, 8.0), 8.0)
 
 
 class TestFirstOrderAccuracy:
@@ -465,7 +483,7 @@ class TestFirstOrderAccuracy:
         t = 1.0
         errs = []
         for eps in (0.05, 0.025, 0.0125):
-            result = evolve(r0, f, spec, t, eps)
+            result = evolve(r0, f, spec, n_steps_for(t, eps), eps)
             ref = oracle.split_step_solve(phi0, rule, 1.0, t, eps / 20)
             ref_amps = ref.to_amplitudes()
             out = result.final.ancilla0
@@ -480,11 +498,11 @@ class TestFirstOrderAccuracy:
         spec = KineticSpec(1.0, grid)
         f = hartree_coupling(KernelSpec.gaussian(1.0, 2.0), grid)
         r0 = init_from_amplitudes(gaussian_packet(grid, -1.0, 1.0, 0.6))
-        e0 = observables(r0, grid, f, c_T=1.0).energy
+        e0 = observables(r0, spec, f).energy
         drifts = []
         for eps in (0.05, 0.025):
-            result = evolve(r0, f, spec, 1.0, eps)
-            e1 = observables(result.final, grid, f, c_T=1.0).energy
+            result = evolve(r0, f, spec, n_steps_for(1.0, eps), eps)
+            e1 = observables(result.final, spec, f).energy
             drifts.append(abs(e1 - e0))
         assert 1.6 <= drifts[0] / drifts[1] <= 2.6
 
@@ -498,7 +516,7 @@ class TestTwoDimensional:
         f = navier_stokes_coupling(1.0 / 64.0, grid)
         spec = KineticSpec(0.5, grid)
         r0 = init_from_amplitudes(np.ones(64))
-        result = evolve(r0, f, spec, 1.0, 0.05, mode="compiled")
+        result = evolve(r0, f, spec, n_steps_for(1.0, 0.05), 0.05, mode="compiled")
         assert fidelity(r0, result.final) > 1 - 1e-12
 
     def test_2d_packet_spreads_symmetrically(self):
@@ -506,30 +524,31 @@ class TestTwoDimensional:
         spec = KineticSpec(0.5, grid)
         a0 = gaussian_packet(grid, center=0.0, sigma=1.0)
         r0 = init_from_amplitudes(a0)
-        result = evolve(r0, nlcompiler.CouplingMatrix.zeros(64), spec, 2.0, 0.05)
+        result = evolve(r0, nlcompiler.CouplingMatrix.zeros(64), spec,
+                        n_steps_for(2.0, 0.05), 0.05)
         dens = result.final.principal_probabilities().reshape(8, 8)
         assert np.allclose(dens, dens.T, atol=1e-12)  # axis symmetry preserved
 
 
 class TestObservables:
-    def test_uniform_zero_momentum_state(self, grid):
+    def test_uniform_zero_momentum_state(self, spec):
         r = statevec.uniform_state(4)
-        obs = observables(r, grid, CouplingMatrix.zeros(16), c_T=1.0)
+        obs = observables(r, spec, CouplingMatrix.zeros(16))
         assert obs.energy == pytest.approx(0.0, abs=1e-14)
         assert obs.momentum_density[0] == pytest.approx(1.0)
 
-    def test_basis_state_energy(self, grid):
+    def test_basis_state_energy(self, grid, spec):
         """Kinetic spread of a position eigenstate plus half the self-coupling."""
         f = np.zeros((16, 16))
         f[3, 3] = 2.0
         r = statevec.basis_state(4, 3)
-        obs = observables(r, grid, CouplingMatrix.from_dense(f), c_T=1.0)
+        obs = observables(r, spec, CouplingMatrix.from_dense(f))
         psq = KineticSpec(1.0, grid).momentum_sq()
         kinetic_spread = np.mean(psq)  # flat momentum distribution
         assert obs.energy == pytest.approx(kinetic_spread + 0.5 * 2.0)
 
-    def test_density_sums_to_one(self, grid, rng):
-        obs = observables(random_register(rng, 4), grid, CouplingMatrix.zeros(16))
+    def test_density_sums_to_one(self, spec, rng):
+        obs = observables(random_register(rng, 4), spec, CouplingMatrix.zeros(16))
         assert np.sum(obs.density) == pytest.approx(1.0)
         assert np.sum(obs.momentum_density) == pytest.approx(1.0)
 
@@ -537,7 +556,8 @@ class TestObservables:
 class TestTrajectoryExport:
     def test_csv_columns(self, tmp_path, grid, spec, rng):
         r0 = random_register(rng, 4)
-        result = evolve(r0, CouplingMatrix.zeros(16), spec, 0.3, 0.1, record_stride=1)
+        result = evolve(r0, CouplingMatrix.zeros(16), spec,
+                        n_steps_for(0.3, 0.1), 0.1, record_stride=1)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, result.snapshots)
         lines = path.read_text().strip().splitlines()
@@ -546,7 +566,8 @@ class TestTrajectoryExport:
 
     def test_fields_are_plain_numbers(self, tmp_path, grid, spec, rng):
         f = random_coupling(rng, 4)
-        result = evolve(random_register(rng, 4), f, spec, 0.3, 0.1, record_stride=1)
+        result = evolve(random_register(rng, 4), f, spec,
+                        n_steps_for(0.3, 0.1), 0.1, record_stride=1)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, result.snapshots)
         for line in path.read_text().splitlines()[1:]:
