@@ -18,8 +18,9 @@ bounds. The --eps/--steps/--mode overrides re-enter config_from_dict.
 Every run is capped at MAX_STEPS steps: the gate-path steps of a
 simulate/compare config (checked by config_from_dict), and for a compare run
 the gate-path steps of all rows plus the reference steps of the solves it
-makes (checked by run_compare before any work). A run above the cap is a
-config error.
+makes (checked by run_compare before any work). A compare reference step is
+one step of the fourth-order row, six potential rounds. A run above the cap
+is a config error.
 
 Exit codes: 0 success, 1 numerical failure or an allocation that failed, 2
 usage or config error, each failure reported as one stderr line, never a
@@ -64,6 +65,24 @@ DEFAULT_CT = {
 MAX_STEPS = 10**8
 
 
+#: largest register `resources` tabulates: 2**64 grid points, whose per-step
+#: counts have about 40 digits
+RESOURCES_MAX_QUBITS = 64
+#: largest register `resources --instrument` compiles and executes: a dense
+#: 256x256 coupling, its gate list and one step take about 3 s and 60 MiB,
+#: and each added qubit multiplies both by about 4
+INSTRUMENT_MAX_QUBITS = 8
+#: largest basic-gate constant c of `resources`; with the step cap it keeps
+#: every count under 70 digits
+MAX_BASIC_C = 10**6
+#: largest `bec` grid: every relaxation iteration and every step transforms
+#: the whole grid, and a default run at 128 points already takes seconds
+BEC_MAX_GRID_POINTS = 1024
+#: most coupling scales one `bec` run sweeps (1, 1/2, ..., 2**-63), each a
+#: two-mode solve
+BEC_MAX_SWEEP = 64
+
+
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
@@ -105,12 +124,13 @@ class ExperimentConfig:
         return DEFAULT_CT[self.problem] if self.c_T is None else self.c_T
 
     def oracle_step(self, eps: float) -> float:
-        """Reference step for a run of step eps: oracle_dt if set, else a
-        twentieth of eps, so the reference error is negligible against the
-        first-order step error. The rows of `compare --halvings` share one
-        reference at the finest row's step, continued from each row's final
-        time to the next."""
-        return eps / 20.0 if self.oracle_dt is None else self.oracle_dt
+        """Reference step for a run of step eps: oracle_dt if set, else eps
+        itself. `compare` steps the reference by the fourth-order
+        `oracle.BLANES_MOAN4` row, whose error at step eps is negligible
+        against the first-order error of the gate path at eps. The rows of
+        `compare --halvings` share one reference at the finest row's step,
+        continued from each row's final time to the next."""
+        return eps if self.oracle_dt is None else self.oracle_dt
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -230,10 +250,12 @@ def config_from_dict(d: dict, base_dir: str = ".") -> ExperimentConfig:
 
 def _check_step_counts(cfg: ExperimentConfig, eps: float, name: str = "eps") -> None:
     """Refuse a run at step eps whose gate-path or reference step count,
-    t/eps or t/oracle_step(eps), overflows a float: its integer step count
-    would not exist."""
-    ref = "oracle_dt" if cfg.oracle_dt is not None else f"{name}/20"
-    for label, step in ((name, eps), (ref, cfg.oracle_step(eps))):
+    t/eps or t/oracle_dt, overflows a float: its integer step count would
+    not exist."""
+    steps = {name: eps}
+    if cfg.oracle_dt is not None:
+        steps["oracle_dt"] = cfg.oracle_dt
+    for label, step in steps.items():
         if not (step > 0 and cfg.t / step <= sys.float_info.max):
             raise ConfigError(
                 f"the step count t / ({label}) overflows: t {cfg.t!r}, {label} = {step!r}"
@@ -241,9 +263,11 @@ def _check_step_counts(cfg: ExperimentConfig, eps: float, name: str = "eps") -> 
 
 
 def _check_step_cap(steps: int, what: str) -> None:
-    """Refuse a run of more than MAX_STEPS steps, naming the count."""
+    """Refuse a run of more than MAX_STEPS steps, naming the count (in
+    scientific notation from 10**12 on, also where it exceeds a float)."""
     if steps > MAX_STEPS:
-        count = steps if steps < 10**12 else f"about {float(steps):.3g}"
+        exp = math.floor(math.log10(steps))
+        count = steps if steps < 10**12 else f"about {steps / 10**exp:.3g}e+{exp}"
         raise ConfigError(f"{what} takes {count} steps, above the cap of {MAX_STEPS}")
 
 
@@ -387,7 +411,8 @@ def run_compare(cfg: ExperimentConfig, out_dir: str, halvings: int = 0) -> dict:
         if t_run not in references:
             start = starts[t_run]
             references[t_run] = oracle.split_step_solve(
-                reference(start), rule, cfg.kinetic_prefactor, t_run - start, ref_dt
+                reference(start), rule, cfg.kinetic_prefactor, t_run - start, ref_dt,
+                row=oracle.BLANES_MOAN4,
             )
         return references[t_run]
 
@@ -437,10 +462,17 @@ def run_resources(
 ) -> dict:
     if not 1 <= n_min <= n_max:
         raise ConfigError(f"need 1 <= n-min <= n-max, got n-min {n_min}, n-max {n_max}")
+    if n_max > RESOURCES_MAX_QUBITS:
+        raise ConfigError(f"n-max must be <= {RESOURCES_MAX_QUBITS}, got {n_max}")
+    if instrument and n_min > INSTRUMENT_MAX_QUBITS:
+        raise ConfigError(f"--instrument needs n-min <= {INSTRUMENT_MAX_QUBITS}, got {n_min}")
     if n_steps < 0:
         raise ConfigError(f"steps must be >= 0, got {n_steps}")
+    _check_step_cap(n_steps, "the counted run")
     if basic_c < 1:
         raise ConfigError(f"basic-c must be >= 1, got {basic_c}")
+    if basic_c > MAX_BASIC_C:
+        raise ConfigError(f"basic-c must be <= {MAX_BASIC_C}, got {basic_c}")
     rows = []
     for n in range(n_min, n_max + 1):
         tally = nlcompiler.estimate_resources(n, n_steps, basic_c=basic_c)
@@ -501,6 +533,8 @@ def run_bec(
 ) -> dict:
     if grid_points < 2 or grid_points & (grid_points - 1):
         raise ConfigError(f"grid-points must be a power of two >= 2, got {grid_points}")
+    if grid_points > BEC_MAX_GRID_POINTS:
+        raise ConfigError(f"grid-points must be <= {BEC_MAX_GRID_POINTS}, got {grid_points}")
     for name, value in (("weight", weight), ("g11", g11), ("g22", g22), ("g12", g12),
                         ("t", t), ("dt", dt)):
         _real(name, value)
@@ -512,6 +546,11 @@ def run_bec(
         raise ConfigError(f"dt must be positive, got {dt}")
     if sweep < 1:
         raise ConfigError(f"sweep must be >= 1, got {sweep}")
+    if sweep > BEC_MAX_SWEEP:
+        raise ConfigError(f"sweep must be <= {BEC_MAX_SWEEP}, got {sweep}")
+    if not t / dt <= sys.float_info.max:
+        raise ConfigError(f"the step count t / dt overflows: t {t!r}, dt {dt!r}")
+    _check_step_cap(sweep * oracle.step_count(t, dt), f"bec ({sweep} coupling scale(s))")
     grid = GridSpec(points=(grid_points,), dx=20.0 / grid_points, x0=-10.0)
     x = grid.coords(0)
     trap = 0.5 * x**2
@@ -595,9 +634,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_cmp)
     p_cmp.add_argument("--halvings", type=int, default=0,
                        help="extra runs at eps/2, eps/4, ... with ratio table; rows "
-                            "share one reference, continued through their final "
-                            "times, at the finest row's eps/20 unless oracle_dt "
-                            "is set")
+                            "share one fourth-order reference, continued through "
+                            "their final times, at the finest row's eps unless "
+                            "oracle_dt is set")
 
     p_res = sub.add_parser("resources", help="gate-count table")
     p_res.add_argument("--n-min", type=int, default=1)

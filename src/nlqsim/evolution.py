@@ -259,7 +259,7 @@ def observables(r: Register, spec: KineticSpec, f: CouplingMatrix) -> Observable
     work = r.copy()
     statevec.dft_principal(work, inverse=False, axes_shape=spec.grid.points)
     mom_dens = work.principal_probabilities()
-    kinetic = float(np.sum(spec.momentum_sq() * mom_dens))
+    kinetic = spec.c_T * float(np.sum(spec.momentum_sq() * mom_dens))
     interaction = 0.5 * float(dens @ f.potential(dens))
     return Observables(density=dens, momentum_density=mom_dens, energy=kinetic + interaction)
 

@@ -7,12 +7,16 @@ the nonlocal potential by circular convolution of the kernel with the density
 on real-input FFTs, the contact potential as g*rho pointwise and the
 Navier-Stokes potential from a Laplacian of rolled density grids, and a
 coupling that has no other definition (custom-f) from the oracle's own read
-of its triplet file. Time stepping is Strang splitting (half kinetic, full
-potential, half kinetic), second order in dt, with the half-kinetic factors
-of neighbouring steps merged into one full factor. One such loop (`_strang`)
-steps every real-time solve: one field for `split_step_solve`, the two
-stacked modes for `gpe2_solve`. Benchmarks run the reference at a far
-smaller step than the run under test so its own error is negligible.
+of its triplet file. Time stepping is a splitting row of alternating
+kinetic and potential substeps, with the last kinetic factor of each step
+merged into the first of the next. One such loop (`_split_step`) steps
+every real-time solve: one field for `split_step_solve`, the two stacked
+modes for `gpe2_solve`. The default row is Strang splitting (half kinetic,
+full potential, half kinetic), second order in dt; `gpe2_solve` and
+`convergence_ratios` use it unless told otherwise. `compare` steps its
+reference by the fourth-order `BLANES_MOAN4` row at the step of the run
+under test, where its own error is negligible against that run's
+first-order error.
 
 Also here: imaginary-time ground-state preparation, which keeps its own loop
 because it takes the density before the half kinetic step and renormalizes
@@ -196,22 +200,40 @@ def step_count(t: float, dt: float) -> int:
     return max(1, round(t / dt)) if t > 0 else 0
 
 
-def _strang(values, grid, potential, c_T, t, dt, check_interval, labels):
-    """Fused Strang integration of one field, or of several stacked on a
-    leading axis, up to time t; returns the evolved values.
+#: A splitting row ((a_0, ..., a_s), (b_1, ..., b_s)): one step of size dt is
+#: K(a_0 dt) V(b_1 dt) K(a_1 dt) ... V(b_s dt) K(a_s dt), with K the kinetic and
+#: V the potential flow. The kinetic weights and the potential weights each
+#: sum to 1.
+Row = tuple[tuple[float, ...], tuple[float, ...]]
 
-    Each step is half-kinetic, full-potential (densities frozen during the
-    phase-only potential step, so that substep is exact), half-kinetic; the
-    scheme is second order in dt. The trailing half-kinetic of one step and
-    the leading one of the next merge into one full kinetic factor, so the
-    fields stay in momentum space between steps and a step costs one inverse
-    and one forward transform per field. The step count is
-    `step_count(t, dt)` and dt is adjusted to land on t exactly. The
-    potential rule maps the densities to potentials of the same shape. Each
-    field's norm is checked right after the potential phase every
-    check_interval steps and at the last step; drift beyond 1e-6 or
-    non-finite values abort with an error that starts with the field's label
-    and suggests a smaller dt.
+#: Strang splitting: half kinetic, full potential, half kinetic; second order
+STRANG: Row = ((0.5, 0.5), (1.0,))
+
+_A1, _A2, _A3 = 0.0792036964311957, 0.353172906049774, -0.0420650803577195
+_B1, _B2 = 0.209515106613362, -0.143851773179818
+#: the palindromic 6-stage fourth-order row of Blanes & Moan (2002, J. Comput.
+#: Appl. Math. 142:313): six potential rounds per step
+BLANES_MOAN4: Row = (
+    (_A1, _A2, _A3, 1.0 - 2.0 * (_A1 + _A2 + _A3), _A3, _A2, _A1),
+    (_B1, _B2, 0.5 - _B1 - _B2, 0.5 - _B1 - _B2, _B2, _B1),
+)
+
+
+def _split_step(values, grid, potential, c_T, t, dt, check_interval, labels, row):
+    """Fused split-step integration of one field, or of several stacked on a
+    leading axis, up to time t by the splitting row `row`; returns the
+    evolved values.
+
+    Each potential round is phase-only with the densities frozen at its
+    start, so that substep is exact. The trailing kinetic factor of one step
+    and the leading one of the next merge into one factor, so the fields stay
+    in momentum space between rounds and a round costs one inverse and one
+    forward transform per field. The step count is `step_count(t, dt)` and
+    dt is adjusted to land on t exactly. The potential rule maps the
+    densities to potentials of the same shape. Each field's norm is checked
+    right after the last potential round of every check_interval-th step and
+    of the last step; drift beyond 1e-6 or non-finite values abort with an
+    error that starts with the field's label and suggests a smaller dt.
     """
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t}")
@@ -222,13 +244,23 @@ def _strang(values, grid, potential, c_T, t, dt, check_interval, labels):
     n = step_count(t, dt)
     dt = t / n
     fft, ifft, _, _ = _transforms(grid)
-    half_kin = np.exp(-0.5j * dt * c_T * _momentum_sq(grid))
-    full_kin = half_kin**2
+    psq = _momentum_sq(grid)
+    a, b = row
+    kin = [np.exp(-1j * (w * dt) * c_T * psq) for w in a]
+    phases = [-1j * (w * dt) for w in b]
+    # the kinetic factor after each potential round; the last one carries
+    # into the next step until the last step
+    after = [*kin[1:-1], kin[-1] * kin[0]]
     grid_axes = tuple(range(-grid.dims, 0))
-    phi_hat = half_kin * fft(values)
+    phi_hat = kin[0] * fft(values)
     for step in range(1, n + 1):
-        phi = ifft(phi_hat)
-        phi *= np.exp(-1j * dt * potential(np.abs(phi) ** 2))
+        if step == n:
+            after[-1] = kin[-1]
+        for phase, factor in zip(phases, after):
+            phi = ifft(phi_hat)
+            phi *= np.exp(phase * potential(np.abs(phi) ** 2))
+            phi_hat = fft(phi)
+            phi_hat *= factor
         if step % check_interval == 0 or step == n:
             norms = np.sqrt(np.sum(np.abs(phi) ** 2, axis=grid_axes) * grid.cell_volume)
             for label, nrm in zip(labels, np.atleast_1d(norms)):
@@ -236,8 +268,6 @@ def _strang(values, grid, potential, c_T, t, dt, check_interval, labels):
                     raise SimulationError(
                         f"{label}norm drifted to {float(nrm)!r} at step {step}; reduce dt"
                     )
-        phi_hat = fft(phi)
-        phi_hat *= full_kin if step < n else half_kin
     return ifft(phi_hat)
 
 
@@ -248,10 +278,14 @@ def split_step_solve(
     t: float,
     dt: float,
     check_interval: int = 50,
+    row: Row = STRANG,
 ) -> FieldState:
-    """Fused Strang split-step integration of one field up to time t (see
-    `_strang`); the norm is checked every check_interval steps."""
-    values = _strang(phi0.values, phi0.grid, potential, c_T, t, dt, check_interval, ("",))
+    """Fused split-step integration of one field up to time t by the
+    splitting row `row`, Strang by default (see `_split_step`); the norm is
+    checked every check_interval steps."""
+    values = _split_step(
+        phi0.values, phi0.grid, potential, c_T, t, dt, check_interval, ("",), row
+    )
     return FieldState(values, phi0.grid)
 
 
@@ -290,10 +324,10 @@ class TwoModeState:
 def gpe2_solve(s: TwoModeState, t: float, dt: float) -> TwoModeState:
     """Coupled symmetric split-step evolution of both modes.
 
-    The modes are stacked and stepped together by `_strang` with c_T = 1/2.
-    Both densities are frozen during the joint potential substep (it is
-    phase-only for each mode), so the coupling term is handled exactly within
-    the substep and the scheme stays second order.
+    The modes are stacked and stepped together by `_split_step` on the Strang
+    row with c_T = 1/2. Both densities are frozen during the joint potential
+    substep (it is phase-only for each mode), so the coupling term is handled
+    exactly within the substep and the scheme stays second order.
     """
     w1 = abs(s.alpha) ** 2
     w2 = abs(s.beta) ** 2
@@ -314,7 +348,9 @@ def gpe2_solve(s: TwoModeState, t: float, dt: float) -> TwoModeState:
         ])
 
     values = np.stack([s.phi1.values, s.phi2.values])
-    p1, p2 = _strang(values, s.grid, potential, 0.5, t, dt, 100, ("mode 1 ", "mode 2 "))
+    p1, p2 = _split_step(
+        values, s.grid, potential, 0.5, t, dt, 100, ("mode 1 ", "mode 2 "), STRANG
+    )
     return replace(s, phi1=FieldState(p1, s.grid), phi2=FieldState(p2, s.grid))
 
 
@@ -471,14 +507,18 @@ def convergence_ratios(
     c_T: float,
     t: float,
     dts: list[float],
+    row: Row = STRANG,
 ) -> list[float]:
-    """Successive-difference step-halving ratios for the split-step solver.
+    """Successive-difference step-halving ratios for the split-step solver
+    on the splitting row `row`, Strang by default.
 
-    err_j = |phi(dt_j) - phi(dt_{j+1})| in the discrete 2-norm; for a
-    second-order scheme the ratio err_j / err_{j+1} approaches 4.
+    err_j = |phi(dt_j) - phi(dt_{j+1})| in the discrete 2-norm; the ratio
+    err_j / err_{j+1} approaches 4 for a second-order row such as Strang and
+    16 for a fourth-order one such as BLANES_MOAN4.
     """
     finals = [
-        split_step_solve(phi0, potential, c_T, t, dt).values.reshape(-1) for dt in dts
+        split_step_solve(phi0, potential, c_T, t, dt, row=row).values.reshape(-1)
+        for dt in dts
     ]
     errs = [
         float(np.linalg.norm(finals[i] - finals[i + 1]))

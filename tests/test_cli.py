@@ -19,6 +19,7 @@ from nlqsim.cli import (
     load_config,
 )
 from nlqsim.nlcompiler import CouplingMatrix
+from nlqsim.oracle import FieldState
 from nlqsim.problems import GridSpec, KernelSpec
 
 
@@ -69,9 +70,9 @@ class TestConfig:
 
     def test_oracle_dt_default(self):
         cfg = config_from_dict(hartree_config_dict())
-        assert cfg.oracle_step(cfg.eps) == pytest.approx(cfg.eps / 20)
+        assert cfg.oracle_step(cfg.eps) == cfg.eps
         # a halving row's reference step follows its own eps
-        assert cfg.oracle_step(cfg.eps / 2) == pytest.approx(cfg.eps / 40)
+        assert cfg.oracle_step(cfg.eps / 2) == cfg.eps / 2
         fixed = config_from_dict(hartree_config_dict(oracle_dt=1e-3))
         assert fixed.oracle_step(cfg.eps / 2) == 1e-3
 
@@ -353,17 +354,17 @@ class TestCompare:
             (hartree_config_dict(grid={"points": [64], "dx": 0.25, "x0": -8.0},
                                  initial_state={"preset": "gaussian", "center": -2.0,
                                                 "sigma": 1.0, "kappa": -1.0},
-                                 t=1.6, eps=0.08), 3, [1.6], 3200),
+                                 t=1.6, eps=0.08), 3, [1.6], 160),
             # rows of 3, 6, 13 and 26 steps end at 3 * 0.3 and at 13 * 0.075
-            (hartree_config_dict(t=1.0, eps=0.3), 3, [3 * 0.3, 13 * (0.3 / 4)], 520),
+            (hartree_config_dict(t=1.0, eps=0.3), 3, [3 * 0.3, 13 * (0.3 / 4)], 26),
             # rows of 1, 2, 5 and 11 steps end at 0.7, 0.875 and 0.9625
             (hartree_config_dict(t=1.0, eps=0.7), 3, [0.7, 5 * (0.7 / 4), 11 * (0.7 / 8)],
-             220),
+             11),
             # t just under 10 steps of 0.1: the first row counts 10 steps and
             # ends last, at 1.0; the later rows of 19, 39 and 79 steps end
             # before it
             (hartree_config_dict(t=0.99999999993, eps=0.1), 3,
-             [19 * (0.1 / 2), 39 * (0.1 / 4), 79 * (0.1 / 8), 10 * 0.1], 1600),
+             [19 * (0.1 / 2), 39 * (0.1 / 4), 79 * (0.1 / 8), 10 * 0.1], 80),
         ],
         ids=["acceptance", "two-final-times", "three-final-times", "first-row-last"],
     )
@@ -372,9 +373,10 @@ class TestCompare:
     ):
         solves = []
 
-        def counting(phi0, rule, c_T, t, dt, *args):
-            out = solve(phi0, rule, c_T, t, dt, *args)
+        def counting(phi0, rule, c_T, t, dt, *args, **kwargs):
+            out = solve(phi0, rule, c_T, t, dt, *args, **kwargs)
             solves.append((phi0, t, dt, out))
+            assert kwargs == {"row": cli.oracle.BLANES_MOAN4}
             return out
 
         solve = cli.oracle.split_step_solve
@@ -386,14 +388,14 @@ class TestCompare:
         assert len(rows) == halvings + 1
         # one solve per final time, from the one before it, at the finest step
         spans = [end - start for start, end in zip([0.0] + t_runs, t_runs)]
-        assert [(t, dt) for _, t, dt, _ in solves] == [(t, finest / 20.0) for t in spans]
+        assert [(t, dt) for _, t, dt, _ in solves] == [(t, finest) for t in spans]
         for (_, _, _, before), (start, _, _, _) in zip(solves, solves[1:]):
             assert start is before
         # as many steps as one solve to the latest final time, never more
-        # than a solve per row at its own eps/20 would take
+        # than a solve per row at its own eps would take
         steps = sum(cli.oracle.step_count(t, dt) for _, t, dt, _ in solves)
-        assert steps == ref_steps == cli.oracle.step_count(t_runs[-1], finest / 20.0)
-        per_row = sum(cli.oracle.step_count(row["n_steps"] * row["eps"], row["eps"] / 20.0)
+        assert steps == ref_steps == cli.oracle.step_count(t_runs[-1], finest)
+        per_row = sum(cli.oracle.step_count(row["n_steps"] * row["eps"], row["eps"])
                       for row in rows)
         assert steps < per_row
 
@@ -417,6 +419,46 @@ class TestCompare:
             single = cli.run_compare(replace(cfg, eps=row["eps"]), str(tmp_path / str(i)))
             shared = {k: v for k, v in row.items() if not k.endswith("_ratio")}
             assert shared == single["comparisons"][0]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # the acceptance Hartree config at eps 0.08: measured 1.2e-8
+            # against 9.5e-7 for a Strang reference at eps/20
+            hartree_config_dict(grid={"points": [64], "dx": 0.25, "x0": -8.0},
+                                initial_state={"preset": "gaussian", "center": -2.0,
+                                               "sigma": 1.0, "kappa": -1.0},
+                                t=1.6, eps=0.08),
+            # 8x8 Navier-Stokes stencil at eps 0.04: 6.3e-11 against 1.8e-9
+            {"problem": "navier-stokes", "grid": {"points": [8, 8], "dx": 1.0, "x0": -4.0},
+             "initial_state": {"preset": "gaussian", "center": [0.0, 0.0], "sigma": 2.0,
+                               "kappa": [0.5, 0.0]},
+             "t": 0.4, "eps": 0.04},
+        ],
+        ids=["acceptance-hartree", "stencil-2d"],
+    )
+    def test_reference_beats_a_strang_reference_at_a_twentieth(
+        self, tmp_path, monkeypatch, payload
+    ):
+        solves = []
+
+        def recording(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        solve = cli.oracle.split_step_solve
+        monkeypatch.setattr(cli.oracle, "split_step_solve", recording)
+        cfg = config_from_dict(payload)
+        cli.run_compare(cfg, str(tmp_path))
+        (used,) = solves
+        phi0 = FieldState.from_amplitudes(cli.build_problem(cfg)[1].ancilla0.copy(), cfg.grid)
+        rule = cli.build_oracle_potential(cfg)
+        c_T = cfg.kinetic_prefactor
+        fine = solve(phi0, rule, c_T, cfg.t, cfg.eps / 32, row=cli.oracle.BLANES_MOAN4)
+        strang = solve(phi0, rule, c_T, cfg.t, cfg.eps / 20)
+        used_err = np.linalg.norm(used.values - fine.values)
+        strang_err = np.linalg.norm(strang.values - fine.values)
+        assert used_err < strang_err / 4
 
     def test_stencil_bug_raises_compare_error(self, tmp_path, monkeypatch):
         """The reference builds the Navier-Stokes potential from the physics,
@@ -784,8 +826,9 @@ class TestConfigBoundary:
     @pytest.mark.parametrize(
         "payload, halvings, fragment",
         [
-            # the reference step eps/2**i/20 overflows the count first
-            (gp_config_dict(), "1100", "the step count t / (eps/2**1018/20) overflows"),
+            # the reference runs at the row's own step, so the gate path's
+            # count is the one that overflows
+            (gp_config_dict(), "1100", "the step count t / (eps/2**1023) overflows"),
             (gp_config_dict(oracle_dt=0.01), "1100", "the step count t / (eps/2**1023) overflows"),
         ],
     )
@@ -900,18 +943,18 @@ class TestStepCap:
 
     def test_compare_counts_every_row(self, tmp_path, capsys, monkeypatch):
         # 8 + 16 + ... gate steps, and one reference solve for the one final
-        # time, at a twentieth of the finest row's eps: 21 halvings stay under
-        # the cap row by row, not in total; refused before any work
+        # time, at the finest row's eps: 22 halvings stay under the cap row
+        # by row, not in total; refused before any work
         self.no_work(monkeypatch)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(gp_config_dict(t=0.8, eps=0.1)))
         rc = cli.main(["compare", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
-                       "--halvings", "21"])
+                       "--halvings", "22"])
         assert rc == 2
         line = one_error_line(capsys)
         assert line == (
-            "config error: compare (gate path and reference, all 22 row(s)) takes "
-            f"{8 * (2**22 - 1) + 20 * 8 * 2**21} steps, above the cap of 100000000"
+            "config error: compare (gate path and reference, all 23 row(s)) takes "
+            f"{8 * (2**23 - 1) + 8 * 2**22} steps, above the cap of 100000000"
         )
 
     def test_override_of_many_steps_is_capped(self, tmp_path, capsys, monkeypatch):
@@ -923,6 +966,74 @@ class TestStepCap:
                        "--eps", "0.1", "--steps", "100000001"])
         assert rc == 2
         assert "the gate path at eps takes 100000001 steps" in one_error_line(capsys)
+
+
+class TestRunBounds:
+    """`resources` and `bec` refuse arguments above their bounds before any
+    work: the work functions are replaced by ones that fail the test."""
+
+    @staticmethod
+    def no_work(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        for module, name in ((cli.nlcompiler, "estimate_resources"),
+                             (cli.nlcompiler, "compile_w"),
+                             (cli.oracle, "imaginary_time_ground_state")):
+            monkeypatch.setattr(module, name, refuse)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["resources", "--n-min", "1", "--n-max", "15000"], "n-max must be <= 64, got 15000"),
+            (["resources", "--n-max", "65"], "n-max must be <= 64, got 65"),
+            (["resources", "--n-min", "9", "--n-max", "9", "--instrument"],
+             "--instrument needs n-min <= 8, got 9"),
+            (["resources", "--steps", "100000001"],
+             "the counted run takes 100000001 steps, above the cap of 100000000"),
+            (["resources", "--basic-c", "1000001"], "basic-c must be <= 1000000, got 1000001"),
+            (["bec", "--dt", "1e-12", "--sweep", "1", "--grid-points", "64"],
+             "bec (1 coupling scale(s)) takes 100000000000 steps, above the cap of 100000000"),
+            (["bec", "--t", "1e300", "--dt", "1e-300"],
+             "the step count t / dt overflows: t 1e+300, dt 1e-300"),
+            # more steps than a float holds
+            (["bec", "--t", "1.7e308", "--dt", "1", "--sweep", "64"],
+             "bec (64 coupling scale(s)) takes about 1.09e+310 steps, above the cap of 100000000"),
+            (["bec", "--grid-points", "2048"], "grid-points must be <= 1024, got 2048"),
+            (["bec", "--sweep", "65", "--t", "0"], "sweep must be <= 64, got 65"),
+        ],
+        ids=["n-max-15000", "n-max", "instrument", "steps", "basic-c", "bec-steps",
+             "bec-overflow", "bec-steps-beyond-float", "bec-grid", "bec-sweep"],
+    )
+    def test_refused_before_any_work(self, tmp_path, capsys, monkeypatch, argv, message):
+        self.no_work(monkeypatch)
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert one_error_line(capsys) == f"config error: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resources", "--n-min", "64", "--n-max", "64", "--steps", "100000000",
+             "--basic-c", "1000000"],
+            ["resources", "--n-min", "8", "--n-max", "8", "--instrument"],
+            ["bec", "--t", "1", "--dt", "2e-8", "--sweep", "2"],
+            ["bec", "--grid-points", "1024", "--sweep", "64"],
+        ],
+        ids=["resources", "instrument", "bec-steps", "bec-grid-and-sweep"],
+    )
+    def test_bounds_are_inclusive(self, tmp_path, monkeypatch, argv):
+        self.no_work(monkeypatch)
+        with pytest.raises(AssertionError, match="the run started"):
+            cli.main(argv + ["--out", str(tmp_path / "out")])
+
+    def test_largest_table_is_written(self, tmp_path):
+        rc = cli.main(["resources", "--n-min", "64", "--n-max", "64", "--steps", "100000000",
+                       "--basic-c", "1000000", "--out", str(tmp_path)])
+        assert rc == 0
+        (row,) = json.loads((tmp_path / "resources.json").read_text())["rows"]
+        assert row["grid_points"] == 2**64
 
 
 # values written over a config entry by the property test below
@@ -1040,6 +1151,67 @@ class TestConfigProperty:
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 rc = cli.main([command, "--config", cfg_path, "--out", out_dir,
                                "--steps", str(steps)])
+            assert rc in (0, 1, 2)
+            if rc:
+                assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+        check()
+
+    #: values drawn for each argument of `resources` and `bec`, valid and not;
+    #: with the bounds, an accepted run tabulates at most 64 registers,
+    #: executes at most a 6-qubit instrumented step and takes at most 3000
+    #: two-mode steps (the default --t and --dt at --sweep 3) on at most 128
+    #: points
+    ARGUMENTS = {
+        "resources": {
+            "--n-min": [-1, 0, 1, 2, 6, 9, 64, 65, 15000, "x"],
+            "--n-max": [-1, 0, 1, 6, 9, 64, 65, 15000, "1.5"],
+            "--steps": [-1, 0, 3, 10**8, 10**8 + 1, 10**30, int("9" * 4000)],
+            "--basic-c": [-1, 0, 1, 7, 10**6, 10**6 + 1, 10**30, int("9" * 4000)],
+        },
+        "bec": {
+            "--grid-points": [-4, 0, 2, 16, 64, 100, 2048, 2**70],
+            "--weight": [-0.1, 0.0, 0.36, 1.0, 1.5, "nan", "inf"],
+            "--g11": [0.0, 0.5, -1.0, 1e300, "nan"],
+            "--g22": [0.0, 1.0, 1e300, "-inf"],
+            "--g12": [0.0, 0.5, -2.0, "nan"],
+            "--t": [-1.0, 0.0, 0.01, 0.1, 1e300, 1.7e308, "nan", "inf"],
+            "--dt": [-1.0, 0.0, 5e-324, 1e-12, 1e-3, 0.01, 1.0, "nan"],
+            "--sweep": [-1, 0, 1, 3, 65, 10**30],
+        },
+    }
+
+    def test_subcommand_arguments_run_to_an_exit_code(self, tmp_path, monkeypatch):
+        """Whole `resources` and `bec` runs on drawn arguments end in exit 0,
+        1 or 2, never a traceback; a failure is one stderr line. The `bec`
+        ground-state relaxation depends on --grid-points alone and takes
+        seconds, so it is replaced by the trap's exact ground state."""
+        import contextlib
+        import io
+
+        from hypothesis import given, settings, strategies as st
+
+        def exact_ground_state(V, g_eff, grid, c_T=0.5):
+            x = grid.coords(0)
+            state = FieldState.from_samples(np.exp(-0.5 * x**2), grid)
+            return cli.oracle.GroundState(state, 0.5, 0.0, 0)
+
+        monkeypatch.setattr(cli.oracle, "imaginary_time_ground_state", exact_ground_state)
+        out_dir = str(tmp_path / "out")
+
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @given(st.data())
+        def check(data):
+            command = data.draw(st.sampled_from(sorted(self.ARGUMENTS)))
+            argv = [command, "--out", out_dir]
+            for flag, values in self.ARGUMENTS[command].items():
+                if data.draw(st.booleans()):
+                    argv += [flag, str(data.draw(st.sampled_from(values)))]
+            if command == "resources" and data.draw(st.booleans()):
+                argv.append("--instrument")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(argv)
             assert rc in (0, 1, 2)
             if rc:
                 assert len(err.getvalue().splitlines()) == 1, err.getvalue()

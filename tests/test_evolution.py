@@ -23,6 +23,7 @@ from nlqsim.problems import (
     gaussian_packet,
     hartree_coupling,
     navier_stokes_coupling,
+    plane_wave_amplitudes,
 )
 from nlqsim.statevec import fidelity, init_from_amplitudes
 
@@ -546,6 +547,13 @@ class TestObservables:
         psq = KineticSpec(1.0, grid).momentum_sq()
         kinetic_spread = np.mean(psq)  # flat momentum distribution
         assert obs.energy == pytest.approx(kinetic_spread + 0.5 * 2.0)
+
+    @pytest.mark.parametrize("c_T", [1.0, 0.5])
+    def test_plane_wave_energy_is_c_T_kappa_squared(self, grid, c_T):
+        # mode 2 on 16 sites of 0.5: kappa = 2*pi*2/8, kappa**2 = 2.4674
+        r = init_from_amplitudes(plane_wave_amplitudes(grid, 2))
+        obs = observables(r, KineticSpec(c_T, grid), CouplingMatrix.zeros(16))
+        assert obs.energy == pytest.approx(c_T * (np.pi / 2) ** 2, rel=1e-12)
 
     def test_density_sums_to_one(self, spec, rng):
         obs = observables(random_register(rng, 4), spec, CouplingMatrix.zeros(16))

@@ -6,6 +6,8 @@ import pytest
 from nlqsim import oracle
 from nlqsim.evolution import SimulationError
 from nlqsim.oracle import (
+    BLANES_MOAN4,
+    STRANG,
     FieldState,
     TwoModeState,
     bec_phase_check,
@@ -110,6 +112,16 @@ class TestSplitStep:
         for ratio in ratios:
             assert 3.4 <= ratio <= 4.6
 
+    def test_fourth_order_convergence(self, grid):
+        # the field of test_second_order_convergence; measured 16.23, 16.06
+        phi0 = gaussian_field(grid, center=-1.0, sigma=1.2, kappa=0.8)
+        rule = kernel_potential(KernelSpec.gaussian(1.0, 3.0), grid)
+        ratios = convergence_ratios(
+            phi0, rule, c_T=1.0, t=0.5, dts=[0.1, 0.05, 0.025, 0.0125], row=BLANES_MOAN4
+        )
+        for ratio in ratios:
+            assert 12 <= ratio <= 20
+
     def test_kernel_and_coupling_rules_agree(self, grid):
         kernel = KernelSpec.gaussian(1.5, 2.0)
         k_rule = kernel_potential(kernel, grid)
@@ -165,21 +177,45 @@ def random_density(grid, seed):
     return np.random.default_rng(seed).random(grid.points)
 
 
-def unfused_solve(phi0, rule, c_T, t, n):
-    """The three-transform Strang step, half kinetic, full potential, half
-    kinetic, with complex n-d FFTs and no merged half steps."""
+def unfused_solve(phi0, rule, c_T, t, n, row=STRANG):
+    """n steps of the splitting row, K(a_0) V(b_1) K(a_1) ... V(b_s) K(a_s),
+    each kinetic substep a complex n-d FFT pair, no substeps merged; on the
+    Strang row, half kinetic, full potential, half kinetic."""
     grid = phi0.grid
     dt = t / n
     axes = tuple(range(grid.dims))
     p = [2.0 * np.pi * np.fft.fftfreq(m, d=grid.dx) for m in grid.points]
     psq = sum(np.meshgrid(*[q**2 for q in p], indexing="ij"))
-    half = np.exp(-0.5j * dt * c_T * psq)
+
+    def kinetic(phi, w):
+        factor = np.exp(-1j * w * dt * c_T * psq)
+        return np.fft.ifftn(factor * np.fft.fftn(phi, axes=axes), axes=axes)
+
+    a, b = row
     phi = phi0.values.copy()
     for _ in range(n):
-        phi = np.fft.ifftn(half * np.fft.fftn(phi, axes=axes), axes=axes)
-        phi = phi * np.exp(-1j * dt * rule(np.abs(phi) ** 2))
-        phi = np.fft.ifftn(half * np.fft.fftn(phi, axes=axes), axes=axes)
+        phi = kinetic(phi, a[0])
+        for wa, wb in zip(a[1:], b):
+            phi = phi * np.exp(-1j * wb * dt * rule(np.abs(phi) ** 2))
+            phi = kinetic(phi, wa)
     return phi
+
+
+def merged_strang_solve(phi0, rule, c_T, t, n):
+    """The fused Strang loop written for that row alone: one half-kinetic
+    factor, squared to join neighbouring steps."""
+    grid = phi0.grid
+    dt = t / n
+    fft, ifft = (np.fft.fft, np.fft.ifft) if grid.dims == 1 else (np.fft.fft2, np.fft.ifft2)
+    half_kin = np.exp(-0.5j * dt * c_T * oracle._momentum_sq(grid))
+    full_kin = half_kin**2
+    phi_hat = half_kin * fft(phi0.values)
+    for step in range(1, n + 1):
+        phi = ifft(phi_hat)
+        phi *= np.exp(-1j * dt * rule(np.abs(phi) ** 2))
+        phi_hat = fft(phi)
+        phi_hat *= full_kin if step < n else half_kin
+    return ifft(phi_hat)
 
 
 def complex_fft_convolution(kernel, grid, dens):
@@ -202,6 +238,25 @@ class TestFusedStepper:
         t = 0.4
         fused = split_step_solve(phi0, rule, 1.0, t, t / n).values
         assert np.max(np.abs(fused - unfused_solve(phi0, rule, 1.0, t, n))) <= 1e-12
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d-two-point-axis"])
+    @pytest.mark.parametrize("n", [1, 2, 51])
+    def test_row_matches_unfused_composition(self, grid, n):
+        phi0 = packet_field(grid)
+        rule = kernel_potential(KernelSpec.gaussian(1.0, 2.0), grid)
+        t = 0.4
+        fused = split_step_solve(phi0, rule, 0.7, t, t / n, row=BLANES_MOAN4).values
+        unfused = unfused_solve(phi0, rule, 0.7, t, n, BLANES_MOAN4)
+        assert np.max(np.abs(fused - unfused)) <= 1e-12
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d-two-point-axis"])
+    @pytest.mark.parametrize("n", [1, 2, 51])
+    def test_strang_row_is_bit_identical_to_the_merged_strang_loop(self, grid, n):
+        phi0 = packet_field(grid)
+        for rule in (kernel_potential(KernelSpec.gaussian(1.0, 2.0), grid),
+                     laplacian_potential(1.0, grid)):
+            fused = split_step_solve(phi0, rule, 0.7, 0.4, 0.4 / n).values
+            assert np.array_equal(fused, merged_strang_solve(phi0, rule, 0.7, 0.4, n))
 
     @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d-two-point-axis"])
     @pytest.mark.parametrize(
