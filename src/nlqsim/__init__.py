@@ -31,7 +31,7 @@ from .oracle import (
     TwoModeState,
     bec_phase_check,
     gpe2_solve,
-    imaginary_time_ground_state,
+    ground_state,
     split_step_solve,
 )
 from .problems import (

@@ -18,10 +18,9 @@ reference by the fourth-order `BLANES_MOAN4` row at the step of the run
 under test, where its own error is negligible against that run's
 first-order error.
 
-Also here: imaginary-time ground-state preparation, which keeps its own loop
-because it takes the density before the half kinetic step and renormalizes
-every step, and the two-component condensate check that a weakly coupled,
-trap-stationary pair of modes accumulates relative phase
+Also here: the ground state of a trap, the lowest eigenvector of the dense
+kinetic-plus-trap matrix, and the two-component condensate check that a
+weakly coupled, trap-stationary pair of modes accumulates relative phase
 t*(g_eff_11 - g_eff_12)*|alpha|^2 + t*(g_eff_12 - g_eff_22)*|beta|^2, with
 effective couplings given by overlap integrals of the stationary profiles.
 The prediction holds exactly only for frozen profiles; the check quantifies
@@ -359,81 +358,42 @@ class GroundState:
     state: FieldState
     mu: float
     residual: float
-    iterations: int
 
 
-def _residual(phi, V, g, grid, c_T):
+def _residual(phi, V, grid, c_T):
     fft, ifft, _, _ = _transforms(grid)
-    h_phi = ifft(c_T * _momentum_sq(grid) * fft(phi)) + (V + g * np.abs(phi) ** 2) * phi
+    h_phi = ifft(c_T * _momentum_sq(grid) * fft(phi)) + V * phi
     mu = float(np.real(np.sum(np.conj(phi) * h_phi) * grid.cell_volume))
     res = float(np.linalg.norm(h_phi - mu * phi) / np.linalg.norm(phi))
     return res, mu
 
 
-def imaginary_time_ground_state(
-    V: np.ndarray,
-    g_eff: float,
-    grid: GridSpec,
-    c_T: float = 0.5,
-    tol: float = 1e-8,
-    dtau_min: float = 1e-4,
-) -> GroundState:
-    """Ground state of T + V + g_eff*|phi|^2 by imaginary-time relaxation.
+def ground_state(V: np.ndarray, grid: GridSpec, c_T: float = 0.5) -> GroundState:
+    """Ground state of T + V, T = c_T*p^2, by one dense diagonalization.
 
-    Symmetric split stepping with renormalization after every step. The
-    nonlinear factor uses the density of the renormalized state entering the
-    step, which keeps the fixed-point bias at second order in the step size.
-    The step size starts at 0.05 and is divided by 4 whenever the residual
-    stops improving (each fixed point is accurate to O(dtau^2), so refining
-    the step lowers the reachable residual floor) until the residual
-    |H phi - mu phi| / |phi| falls below tol. Runs that exhaust the schedule
-    or 2,000,000 iterations raise with the residual reached.
+    The kinetic matrix is the transform route applied to every unit vector
+    of the grid; its momentum ladder is even, so the matrix is real
+    symmetric. The lowest eigenvector of T + V is signed so its samples sum
+    to a positive number. Its residual |H phi - mu phi| / |phi| is then
+    measured on the transform route, apart from the dense matrix, and a
+    residual not below 1e-8 raises SimulationError. The cost grows as the
+    cube of the grid size.
     """
     V = np.asarray(V, dtype=np.float64).reshape(grid.points)
     if not np.all(np.isfinite(V)):
         raise ValueError("potential must be finite")
     fft, ifft, _, _ = _transforms(grid)
-    psq = _momentum_sq(grid)
-    # ground-state guess: Boltzmann-like envelope on the potential well
-    vspan = np.max(V) - np.min(V)
-    phi = np.exp(-(V - np.min(V)) / (vspan + 1.0)).astype(np.complex128)
-    phi /= np.sqrt(np.sum(np.abs(phi) ** 2) * grid.cell_volume)
-
-    dtau = 0.05
-    max_iter = 2_000_000
-    half = np.exp(-0.5 * dtau * c_T * psq)
-    res_prev = np.inf
-    iterations = 0
-    res, mu = _residual(phi, V, g_eff, grid, c_T)
-    if res < tol:
-        return GroundState(FieldState(phi, grid), mu, res, iterations)
-    while iterations < max_iter:
-        window = max(25, int(round(1.0 / dtau)))
-        for _ in range(window):
-            iterations += 1
-            dens = np.abs(phi) ** 2
-            phi = ifft(half * fft(phi))
-            phi = phi * np.exp(-dtau * (V + g_eff * dens))
-            phi = ifft(half * fft(phi))
-            phi /= np.sqrt(np.sum(np.abs(phi) ** 2) * grid.cell_volume)
-        res, mu = _residual(phi, V, g_eff, grid, c_T)
-        if res < tol:
-            return GroundState(FieldState(phi, grid), mu, res, iterations)
-        if res > 0.5 * res_prev:
-            if dtau <= dtau_min:
-                raise SimulationError(
-                    f"imaginary-time relaxation stalled at residual {res:.3e} "
-                    f"(target {tol:.1e}) after {iterations} iterations"
-                )
-            dtau /= 4.0
-            half = np.exp(-0.5 * dtau * c_T * psq)
-            res_prev = np.inf
-        else:
-            res_prev = res
-    raise SimulationError(
-        f"imaginary-time relaxation did not reach residual {tol:.1e} within "
-        f"{max_iter} iterations (reached {res:.3e})"
-    )
+    unit = np.eye(grid.size).reshape(grid.size, *grid.points)
+    h = ifft(c_T * _momentum_sq(grid) * fft(unit)).real.reshape(grid.size, grid.size)
+    h[np.diag_indices(grid.size)] += V.reshape(-1)
+    phi = np.linalg.eigh(h)[1][:, 0]
+    if phi.sum() < 0:
+        phi = -phi
+    state = FieldState.from_samples(phi, grid)
+    res, mu = _residual(state.values, V, grid, c_T)
+    if not res < 1e-8:
+        raise SimulationError(f"ground state residual {res:.3e} is not below 1e-8")
+    return GroundState(state, mu, res)
 
 
 @dataclass(frozen=True)
@@ -530,30 +490,13 @@ def convergence_ratios(
 def field_to_csv(state: FieldState, path) -> None:
     """Write (x, re, im) rows for 1-d fields, (x0, x1, re, im) for 2-d."""
     grid = state.grid
+    coords = np.meshgrid(*map(grid.coords, range(grid.dims)), indexing="ij")
+    columns = [c.reshape(-1) for c in (*coords, state.values.real, state.values.imag)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if grid.dims == 1:
-            writer.writerow(["x", "re", "im"])
-            x = grid.coords(0)
-            for k, v in enumerate(state.values.reshape(-1)):
-                writer.writerow(
-                    [repr(float(x[k])), repr(float(v.real)), repr(float(v.imag))]
-                )
-        else:
-            writer.writerow(["x0", "x1", "re", "im"])
-            x0 = grid.coords(0)
-            x1 = grid.coords(1)
-            for i0 in range(grid.points[0]):
-                for i1 in range(grid.points[1]):
-                    v = state.values[i0, i1]
-                    writer.writerow(
-                        [
-                            repr(float(x0[i0])),
-                            repr(float(x1[i1])),
-                            repr(float(v.real)),
-                            repr(float(v.imag)),
-                        ]
-                    )
+        writer.writerow((["x"] if grid.dims == 1 else ["x0", "x1"]) + ["re", "im"])
+        for row in zip(*columns):
+            writer.writerow([repr(float(v)) for v in row])
 
 
 def field_from_csv(path, grid: GridSpec) -> FieldState:

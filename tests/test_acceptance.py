@@ -31,7 +31,7 @@ from nlqsim.oracle import (
     TwoModeState,
     bec_phase_check,
     convergence_ratios,
-    imaginary_time_ground_state,
+    ground_state,
     kernel_potential,
     split_step_solve,
 )
@@ -285,7 +285,7 @@ class TestCriterion7:
         grid = GridSpec(points=(128,), dx=20.0 / 128, x0=-10.0)
         x = grid.coords(0)
         trap = 0.5 * x**2
-        ground = imaginary_time_ground_state(trap, 0.0, grid, c_T=0.5)
+        ground = ground_state(trap, grid)
         deviations = []
         for scale in (1.0, 0.5, 0.25):
             state = TwoModeState(
@@ -315,7 +315,7 @@ class TestCriterion8:
         second_order = all(3.4 <= r <= 4.6 for r in rr)
 
         x = grid.coords(0)
-        ground = imaginary_time_ground_state(0.5 * x**2, 0.0, grid, c_T=0.5)
+        ground = ground_state(0.5 * x**2, grid)
         psq = 0.5 * (2 * np.pi * np.fft.fftfreq(128, d=grid.dx)) ** 2
         phi_hat = np.fft.fft(ground.state.values)
         kin = float(

@@ -494,9 +494,10 @@ class TestFirstOrderAccuracy:
         for ratio in ratios:
             assert 1.6 <= ratio <= 2.6
 
-    def test_energy_drift_shrinks_with_eps(self):
+    @pytest.mark.parametrize("c_T", [1.0, 0.5])
+    def test_energy_drift_shrinks_with_eps(self, c_T):
         grid = GridSpec(points=(32,), dx=0.5, x0=-8.0)
-        spec = KineticSpec(1.0, grid)
+        spec = KineticSpec(c_T, grid)
         f = hartree_coupling(KernelSpec.gaussian(1.0, 2.0), grid)
         r0 = init_from_amplitudes(gaussian_packet(grid, -1.0, 1.0, 0.6))
         e0 = observables(r0, spec, f).energy

@@ -15,7 +15,7 @@ from nlqsim.oracle import (
     field_from_csv,
     field_to_csv,
     gpe2_solve,
-    imaginary_time_ground_state,
+    ground_state,
     kernel_potential,
     laplacian_potential,
     split_step_solve,
@@ -44,7 +44,7 @@ def harmonic_trap(grid):
 @pytest.fixture(scope="module")
 def trap_ground(grid):
     """Noninteracting harmonic ground state, shared across this module."""
-    return imaginary_time_ground_state(harmonic_trap(grid), 0.0, grid, c_T=0.5)
+    return ground_state(harmonic_trap(grid), grid)
 
 
 def gaussian_field(grid, center=0.0, sigma=1.0, kappa=0.0):
@@ -76,6 +76,19 @@ class TestFieldState:
         field_to_csv(state, path)
         back = field_from_csv(path, grid)
         assert np.max(np.abs(back.values - state.values)) < 1e-15
+
+    def test_csv_bytes_2d(self, tmp_path):
+        """A 2-d field is written row-major, x1 fastest, with repr floats."""
+        g = GridSpec(points=(2, 2), dx=0.5, x0=-0.5)
+        path = tmp_path / "field.csv"
+        field_to_csv(FieldState(np.array([[1.0, 1j], [0.6 + 0.8j, -1.0]]), g), path)
+        assert path.read_bytes() == (
+            b"x0,x1,re,im\r\n"
+            b"-0.5,-0.5,1.0,0.0\r\n"
+            b"-0.5,0.0,0.0,1.0\r\n"
+            b"0.0,-0.5,0.6,0.8\r\n"
+            b"0.0,0.0,-1.0,0.0\r\n"
+        )
 
 
 class TestSplitStep:
@@ -379,6 +392,9 @@ class TestPhysicsRoutes:
 
 
 class TestImaginaryTime:
+    """`ground_state`: the long imaginary-time limit of any start that
+    overlaps it, taken as the lowest eigenvector of T + V."""
+
     def test_harmonic_ground_state(self, grid, trap_ground):
         """Gaussian ground state at energy omega/2 for the half-Laplacian."""
         ground = trap_ground
@@ -390,30 +406,33 @@ class TestImaginaryTime:
         assert overlap == pytest.approx(1.0, abs=1e-6)
 
     def test_flat_potential_uniform(self, grid):
-        ground = imaginary_time_ground_state(np.zeros(grid.size), 0.0, grid, c_T=0.5)
+        ground = ground_state(np.zeros(grid.size), grid)
         values = ground.state.values
         assert np.max(np.abs(values - values[0])) < 1e-8
 
-    def test_repulsive_widening(self, grid):
-        """Interaction flattens the cloud: width grows monotonically with g."""
-        widths = []
-        x = grid.coords(0)
-        for g in (0.0, 2.0, 10.0):
-            ground = imaginary_time_ground_state(harmonic_trap(grid), g, grid, c_T=0.5)
-            widths.append(float(np.sqrt(np.sum(x**2 * ground.state.density()) * grid.dx)))
-        assert widths[0] < widths[1] < widths[2]
+    @pytest.mark.parametrize("points", [4, 8, 16, 128])
+    def test_trap_residual_at_roundoff(self, points):
+        """The trap `bec` builds, down to its coarsest grids: the residual
+        is at roundoff and the samples sum to a positive number."""
+        g = GridSpec(points=(points,), dx=20.0 / points, x0=-10.0)
+        ground = ground_state(harmonic_trap(g), g)
+        assert ground.residual < 1e-12
+        assert np.sum(ground.state.values).real > 0
 
-    def test_mu_reported_with_interaction(self, grid):
-        ground = imaginary_time_ground_state(harmonic_trap(grid), 2.0, grid, c_T=0.5)
-        # chemical potential exceeds the bare trap ground-state energy
-        assert ground.mu > 0.5
-        assert ground.residual < 1e-8
+    def test_two_dimensional_trap(self):
+        g = GridSpec(points=(16, 16), dx=0.5, x0=-4.0)
+        x = g.coords(0)
+        trap = 0.5 * (x[:, None] ** 2 + x[None, :] ** 2)
+        ground = ground_state(trap, g)
+        assert ground.state.values.shape == (16, 16)
+        assert ground.residual < 1e-12
+        assert ground.mu == pytest.approx(1.0, rel=5e-3)
 
     def test_nonconvergence_raises(self, grid):
+        # eigh's roundoff scales with the trap's height, so a steep trap
+        # leaves a residual far above the 1e-8 bound
         with pytest.raises(SimulationError, match="residual"):
-            imaginary_time_ground_state(
-                harmonic_trap(grid), 0.0, grid, c_T=0.5, tol=1e-15, dtau_min=0.01
-            )
+            ground_state(1e9 * harmonic_trap(grid), grid)
 
 
 class TestTwoModes:
