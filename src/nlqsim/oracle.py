@@ -487,20 +487,12 @@ def convergence_ratios(
     return [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
 
 
-def field_to_csv(state: FieldState, path) -> None:
-    """Write (x, re, im) rows for 1-d fields, (x0, x1, re, im) for 2-d."""
-    grid = state.grid
-    coords = np.meshgrid(*map(grid.coords, range(grid.dims)), indexing="ij")
-    columns = [c.reshape(-1) for c in (*coords, state.values.real, state.values.imag)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow((["x"] if grid.dims == 1 else ["x0", "x1"]) + ["re", "im"])
-        for row in zip(*columns):
-            writer.writerow([repr(float(v)) for v in row])
-
-
 def field_from_csv(path, grid: GridSpec) -> FieldState:
-    """Read a field written by `field_to_csv` (values normalized on load)."""
+    """Read a field file: a header row (``x,re,im`` in 1-d, ``x0,x1,re,im``
+    in 2-d), then one row per grid point in row-major order (the last axis
+    fastest), holding the point's coordinates and the real and imaginary
+    parts of its sample. Only the last two columns are read; the values are
+    normalized on load."""
     values = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -4,13 +4,18 @@ Index layout: with N = 2**n, ``amps[b*N + k]`` holds principal basis state
 |k> with ancilla bit b. The ancilla is the most significant bit, so the
 branches are the contiguous halves ``amps[:N]`` (`ancilla0`) and ``amps[N:]``
 (`ancilla1`), the two rows of ``amps.reshape(2, N)``. Only this module knows
-the layout; everything else goes through the branch views.
+the layout; everything else goes through the branch views. A `Register`
+builds both views once, at construction, and its fields are frozen, so
+``amps`` cannot be rebound behind them; the gates act on the views in place.
 
 Every gate implemented here is either phase-only or an amplitude swap, so the
 2-norm is preserved to machine precision. Both branch weights come from one
 ``np.add.reduce`` over the rows of the squared magnitudes, numpy's pairwise
 summation of each row, which is deterministic for a fixed length; the
-feedback phases of the nonlinear gate are therefore bit-reproducible.
+feedback phases of the nonlinear gate are therefore bit-reproducible. The
+squared magnitudes go into one float64 buffer per register, allocated by the
+first weight computation, so a compiled step allocates no array per gate and
+a register that never needs the weights never holds the buffer.
 
 The gate set is deliberately small: the ancilla-flip on a single principal
 index, the branch-probability phase gate, an ancilla-conditioned phase, a
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 
@@ -35,35 +40,62 @@ NORM_TOL = 1e-12
 
 @dataclass
 class Register:
-    """Amplitudes of an (n+1)-qubit system, ancilla stored as the flat MSB."""
+    """Amplitudes of an (n+1)-qubit system, ancilla stored as the flat MSB.
+
+    `ancilla0` and `ancilla1` are views of the two halves of ``amps``, built
+    once in ``__post_init__``. The fields are frozen, so ``amps`` cannot be
+    rebound behind the views: assigning a field raises
+    ``FrozenInstanceError``, except the self-assignment an in-place operator
+    makes (``r.amps *= c``). The gates update ``amps`` in place. The float64
+    buffer the branch weights are computed in is allocated on first use, by
+    `branch_weights` or `apply_nonlinear`, so a register that never needs
+    the weights never holds it.
+    """
 
     n: int
     amps: np.ndarray
+    #: view of the ancilla-|0> branch amplitudes (length 2**n)
+    ancilla0: np.ndarray = field(init=False, repr=False, compare=False)
+    #: view of the ancilla-|1> branch amplitudes (length 2**n)
+    ancilla1: np.ndarray = field(init=False, repr=False, compare=False)
+    #: squared-magnitude buffer (length 2**(n+1)) and its (2, 2**n) row view;
+    #: None until the first weight computation
+    _mags: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one principal qubit")
-        self.amps = np.asarray(self.amps, dtype=np.complex128)
-        if self.amps.shape != (2 ** (self.n + 1),):
+        amps = np.asarray(self.amps, dtype=np.complex128)
+        if amps.shape != (2 ** (self.n + 1),):
             raise ValueError(
                 f"amplitude vector must have length {2 ** (self.n + 1)}, "
-                f"got {self.amps.shape}"
+                f"got {amps.shape}"
             )
+        size = 1 << self.n
+        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, "ancilla0", amps[:size])
+        object.__setattr__(self, "ancilla1", amps[size:])
+
+    def __setattr__(self, name, value):
+        # frozen by hand: dataclass(frozen=True) would also refuse the
+        # self-assignment of ``r.amps *= c``
+        if name in self.__dict__ and not (name == "amps" and value is self.amps):
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copies and pickles rebuild the views on the new amplitudes
+        return Register, (self.n, self.amps)
 
     @property
     def num_states(self) -> int:
         """Number of principal basis states, 2**n."""
         return 2**self.n
-
-    @property
-    def ancilla0(self) -> np.ndarray:
-        """View of the ancilla-|0> branch amplitudes (length 2**n)."""
-        return self.amps[: self.num_states]
-
-    @property
-    def ancilla1(self) -> np.ndarray:
-        """View of the ancilla-|1> branch amplitudes (length 2**n)."""
-        return self.amps[self.num_states :]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -73,7 +105,7 @@ class Register:
 
     def principal_probabilities(self) -> np.ndarray:
         """|amplitude|^2 per principal index, summed over the ancilla bit."""
-        return (np.abs(self.amps.reshape(2, -1)) ** 2).sum(axis=0)
+        return np.abs(self.ancilla0) ** 2 + np.abs(self.ancilla1) ** 2
 
     def ancilla_is_clean(self) -> bool:
         """True when the ancilla-|1> branch holds at most NORM_TOL of weight."""
@@ -120,10 +152,15 @@ def uniform_state(n: int) -> Register:
 
 
 def _weights(r: Register) -> list[float]:
-    """[p0, p1], both branch rows summed in one deterministic reduction."""
-    mags = np.abs(r.amps)
+    """[p0, p1], both branch rows summed in one deterministic reduction over
+    the register's weight buffer."""
+    if r._mags is None:
+        mags = np.empty(r.amps.shape[0])
+        object.__setattr__(r, "_mags", (mags, mags.reshape(2, -1)))
+    mags, rows = r._mags
+    np.abs(r.amps, out=mags)
     mags *= mags
-    return np.add.reduce(mags.reshape(2, -1), axis=1).tolist()
+    return np.add.reduce(rows, axis=1).tolist()
 
 
 def branch_weights(r: Register) -> BranchWeights:
@@ -137,10 +174,10 @@ def apply_mcx_k(r: Register, k: int) -> Register:
     Semantically this is the multi-controlled NOT conditioned on every bit of
     k; the simulator applies it as a native two-amplitude swap. An involution.
     """
-    amps, size = r.amps, r.num_states
-    if not 0 <= k < size:
+    a0, a1 = r.ancilla0, r.ancilla1
+    if not 0 <= k < len(a0):
         raise ValueError(f"index {k} out of range for {r.n} principal qubits")
-    amps[k], amps[size + k] = amps[size + k], amps[k]
+    a0[k], a1[k] = a1[k], a0[k]
     return r
 
 
@@ -154,17 +191,18 @@ def apply_nonlinear(r: Register, gamma: float) -> Register:
     written out on the full register. Phase-only, hence norm-preserving; an
     empty branch just receives an irrelevant phase. The factors come from
     ``cmath.exp`` on the Python complex, which gives the bits of ``np.exp``
-    without its array-call overhead, and multiply both branch rows at once.
+    without its array-call overhead, and multiply each branch view in place.
     """
     p0, p1 = _weights(r)
-    branches = r.amps.reshape(2, -1)
-    branches *= np.array([[cmath.exp(1j * gamma * p0)], [cmath.exp(1j * gamma * p1)]])
+    a0, a1 = r.ancilla0, r.ancilla1
+    a0 *= cmath.exp(1j * gamma * p0)
+    a1 *= cmath.exp(1j * gamma * p1)
     return r
 
 
 def apply_ancilla_phase(r: Register, lam: float) -> Register:
     """Multiply every ancilla-|1> amplitude by exp(i*lam)."""
-    a1 = r.amps[1 << r.n :]
+    a1 = r.ancilla1
     a1 *= cmath.exp(1j * lam)
     return r
 
@@ -192,8 +230,7 @@ def _live_branches(r: Register) -> tuple[np.ndarray, ...]:
     """The contiguous branch views a linear map over the principal index must
     update in place: the ancilla-|0> branch, and the ancilla-|1> branch unless
     it is exactly zero (a linear map leaves a zero branch zero)."""
-    size = 1 << r.n
-    a0, a1 = r.amps[:size], r.amps[size:]
+    a0, a1 = r.ancilla0, r.ancilla1
     return (a0, a1) if a1.any() else (a0,)
 
 

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nlqsim import nlcompiler, statevec
+from nlqsim import evolution, nlcompiler, statevec
 from nlqsim.nlcompiler import (
     CouplingMatrix,
     GateCounts,
@@ -268,6 +270,100 @@ class TestOracleEquivalence:
         compiled = execute(compile_w(f, 0.15), r.copy())
         aligned = global_phase_aligned(direct, compiled)
         assert np.max(np.abs(aligned - direct.amps)) < 1e-13
+
+
+def reference_execute(seq, amps):
+    """The ops of seq applied to a copy of the flat amplitudes with plain
+    formulas: ``np.abs(branch) ** 2`` summed by one ``np.add.reduce`` per
+    branch, ``np.exp`` factors, and an index swap for the ancilla flip."""
+    amps = amps.copy()
+    size = amps.shape[0] // 2
+    a0, a1 = amps[:size], amps[size:]
+    for kind, arg in seq.ops:
+        if kind == "MCX":
+            amps[arg], amps[size + arg] = amps[size + arg], amps[arg]
+        elif kind == "NL":
+            p0 = float(np.add.reduce(np.abs(a0) ** 2))
+            p1 = float(np.add.reduce(np.abs(a1) ** 2))
+            a0 *= np.exp(1j * arg * p0)
+            a1 *= np.exp(1j * arg * p1)
+        else:
+            a1 *= np.exp(1j * arg)
+    return amps
+
+
+class TestExecuteBits:
+    """`execute` gives the bits of the op-by-op reference on whole compiled
+    sequences, so keeping views and a weight buffer changed no arithmetic."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_compiled_sequence_bit_identical(self, rng, n):
+        for _ in range(3):
+            seq = compile_w(random_coupling(rng, n), float(rng.uniform(0.01, 0.3)))
+            r = random_register(rng, n)
+            expected = reference_execute(seq, r.amps)
+            execute(seq, r)
+            assert np.array_equal(r.amps, expected), n
+
+    def test_live_register_bit_identical(self, rng):
+        """Both branches dense, so both weights are full reductions."""
+        n = 4
+        seq = compile_w(random_coupling(rng, n), 0.2)
+        amps = rng.normal(size=2 ** (n + 1)) + 1j * rng.normal(size=2 ** (n + 1))
+        r = statevec.Register(n, amps / np.linalg.norm(amps))
+        expected = reference_execute(seq, r.amps)
+        execute(seq, r)
+        assert np.array_equal(r.amps, expected)
+
+    def test_compiled_evolve_bit_identical(self, rng):
+        n, eps, steps = 6, 0.05, 5
+        grid = GridSpec(points=(2**n,), dx=0.25)
+        spec = evolution.KineticSpec(1.0, grid)
+        f = random_coupling(rng, n, scale=0.5)
+        r0 = random_register(rng, n)
+        result = evolution.evolve(r0, f, spec, steps, eps, mode="compiled")
+        seq = compile_w(f, eps)
+        r = r0.copy()
+        for _ in range(steps):
+            r = statevec.Register(n, reference_execute(seq, r.amps))
+            evolution.apply_kinetic(r, spec, eps)
+        assert np.array_equal(result.final.amps, r.amps)
+
+
+class TestExecuteAllocation:
+    """A compiled step allocates no array per gate: past the first weight
+    computation, the traced peak of a block does not grow with n."""
+
+    BLOCK_OPS = 600
+    PEAK_MAX_BYTES = 2048
+
+    def peak_during_execute(self, rng, n):
+        seq = compile_w(random_coupling(rng, n), 0.05)
+        block = GateSequence(n, seq.ops[: self.BLOCK_OPS])
+        r = random_register(rng, n)
+        execute(block, r)  # warm-up: allocates the weight buffer
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            execute(block, r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - start
+
+    def test_peak_independent_of_n(self, rng):
+        peak6 = self.peak_during_execute(rng, 6)
+        peak8 = self.peak_during_execute(rng, 8)
+        assert peak6 == peak8
+        assert peak6 < self.PEAK_MAX_BYTES
+
+    def test_direct_step_and_tensor_square_never_allocate_the_buffer(self, rng):
+        n = 4
+        grid = GridSpec(points=(2**n,), dx=0.25)
+        result = evolution.evolve(random_register(rng, n), random_coupling(rng, n),
+                                  evolution.KineticSpec(1.0, grid), 3, 0.05)
+        assert result.final._mags is None
+        assert tensor_square(random_register(rng, 3))._mags is None
 
 
 class TestOrderIndependence:

@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,6 @@ from nlqsim.oracle import (
     bec_phase_check,
     convergence_ratios,
     field_from_csv,
-    field_to_csv,
     gpe2_solve,
     ground_state,
     kernel_potential,
@@ -52,6 +52,19 @@ def gaussian_field(grid, center=0.0, sigma=1.0, kappa=0.0):
     return FieldState.from_samples(
         np.exp(-((x - center) ** 2) / (4 * sigma**2) - 1j * kappa * x), grid
     )
+
+
+def field_to_csv(state: FieldState, path) -> None:
+    """Write a field file: (x, re, im) rows for 1-d fields, (x0, x1, re, im)
+    for 2-d."""
+    grid = state.grid
+    coords = np.meshgrid(*map(grid.coords, range(grid.dims)), indexing="ij")
+    columns = [c.reshape(-1) for c in (*coords, state.values.real, state.values.imag)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow((["x"] if grid.dims == 1 else ["x0", "x1"]) + ["re", "im"])
+        for row in zip(*columns):
+            writer.writerow([repr(float(v)) for v in row])
 
 
 class TestFieldState:

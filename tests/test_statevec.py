@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -96,6 +99,81 @@ class TestStorageOrder:
             expected[[k, size + k]] = expected[[size + k, k]]
             apply_mcx_k(r, k)
             assert np.array_equal(r.amps, expected)
+
+
+class TestFixedViews:
+    """The branch views are built once and stay views of ``amps``, which
+    cannot be rebound; the weight buffer exists only once weights are taken."""
+
+    BUILDERS = {
+        "init_from_amplitudes": lambda rng: init_from_amplitudes(rng.normal(size=8)),
+        "basis_state": lambda rng: basis_state(3, 5),
+        "Register": lambda rng: Register(3, rng.normal(size=16) + 1j * rng.normal(size=16)),
+        "copy": lambda rng: random_register(rng, 3).copy(),
+        "deepcopy": lambda rng: copy.deepcopy(random_register(rng, 3)),
+        "pickle": lambda rng: pickle.loads(pickle.dumps(random_register(rng, 3))),
+    }
+
+    @pytest.mark.parametrize("builder", list(BUILDERS))
+    def test_views_share_memory_with_amps(self, rng, builder):
+        r = self.BUILDERS[builder](rng)
+        assert np.shares_memory(r.ancilla0, r.amps)
+        assert np.shares_memory(r.ancilla1, r.amps)
+        r.amps[:] = np.arange(16)
+        assert np.array_equal(r.ancilla0, np.arange(8))
+        assert np.array_equal(r.ancilla1, np.arange(8, 16))
+
+    def test_views_are_built_once(self, rng):
+        r = random_register(rng, 3)
+        a0, a1 = r.ancilla0, r.ancilla1
+        apply_mcx_k(r, 2)
+        apply_nonlinear(r, 0.3)
+        apply_ancilla_phase(r, 0.2)
+        dft_principal(r)
+        assert r.ancilla0 is a0 and r.ancilla1 is a1
+
+    def test_amps_cannot_be_rebound(self, rng):
+        r = random_register(rng, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.amps = r.amps.copy()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.ancilla0 = r.amps[:8].copy()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.n = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del r.amps
+
+    def test_in_place_operator_on_amps_is_allowed(self, rng):
+        r = random_register(rng, 3)
+        amps = r.amps
+        expected = 2.0 * amps
+        r.amps *= 2.0
+        assert r.amps is amps
+        assert np.array_equal(r.ancilla0, expected[:8])
+
+    def test_no_buffer_without_weights(self, rng):
+        r = random_register(rng, 3)
+        apply_mcx_k(r, 1)
+        apply_ancilla_phase(r, 0.4)
+        apply_principal_diagonal(r, np.linspace(0.0, 1.0, 8))
+        dft_principal(r)
+        apply_principal_axes(r, (np.eye(8),))
+        r.principal_probabilities()
+        r.ancilla_is_clean()
+        assert r._mags is None
+        assert r.copy()._mags is None
+
+    @pytest.mark.parametrize("first", [branch_weights, lambda r: apply_nonlinear(r, 0.7)])
+    def test_buffer_allocated_once_on_first_use(self, rng, first):
+        r = random_register(rng, 3)
+        first(r)
+        buffer, rows = r._mags
+        assert buffer.shape == (16,) and buffer.dtype == np.float64
+        assert rows.shape == (2, 8) and np.shares_memory(rows, buffer)
+        apply_nonlinear(r, 0.1)
+        branch_weights(r)
+        assert r._mags[0] is buffer and r._mags[1] is rows
+        assert r.copy()._mags is None
 
 
 class TestBranchWeights:
