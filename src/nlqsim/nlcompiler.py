@@ -40,15 +40,11 @@ A direct-mode evolution therefore never builds a gate list.
 
 A compiled sequence is a tuple of `GateOp(kind, arg)`. The op kinds live in
 one table, `GATES`: it names the statevec primitive that `execute` applies
-for each kind and the argument type that `sequence_from_text` parses, and its
-order is the field order of `GateCounts`. The text format is one
-``<KIND> <arg>`` line per op; the parser rejects any other line, including
-non-finite angles.
+for each kind, and its order is the field order of `GateCounts`.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -184,14 +180,10 @@ class GateOp(NamedTuple):
     arg: int | float
 
 
-#: op kind -> (statevec primitive that applies it, type of its argument), in
-#: the field order of `GateCounts`. The primitive is looked up by name on each
-#: `execute` call, so a wrapper installed on the statevec attribute sees every op.
-GATES = {
-    "MCX": ("apply_mcx_k", int),
-    "NL": ("apply_nonlinear", float),
-    "APH": ("apply_ancilla_phase", float),
-}
+#: op kind -> statevec primitive that applies it, in the field order of
+#: `GateCounts`. The primitive is looked up by name on each `execute` call, so
+#: a wrapper installed on the statevec attribute sees every op.
+GATES = {"MCX": "apply_mcx_k", "NL": "apply_nonlinear", "APH": "apply_ancilla_phase"}
 
 
 @dataclass(frozen=True)
@@ -208,9 +200,6 @@ class GateSequence:
 
     def __len__(self) -> int:
         return len(self.ops)
-
-    def __iter__(self):
-        return iter(self.ops)
 
     def counts(self) -> "GateCounts":
         tally = Counter(kind for kind, _ in self.ops)
@@ -334,7 +323,7 @@ def execute(seq: GateSequence, r: Register) -> Register:
     statevec primitive `GATES` names for its kind."""
     if seq.n != r.n:
         raise ValueError(f"sequence is for n={seq.n}, register has n={r.n}")
-    apply = {kind: getattr(statevec, name) for kind, (name, _) in GATES.items()}
+    apply = {kind: getattr(statevec, name) for kind, name in GATES.items()}
     for kind, arg in seq.ops:
         apply[kind](r, arg)
     return r
@@ -392,53 +381,3 @@ def estimate_resources(
         ancilla_phase=singles + pairs,
     )
     return ResourceTally(per_step, n_steps, n, basic_c)
-
-
-def tensor_square(r: Register, max_result_qubits: int = 24) -> Register:
-    """Register whose principal amplitudes are all products a_j * a_k.
-
-    The output principal index is (j, k) row-major over two copies of the
-    input index, so a single application of the potential step on the doubled
-    register produces phases containing |a_j|^2 * |a_k|^2 terms (one route to
-    higher-than-quadratic density dependence). Requires a clean ancilla.
-    """
-    if not r.ancilla_is_clean():
-        raise ValueError("ancilla not clean")
-    n2 = 2 * r.n
-    if n2 + 1 > max_result_qubits:
-        raise ValueError(
-            f"result would need {n2 + 1} qubits, above the bound {max_result_qubits}"
-        )
-    a = r.ancilla0
-    doubled = np.outer(a, a).reshape(-1)
-    return statevec.init_from_amplitudes(doubled)
-
-
-def sequence_to_text(seq: GateSequence) -> str:
-    """Serialize a sequence, one ``<KIND> <arg>`` line per op: ``MCX <k>``,
-    ``NL <angle>``, ``APH <angle>``. The arg goes through its kind's `GATES`
-    type, so a numpy scalar prints as a plain number; angles (radians) print
-    with full round-trip precision and a locale-independent decimal point."""
-    return "".join(f"{kind} {GATES[kind][1](arg)!r}\n" for kind, arg in seq.ops)
-
-
-def sequence_from_text(text: str, n: int) -> GateSequence:
-    """Parse the format written by `sequence_to_text` for an n-qubit
-    register. Blank lines are skipped; any other line that is not a `GATES`
-    kind and one finite argument of that kind's type, or an ``MCX`` index
-    outside [0, 2**n), raises ``bad gate line N``."""
-    ops: list[GateOp] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            kind, token = raw.split()
-            arg = GATES[kind][1](token)
-            if not math.isfinite(arg):
-                raise ValueError(f"non-finite argument {token!r}")
-            if kind == "MCX" and not 0 <= arg < 2**n:
-                raise ValueError(f"index {arg} out of range for {n} principal qubits")
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"bad gate line {lineno}: {raw!r}") from exc
-        ops.append(GateOp(kind, arg))
-    return GateSequence(n, tuple(ops))

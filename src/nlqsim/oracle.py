@@ -12,8 +12,8 @@ kinetic and potential substeps, with the last kinetic factor of each step
 merged into the first of the next. One such loop (`_split_step`) steps
 every real-time solve: one field for `split_step_solve`, the two stacked
 modes for `gpe2_solve`. The default row is Strang splitting (half kinetic,
-full potential, half kinetic), second order in dt; `gpe2_solve` and
-`convergence_ratios` use it unless told otherwise. `compare` steps its
+full potential, half kinetic), second order in dt; `gpe2_solve` steps by
+it, and `split_step_solve` unless given another row. `compare` steps its
 reference by the fourth-order `BLANES_MOAN4` row at the step of the run
 under test, where its own error is negligible against that run's
 first-order error.
@@ -413,16 +413,15 @@ class PhaseCheck:
     deviation: float
 
 
-def bec_phase_check(s: TwoModeState, t: float, dt: float | None = None) -> PhaseCheck:
-    """Evolve the two-mode state and compare phases with the frozen-profile map.
+def bec_phase_check(s: TwoModeState, t: float, dt: float) -> PhaseCheck:
+    """Evolve the two-mode state to time t at step dt and compare phases with
+    the frozen-profile map.
 
     Effective couplings g_eff_ij = g_ij * integral |phi_i|^2 |phi_j|^2 dV are
     computed from the initial profiles; the predicted per-mode phases are
     t*(g_eff_i1*|alpha|^2 + g_eff_i2*|beta|^2). The trap/kinetic baseline
     phase is common to both modes, so the comparison uses the relative phase.
     """
-    if dt is None:
-        dt = min(1e-3, t / 100) if t > 0 else 1e-3
     grid = s.grid
     dV = grid.cell_volume
     d1 = s.phi1.density()
@@ -459,32 +458,6 @@ def bec_phase_check(s: TwoModeState, t: float, dt: float | None = None) -> Phase
         predicted_relative=pred_rel,
         deviation=deviation,
     )
-
-
-def convergence_ratios(
-    phi0: FieldState,
-    potential: PotentialRule,
-    c_T: float,
-    t: float,
-    dts: list[float],
-    row: Row = STRANG,
-) -> list[float]:
-    """Successive-difference step-halving ratios for the split-step solver
-    on the splitting row `row`, Strang by default.
-
-    err_j = |phi(dt_j) - phi(dt_{j+1})| in the discrete 2-norm; the ratio
-    err_j / err_{j+1} approaches 4 for a second-order row such as Strang and
-    16 for a fourth-order one such as BLANES_MOAN4.
-    """
-    finals = [
-        split_step_solve(phi0, potential, c_T, t, dt, row=row).values.reshape(-1)
-        for dt in dts
-    ]
-    errs = [
-        float(np.linalg.norm(finals[i] - finals[i + 1]))
-        for i in range(len(finals) - 1)
-    ]
-    return [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
 
 
 def field_from_csv(path, grid: GridSpec) -> FieldState:

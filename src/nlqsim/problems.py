@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nlcompiler import CouplingMatrix
-from .statevec import Register
 
 
 @dataclass(frozen=True)
@@ -227,20 +226,6 @@ class KernelSpec:
         return getattr(cls, form)(*values)
 
 
-@dataclass(frozen=True)
-class MadelungFields:
-    """Hydrodynamic fields extracted from a register on a grid.
-
-    rho is the physical density (sums to 1 against the cell volume); u holds
-    one velocity component per axis, NaN where the density is below the
-    floor; defined marks the sites where u is meaningful.
-    """
-
-    rho: np.ndarray
-    u: np.ndarray
-    defined: np.ndarray
-
-
 def hartree_coupling(kernel: KernelSpec, grid: GridSpec) -> CouplingMatrix:
     """Coupling for a nonlocal interaction: f_jk = Phi(minimal-image distance).
 
@@ -304,35 +289,6 @@ def navier_stokes_coupling(rho0: float, grid: GridSpec) -> CouplingMatrix:
     return CouplingMatrix(grid.size, rows, cols, vals[keep])
 
 
-def madelung_fields(r: Register, grid: GridSpec) -> MadelungFields:
-    """Density and velocity fields of a clean-ancilla register.
-
-    The velocity is computed from the discrete probability current divided by
-    the density (central differences, periodic), which avoids phase
-    unwrapping: u = -Im(conj(a) * D a) / |a|^2 per axis. Under the polar
-    ansatz a = sqrt(rho) * exp(-i*theta) this equals the phase gradient
-    grad(theta); a plane wave exp(-i*kappa*x) on uniform density gives
-    u = sin(kappa*dx)/dx, i.e. kappa up to second-order discretization error.
-    Sites with physical density below 1e-8 / dx**dims get u = NaN and are
-    flagged as undefined rather than raising.
-    """
-    if grid.size != r.num_states:
-        raise ValueError(f"grid has {grid.size} sites, register {r.num_states} states")
-    if not r.ancilla_is_clean():
-        raise ValueError("ancilla not clean")
-    a = r.ancilla0.reshape(grid.points)
-    mags = np.abs(a) ** 2
-    rho = mags / grid.cell_volume
-    floor = 1e-8 / grid.cell_volume
-    defined = rho >= floor
-    u = np.full((grid.dims, *grid.points), np.nan)
-    for axis in range(grid.dims):
-        deriv = (np.roll(a, -1, axis=axis) - np.roll(a, 1, axis=axis)) / (2.0 * grid.dx)
-        current = -np.imag(np.conj(a) * deriv)
-        u[axis][defined] = current[defined] / mags[defined]
-    return MadelungFields(rho=rho, u=u, defined=defined)
-
-
 def gaussian_packet(
     grid: GridSpec,
     center: float | tuple[float, ...] = 0.0,
@@ -386,18 +342,6 @@ def plane_wave_amplitudes(grid: GridSpec, mode: int) -> np.ndarray:
     if grid.dims == 1:
         return prof
     return (np.ones(grid.points, dtype=np.complex128) * prof[:, None]).reshape(-1)
-
-
-def coupling_to_triplet_csv(f: CouplingMatrix, path) -> None:
-    """Write the nonzero entries with k <= j as rows (k, j, value), in
-    row-major order."""
-    upper = f.rows <= f.cols
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "j", "f"])
-        for k, j, v in zip(f.rows[upper].tolist(), f.cols[upper].tolist(),
-                           f.vals[upper].tolist()):
-            writer.writerow([k, j, repr(v)])
 
 
 def coupling_from_triplet_csv(path, dim: int) -> CouplingMatrix:

@@ -139,13 +139,6 @@ def init_from_amplitudes(a: np.ndarray) -> Register:
     return Register(n, amps)
 
 
-def basis_state(n: int, k: int) -> Register:
-    """Register prepared in principal basis state |k> with clean ancilla."""
-    a = np.zeros(2**n, dtype=np.complex128)
-    a[k] = 1.0
-    return init_from_amplitudes(a)
-
-
 def uniform_state(n: int) -> Register:
     """Uniform superposition over all principal states, clean ancilla."""
     return init_from_amplitudes(np.ones(2**n, dtype=np.complex128))
@@ -282,28 +275,3 @@ def apply_principal_axes(r: Register, matrices: tuple[np.ndarray, ...]) -> Regis
             block = block @ matrices[1].T
         branch[:] = block.reshape(-1)
     return r
-
-
-def overlap(r1: Register, r2: Register) -> complex:
-    """Inner product <r1|r2> over the full (n+1)-qubit amplitude vectors."""
-    if r1.n != r2.n:
-        raise ValueError(f"size mismatch: {r1.n} vs {r2.n} principal qubits")
-    return complex(np.vdot(r1.amps, r2.amps))
-
-
-def fidelity(r1: Register, r2: Register) -> float:
-    """|<r1|r2>|, which is 1 exactly when the states agree up to global phase."""
-    return abs(overlap(r1, r2))
-
-
-def global_phase_aligned(reference: Register, r: Register) -> np.ndarray:
-    """Copy of r's amplitudes rotated to best match the reference's phase.
-
-    Returns r.amps * exp(i*chi) with chi chosen to maximize the real part of
-    the overlap with the reference, so amplitude-wise comparisons ignore the
-    (physically meaningless) global phase.
-    """
-    ov = overlap(reference, r)
-    if ov == 0:
-        return r.amps.copy()
-    return r.amps * (abs(ov) / ov)

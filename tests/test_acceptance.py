@@ -24,13 +24,11 @@ from nlqsim.nlcompiler import (
     estimate_resources,
     execute,
     gammas_from_coupling,
-    tensor_square,
 )
 from nlqsim.oracle import (
     FieldState,
     TwoModeState,
     bec_phase_check,
-    convergence_ratios,
     ground_state,
     kernel_potential,
     split_step_solve,
@@ -41,14 +39,20 @@ from nlqsim.problems import (
     gaussian_packet,
     gross_pitaevskii_coupling,
     hartree_coupling,
-    madelung_fields,
     navier_stokes_coupling,
     plane_wave_amplitudes,
     uniform_amplitudes,
 )
-from nlqsim.statevec import fidelity, global_phase_aligned, init_from_amplitudes
+from nlqsim.statevec import init_from_amplitudes
 
 from conftest import random_coupling, random_register
+from support import (
+    convergence_ratios,
+    fidelity,
+    global_phase_aligned,
+    madelung_fields,
+    tensor_square,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

@@ -1,9 +1,12 @@
 import csv
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,8 @@ from nlqsim.cli import (
 from nlqsim.nlcompiler import CouplingMatrix
 from nlqsim.oracle import FieldState
 from nlqsim.problems import GridSpec, KernelSpec
+
+import support
 
 
 def hartree_config_dict(**overrides):
@@ -174,11 +179,11 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path)]) == 0
 
     def test_custom_f_from_csv(self, tmp_path):
-        from nlqsim.problems import coupling_to_triplet_csv, navier_stokes_coupling
+        from nlqsim.problems import navier_stokes_coupling
 
         grid = GridSpec(points=(8,), dx=0.5)
         fpath = tmp_path / "f.csv"
-        coupling_to_triplet_csv(navier_stokes_coupling(1.0, grid), fpath)
+        support.coupling_to_triplet_csv(navier_stokes_coupling(1.0, grid), fpath)
         payload = {
             "problem": "custom-f",
             "grid": {"points": [8], "dx": 0.5},
@@ -254,6 +259,31 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert (tmp_path / "resources.json").exists()
+
+    def test_package_import_loads_no_module(self):
+        """`import nlqsim` reads only the package docstring and version; each
+        module loads when a caller imports it."""
+        proc = run_child(["-c", "import sys, nlqsim\n"
+                                "print(sorted(m for m in sys.modules if m.startswith('nlqsim.')))"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+class TestTracerNames:
+    def test_every_traced_name_exists(self):
+        """The benchmark tracer wraps each name it lists with a bare getattr,
+        so a name its module no longer has breaks every traced run."""
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        listed = [(short, name) for table in (tracing.SPANNED, tracing.COUNTED)
+                  for short, names in table.items() for name in names]
+        listed += [("oracle", name) for name in tracing.RULE_FACTORIES]
+        missing = [f"{short}.{name}" for short, name in listed
+                   if not hasattr(importlib.import_module(f"nlqsim.{short}"), name)]
+        assert len(listed) > 20
+        assert missing == []
 
 
 class TestSmokeBenchmark:
@@ -485,8 +515,8 @@ class TestCompare:
         """The reference reads a custom-f triplet file itself, so a 1% error
         in the gate path's coupling shows in compare's state error."""
         grid = GridSpec(points=(16,), dx=0.5)
-        problems.coupling_to_triplet_csv(problems.navier_stokes_coupling(1.0, grid),
-                                         tmp_path / "f.csv")
+        support.coupling_to_triplet_csv(problems.navier_stokes_coupling(1.0, grid),
+                                        tmp_path / "f.csv")
         payload = {
             "problem": "custom-f",
             "grid": {"points": [16], "dx": 0.5, "x0": -4.0},

@@ -25,9 +25,10 @@ from nlqsim.problems import (
     navier_stokes_coupling,
     plane_wave_amplitudes,
 )
-from nlqsim.statevec import fidelity, init_from_amplitudes
+from nlqsim.statevec import init_from_amplitudes
 
 from conftest import random_coupling, random_register
+from support import basis_state, fidelity
 
 
 @pytest.fixture
@@ -543,7 +544,7 @@ class TestObservables:
         """Kinetic spread of a position eigenstate plus half the self-coupling."""
         f = np.zeros((16, 16))
         f[3, 3] = 2.0
-        r = statevec.basis_state(4, 3)
+        r = basis_state(4, 3)
         obs = observables(r, spec, CouplingMatrix.from_dense(f))
         psq = KineticSpec(1.0, grid).momentum_sq()
         kinetic_spread = np.mean(psq)  # flat momentum distribution

@@ -16,14 +16,12 @@ from nlqsim.nlcompiler import (
     execute,
     gammas_from_coupling,
     schedule_blocks,
-    sequence_from_text,
-    sequence_to_text,
-    tensor_square,
 )
 from nlqsim.problems import GridSpec, gross_pitaevskii_coupling, navier_stokes_coupling
-from nlqsim.statevec import fidelity, global_phase_aligned, init_from_amplitudes
+from nlqsim.statevec import init_from_amplitudes
 
 from conftest import random_coupling, random_register
+from support import basis_state, fidelity, global_phase_aligned, tensor_square
 
 
 class TestCouplingMatrix:
@@ -167,7 +165,7 @@ class TestCompile:
 
     def test_sequence_is_singles_then_pairs(self):
         f = CouplingMatrix.from_dense(np.array([[0.3, 0.2], [0.2, -0.1]]))
-        kinds = [op.kind for op in compile_w(f, 0.1)]
+        kinds = [op.kind for op in compile_w(f, 0.1).ops]
         assert kinds == ["MCX", "NL", "APH", "MCX",
                          "MCX", "NL", "APH", "MCX",
                          "MCX", "MCX", "NL", "APH", "MCX", "MCX"]
@@ -450,7 +448,7 @@ class TestResources:
 
 class TestTensorSquare:
     def test_basis(self):
-        doubled = tensor_square(statevec.basis_state(2, 0))
+        doubled = tensor_square(basis_state(2, 0))
         assert doubled.n == 4
         assert doubled.ancilla0[0] == 1.0
 
@@ -475,49 +473,7 @@ class TestTensorSquare:
             tensor_square(r)
 
 
-class TestSerialization:
-    def test_round_trip(self, rng):
-        f = random_coupling(rng, 2)
-        seq = compile_w(f, 0.173)
-        text = sequence_to_text(seq)
-        back = sequence_from_text(text, seq.n)
-        assert back == seq
-
-    def test_known_lines(self):
-        seq = GateSequence(3, (GateOp("MCX", 5), GateOp("NL", 0.125), GateOp("APH", 0.125)))
-        assert sequence_to_text(seq) == "MCX 5\nNL 0.125\nAPH 0.125\n"
-
-    def test_numpy_args_written_as_plain_numbers(self):
-        seq = GateSequence(3, (GateOp("MCX", np.int64(5)), GateOp("NL", np.float64(0.125))))
-        assert sequence_to_text(seq) == "MCX 5\nNL 0.125\n"
-
-    def test_full_precision(self):
-        angle = -0.1234567890123456789
-        seq = GateSequence(1, (GateOp("NL", angle),))
-        back = sequence_from_text(sequence_to_text(seq), 1)
-        assert back.ops[0].arg == seq.ops[0].arg
-
-    def test_bad_line(self):
-        with pytest.raises(ValueError, match="bad gate line"):
-            sequence_from_text("MCX notanint\n", 2)
-        # a line is exactly <KIND> <arg>, with a finite arg
-        # an MCX index must address one of the 2**n principal states
-        for line in ("MCX 5 7", "NL nan", "APH inf", "FOO 1", "NL", "MCX 99", "MCX -1"):
-            with pytest.raises(ValueError, match="bad gate line 2"):
-                sequence_from_text(f"MCX 0\n{line}\n", 2)
-
-    def test_blank_lines_skipped(self):
-        seq = sequence_from_text("\nMCX 1\n  \nNL -0.5\n", 2)
-        assert seq.ops == (GateOp("MCX", 1), GateOp("NL", -0.5))
-
+class TestGateSequence:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown gate kind 'FOO'"):
             GateSequence(1, (GateOp("MCX", 0), GateOp("FOO", 1.0)))
-
-    def test_executes_after_round_trip(self, rng):
-        f = random_coupling(rng, 2)
-        seq = compile_w(f, 0.2)
-        r = random_register(rng, 2)
-        direct = execute(seq, r.copy())
-        replayed = execute(sequence_from_text(sequence_to_text(seq), 2), r.copy())
-        assert np.array_equal(direct.amps, replayed.amps)

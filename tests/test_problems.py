@@ -11,15 +11,15 @@ from nlqsim.problems import (
     KernelSpec,
     basis_amplitudes,
     coupling_from_triplet_csv,
-    coupling_to_triplet_csv,
     gaussian_packet,
     gross_pitaevskii_coupling,
     hartree_coupling,
-    madelung_fields,
     navier_stokes_coupling,
     plane_wave_amplitudes,
     uniform_amplitudes,
 )
+
+from support import coupling_to_triplet_csv, fidelity, madelung_fields
 
 
 @pytest.fixture
@@ -198,7 +198,7 @@ class TestGrossPitaevskii:
         r = statevec.init_from_amplitudes(uniform_amplitudes(grid16))
         ref = r.copy()
         nlcompiler.apply_w_direct(r, f, 0.2)
-        assert statevec.fidelity(ref, r) == pytest.approx(1.0, abs=1e-14)
+        assert fidelity(ref, r) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestNavierStokes:

@@ -15,15 +15,14 @@ from nlqsim.statevec import (
     apply_nonlinear,
     apply_principal_axes,
     apply_principal_diagonal,
-    basis_state,
     branch_weights,
     dft_principal,
-    fidelity,
     init_from_amplitudes,
     uniform_state,
 )
 
 from conftest import random_register
+from support import basis_state, fidelity
 
 
 class TestInit:
