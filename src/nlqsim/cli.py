@@ -11,9 +11,10 @@ Subcommands:
   bec        - two-mode condensate phase-map check over a coupling sweep
 
 Configs are read and checked in one place, config_from_dict: every section
-accepts only its dataclass's fields (kernel keys per form, in KernelSpec),
-reals must be finite JSON numbers and integers JSON integers within their
-bounds. The --eps/--steps/--mode overrides re-enter config_from_dict.
+accepts only its dataclass's fields (KernelSpec then refuses the keys of
+other kernel forms), reals must be finite JSON numbers and integers JSON
+integers within their bounds. config_to_dict echoes those fields, and the
+--eps/--steps/--mode overrides re-enter config_from_dict.
 
 Every run is capped at MAX_STEPS steps: the gate-path steps of a
 simulate/compare config (checked by config_from_dict), and for a compare run
@@ -42,11 +43,13 @@ from functools import partial
 
 import numpy as np
 
-from . import evolution, nlcompiler, oracle, problems, statevec
+from . import evolution, nlcompiler, problems, statevec
 from .evolution import KineticSpec, SimulationError
 from .nlcompiler import CouplingMatrix
-from .oracle import FieldState, TwoModeState
 from .problems import GridSpec, KernelSpec
+
+# the reference solver, `oracle`, is imported where it is used, so that
+# `simulate` does not load it
 
 PROBLEMS = ("hartree", "gross-pitaevskii", "navier-stokes", "custom-f")
 PRESETS = ("gaussian", "uniform", "basis", "plane-wave", "file")
@@ -135,10 +138,7 @@ class ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """The JSON object that config_from_dict reads back to cfg (None fields left out)."""
-    out = asdict(cfg, dict_factory=lambda kv: {k: v for k, v in kv if v is not None})
-    if cfg.kernel is not None:
-        out["kernel"] = cfg.kernel.to_json_dict()
-    return out
+    return asdict(cfg, dict_factory=lambda kv: {k: v for k, v in kv if v is not None})
 
 
 def _real(key: str, value) -> float:
@@ -157,11 +157,19 @@ def _reals(key: str, value):
     return value
 
 
-def _integer(key: str, value, lower: int | None = None) -> int:
+def _real_list(key: str, value) -> list[float]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+    return [_real(key, v) for v in value]
+
+
+def _integer(key: str, value, lower: int | None = None, upper: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     if lower is not None and value < lower:
         raise ConfigError(f"{key} must be >= {lower}, got {value}")
+    if upper is not None and value > upper:
+        raise ConfigError(f"{key} must be <= {upper}, got {value}")
     return value
 
 
@@ -198,11 +206,16 @@ _INITIAL_STATE = {
     "preset": partial(_string, choices=PRESETS), "center": _reals, "sigma": _reals,
     "kappa": _reals, "k": partial(_integer, lower=0), "mode": _integer, "path": _string,
 }
+# KernelSpec checks the form and which keys it takes
+_KERNEL = {
+    "form": lambda key, value: value, "samples": _real_list, "samples_signed": _real_list,
+    **dict.fromkeys(("c", "sigma", "amplitude", "g"), _real),
+}
 _CONFIG = {
     "problem": partial(_string, choices=PROBLEMS),
     "grid": partial(_parse, cls=GridSpec, parsers=_GRID),
     "initial_state": partial(_parse, cls=InitialStateSpec, parsers=_INITIAL_STATE),
-    "kernel": lambda key, d: KernelSpec.from_json_dict(d),
+    "kernel": partial(_parse, cls=KernelSpec, parsers=_KERNEL),
     "coupling_csv": _string, "mode": partial(_string, choices=evolution.MODES),
     "record_stride": partial(_integer, lower=0), "basic_c": partial(_integer, lower=1),
     **dict.fromkeys(("t", "eps", "g", "rho0", "c_T", "oracle_dt"), _real),
@@ -323,6 +336,8 @@ def build_initial_amplitudes(cfg: ExperimentConfig) -> np.ndarray:
         return problems.basis_amplitudes(grid, spec.k)
     if spec.preset == "plane-wave":
         return problems.plane_wave_amplitudes(grid, spec.mode)
+    from . import oracle
+
     state = oracle.field_from_csv(spec.path, grid)
     return state.to_amplitudes()
 
@@ -332,6 +347,8 @@ def build_oracle_potential(cfg: ExperimentConfig):
     the gate path's coupling: kernel convolution for hartree, pointwise g*rho
     for gross-pitaevskii, the rolled-grid Laplacian for navier-stokes, and
     for custom-f the oracle's own read of the triplet CSV."""
+    from . import oracle
+
     if cfg.problem == "hartree":
         return oracle.kernel_potential(cfg.kernel, cfg.grid)
     if cfg.problem == "gross-pitaevskii":
@@ -373,6 +390,8 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 
 def run_compare(cfg: ExperimentConfig, out_dir: str, halvings: int = 0) -> dict:
+    from . import oracle
+
     if halvings < 0:
         raise ConfigError(f"halvings must be >= 0, got {halvings}")
     if halvings and evolution.n_steps_for(cfg.t, cfg.eps) == 0:
@@ -404,9 +423,9 @@ def run_compare(cfg: ExperimentConfig, out_dir: str, halvings: int = 0) -> dict:
     f, r0 = build_problem(cfg)
     spec = KineticSpec(cfg.kinetic_prefactor, cfg.grid)
     rule = build_oracle_potential(cfg)
-    references = {0.0: FieldState.from_amplitudes(r0.ancilla0.copy(), cfg.grid)}
+    references = {0.0: oracle.FieldState.from_amplitudes(r0.ancilla0.copy(), cfg.grid)}
 
-    def reference(t_run: float) -> FieldState:
+    def reference(t_run: float) -> oracle.FieldState:
         # solved when a row first needs it, after that row's gate path
         if t_run not in references:
             start = starts[t_run]
@@ -462,17 +481,12 @@ def run_resources(
 ) -> dict:
     if not 1 <= n_min <= n_max:
         raise ConfigError(f"need 1 <= n-min <= n-max, got n-min {n_min}, n-max {n_max}")
-    if n_max > RESOURCES_MAX_QUBITS:
-        raise ConfigError(f"n-max must be <= {RESOURCES_MAX_QUBITS}, got {n_max}")
+    _integer("n-max", n_max, upper=RESOURCES_MAX_QUBITS)
     if instrument and n_min > INSTRUMENT_MAX_QUBITS:
         raise ConfigError(f"--instrument needs n-min <= {INSTRUMENT_MAX_QUBITS}, got {n_min}")
-    if n_steps < 0:
-        raise ConfigError(f"steps must be >= 0, got {n_steps}")
+    _integer("steps", n_steps, 0)
     _check_step_cap(n_steps, "the counted run")
-    if basic_c < 1:
-        raise ConfigError(f"basic-c must be >= 1, got {basic_c}")
-    if basic_c > MAX_BASIC_C:
-        raise ConfigError(f"basic-c must be <= {MAX_BASIC_C}, got {basic_c}")
+    _integer("basic-c", basic_c, 1, MAX_BASIC_C)
     rows = []
     for n in range(n_min, n_max + 1):
         tally = nlcompiler.estimate_resources(n, n_steps, basic_c=basic_c)
@@ -494,16 +508,31 @@ def run_resources(
         )
     report = {"n_steps": n_steps, "basic_c": basic_c, "rows": rows}
     if instrument:
-        # execute a dense compiled step at the smallest size and check that
-        # the measured counts reproduce the closed form exactly
+        # execute a dense compiled step at the smallest size, count the
+        # primitive calls it makes and check them against the closed form
         n = n_min
         rng = np.random.default_rng(0)
         dim = 2**n
         mat = rng.normal(size=(dim, dim))
         f = CouplingMatrix.from_dense((mat + mat.T) / 2.0)
         seq = nlcompiler.compile_w(f, 0.1)
-        nlcompiler.execute(seq, statevec.uniform_state(n))
-        counts = seq.counts()
+        calls = dict.fromkeys(nlcompiler.GATES.values(), 0)
+        primitives = {name: getattr(statevec, name) for name in calls}
+
+        def counting(name, apply):
+            def wrapper(r, arg):
+                calls[name] += 1
+                return apply(r, arg)
+            return wrapper
+
+        try:
+            for name, apply in primitives.items():
+                setattr(statevec, name, counting(name, apply))
+            nlcompiler.execute(seq, statevec.uniform_state(n))
+        finally:
+            for name, apply in primitives.items():
+                setattr(statevec, name, apply)
+        counts = nlcompiler.GateCounts(*calls.values())  # GATES is in field order
         expected = nlcompiler.estimate_resources(n, 1, basic_c=basic_c).per_step
         report["instrumented"] = {
             "n": n,
@@ -522,19 +551,20 @@ def run_resources(
 
 def run_bec(
     out_dir: str,
-    grid_points: int = 128,
-    weight: float = 0.36,
-    g11: float = 1.0,
-    g22: float = 1.0,
-    g12: float = 0.5,
-    t: float = 0.1,
-    dt: float = 1e-4,
-    sweep: int = 3,
+    grid_points: int,
+    weight: float,
+    g11: float,
+    g22: float,
+    g12: float,
+    t: float,
+    dt: float,
+    sweep: int,
 ) -> dict:
+    from . import oracle
+
     if grid_points < 2 or grid_points & (grid_points - 1):
         raise ConfigError(f"grid-points must be a power of two >= 2, got {grid_points}")
-    if grid_points > BEC_MAX_GRID_POINTS:
-        raise ConfigError(f"grid-points must be <= {BEC_MAX_GRID_POINTS}, got {grid_points}")
+    _integer("grid-points", grid_points, upper=BEC_MAX_GRID_POINTS)
     for name, value in (("weight", weight), ("g11", g11), ("g22", g22), ("g12", g12),
                         ("t", t), ("dt", dt)):
         _real(name, value)
@@ -544,10 +574,7 @@ def run_bec(
         raise ConfigError(f"t must be >= 0, got {t}")
     if not dt > 0:
         raise ConfigError(f"dt must be positive, got {dt}")
-    if sweep < 1:
-        raise ConfigError(f"sweep must be >= 1, got {sweep}")
-    if sweep > BEC_MAX_SWEEP:
-        raise ConfigError(f"sweep must be <= {BEC_MAX_SWEEP}, got {sweep}")
+    _integer("sweep", sweep, 1, BEC_MAX_SWEEP)
     if not t / dt <= sys.float_info.max:
         raise ConfigError(f"the step count t / dt overflows: t {t!r}, dt {dt!r}")
     _check_step_cap(sweep * oracle.step_count(t, dt), f"bec ({sweep} coupling scale(s))")
@@ -558,7 +585,7 @@ def run_bec(
     rows = []
     for i in range(sweep):
         scale = 1.0 / 2**i
-        state = TwoModeState(
+        state = oracle.TwoModeState(
             phi1=ground.state,
             phi2=ground.state,
             alpha=complex(np.sqrt(weight)),

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -92,81 +92,94 @@ class GridSpec:
         return np.sqrt(dsq) * self.dx
 
 
+#: config keys of each kernel form besides "form"; a tabulated kernel needs one
+#: of its two, and samples_signed wins if both are given
+_FORM_KEYS = {"constant": ("c",), "gaussian": ("sigma", "amplitude"),
+              "contact": ("g",), "tabulated": ("samples", "samples_signed")}
+
+
 @dataclass(frozen=True)
 class KernelSpec:
-    """Even interaction kernel Phi, either analytic or tabulated.
+    """Even interaction kernel Phi, either analytic or tabulated; its fields
+    are the keys of a config's `kernel` section.
 
-    Analytic forms are radial: constant(c), gaussian(sigma, amplitude),
-    contact(g). Tabulated kernels give samples Phi(d*dx) for integer
-    separations d = 0, 1, 2, ... and are restricted to 1-d grids.
+    Analytic forms are radial: constant (c), gaussian (sigma, amplitude),
+    contact (g). A tabulated kernel gives samples Phi(d*dx) for integer
+    separations d = 0, 1, 2, ..., or samples_signed for d = -D..D, which is
+    folded into samples; it is restricted to 1-d grids. A form takes only its
+    own keys.
     """
 
     form: str
-    amplitude: float = 0.0
-    sigma: float = 1.0
-    g: float = 0.0
+    c: float | None = None
+    sigma: float | None = None
+    amplitude: float | None = None
+    g: float | None = None
     samples: tuple[float, ...] | None = None
-
-    #: JSON keys per form besides "form", in the order of the form's constructor
-    _JSON_KEYS = {"constant": ("c",), "gaussian": ("sigma", "amplitude"),
-                  "contact": ("g",), "tabulated": ("samples", "samples_signed")}
+    samples_signed: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.form not in self._JSON_KEYS:
+        if not isinstance(self.form, str) or self.form not in _FORM_KEYS:
             raise ValueError(f"unknown kernel form {self.form!r}")
-        for name in ("amplitude", "sigma", "g"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"kernel {name} must be finite, got {getattr(self, name)}")
+        keys = _FORM_KEYS[self.form]
+        for f in fields(self)[1:]:
+            if getattr(self, f.name) is not None and f.name not in keys:
+                raise ValueError(f"unknown {self.form} kernel key {f.name!r}")
+        if self.form == "tabulated":
+            if self.samples_signed is not None:
+                # the d = 0..D half of a table for d = -D..D, whose two
+                # half-lines must mirror exactly (an even kernel)
+                signed = [float(v) for v in self.samples_signed]
+                center = len(signed) // 2
+                if len(signed) % 2 != 1:
+                    raise ValueError("signed sample table must have odd length (centered on 0)")
+                if signed[:center][::-1] != signed[center + 1 :]:
+                    raise ValueError("kernel not even")
+                object.__setattr__(self, "samples", signed[center:])
+                object.__setattr__(self, "samples_signed", None)
+            samples = tuple(float(v) for v in self.samples or ())
+            if not samples:
+                raise ValueError("tabulated kernel needs samples")
+            if not all(math.isfinite(v) for v in samples):
+                raise ValueError("tabulated kernel samples must be finite")
+            object.__setattr__(self, "samples", samples)
+            return
+        for name in keys:
+            value = getattr(self, name)
+            if value is None:
+                raise ValueError(f"{self.form} kernel needs {name!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"kernel {name} must be finite, got {value}")
         if self.form == "gaussian" and not self.sigma > 0:
             raise ValueError("gaussian kernel needs sigma > 0")
-        if self.form == "tabulated":
-            if not self.samples:
-                raise ValueError("tabulated kernel needs samples")
-            object.__setattr__(
-                self, "samples", tuple(float(v) for v in self.samples)
-            )
-            if not all(math.isfinite(v) for v in self.samples):
-                raise ValueError("tabulated kernel samples must be finite")
 
     @classmethod
     def constant(cls, c: float) -> "KernelSpec":
-        return cls("constant", amplitude=float(c))
+        return cls("constant", c=c)
 
     @classmethod
     def gaussian(cls, sigma: float, amplitude: float) -> "KernelSpec":
-        return cls("gaussian", amplitude=float(amplitude), sigma=float(sigma))
+        return cls("gaussian", sigma=sigma, amplitude=amplitude)
 
     @classmethod
     def contact(cls, g: float) -> "KernelSpec":
-        return cls("contact", g=float(g))
+        return cls("contact", g=g)
 
     @classmethod
     def tabulated(cls, samples) -> "KernelSpec":
         """Samples for separations d = 0, 1, 2, ...; even extension implied."""
-        return cls("tabulated", samples=tuple(float(v) for v in samples))
+        return cls("tabulated", samples=samples)
 
     @classmethod
     def tabulated_signed(cls, samples) -> "KernelSpec":
-        """Samples covering d = -D..D (odd length, centered on d = 0).
-
-        The two half-lines must mirror exactly, otherwise the kernel is not
-        an even function and is rejected.
-        """
-        samples = [float(v) for v in samples]
-        if len(samples) % 2 != 1:
-            raise ValueError("signed sample table must have odd length (centered on 0)")
-        center = len(samples) // 2
-        left = samples[:center][::-1]
-        right = samples[center + 1 :]
-        if left != right:
-            raise ValueError("kernel not even")
-        return cls("tabulated", samples=tuple(samples[center:]))
+        """Samples covering d = -D..D (odd length, centered on d = 0)."""
+        return cls("tabulated", samples_signed=samples)
 
     def radial(self, r: np.ndarray) -> np.ndarray:
         """Evaluate an analytic kernel at physical distances r."""
         r = np.asarray(r, dtype=np.float64)
         if self.form == "constant":
-            return np.full_like(r, self.amplitude)
+            return np.full_like(r, self.c)
         if self.form == "gaussian":
             return self.amplitude * np.exp(-(r**2) / (2.0 * self.sigma**2))
         raise ValueError(f"kernel form {self.form!r} has no radial evaluation")
@@ -191,39 +204,6 @@ class KernelSpec:
             table = np.asarray(self.samples)
             return table[dmin]
         return self.radial(dmin * grid.dx)
-
-    def to_json_dict(self) -> dict:
-        if self.form == "constant":
-            return {"form": "constant", "c": self.amplitude}
-        if self.form == "gaussian":
-            return {"form": "gaussian", "sigma": self.sigma, "amplitude": self.amplitude}
-        if self.form == "contact":
-            return {"form": "contact", "g": self.g}
-        return {"form": "tabulated", "samples": list(self.samples)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "KernelSpec":
-        """The kernel of its JSON object: unknown keys and values that are not
-        JSON numbers (bools included) are rejected; samples_signed wins."""
-        if not isinstance(d, dict):
-            raise ValueError(f"kernel must be an object, got {d!r}")
-        form = d.get("form")
-        keys = cls._JSON_KEYS.get(form) if isinstance(form, str) else None
-        if keys is None:
-            raise ValueError(f"unknown kernel form {form!r}")
-        for key in d:
-            if key != "form" and key not in keys:
-                raise ValueError(f"unknown {form} kernel key {key!r}")
-        values = (d.get("samples_signed", d.get("samples")) if form == "tabulated"
-                  else [d.get(key) for key in keys])
-        if not isinstance(values, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-        ):
-            raise ValueError(f"{form} kernel values must be JSON numbers, got {d!r}")
-        if form == "tabulated":
-            signed = "samples_signed" in d
-            return cls.tabulated_signed(values) if signed else cls.tabulated(values)
-        return getattr(cls, form)(*values)
 
 
 def hartree_coupling(kernel: KernelSpec, grid: GridSpec) -> CouplingMatrix:

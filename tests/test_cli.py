@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import nlqsim
-from nlqsim import cli, evolution, problems
+from nlqsim import cli, evolution, nlcompiler, oracle, problems, statevec
 from nlqsim.cli import (
     ConfigError,
     ExperimentConfig,
@@ -97,6 +97,55 @@ class TestConfig:
         path.write_bytes(text)
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+
+#: the sorted-key JSON echo of kernel_echo_config, with the kernel's own echo at %s
+KERNEL_ECHO = (
+    '{"basic_c": 1, "eps": 0.1, "g": 0.0, "grid": {"dx": 0.5, "points": [16], "x0": 0.0}, '
+    '"initial_state": {"center": 0.0, "k": 0, "kappa": 0.0, "mode": 1, "preset": "uniform", '
+    '"sigma": 1.0}, "kernel": %s, "mode": "direct", "problem": "hartree", '
+    '"record_stride": 0, "rho0": 1.0, "t": 0.4}'
+)
+
+
+class TestKernelEcho:
+    """The kernel section is echoed like every other: the given form's keys,
+    reals as floats, a signed table as its folded samples, and no other key."""
+
+    # name: (kernel section, its echo)
+    CASES = {
+        "constant": ({"form": "constant", "c": 2}, '{"c": 2.0, "form": "constant"}'),
+        "gaussian": ({"form": "gaussian", "sigma": 1, "amplitude": -2.5},
+                     '{"amplitude": -2.5, "form": "gaussian", "sigma": 1.0}'),
+        "contact": ({"form": "contact", "g": 1.5}, '{"form": "contact", "g": 1.5}'),
+        "tabulated": ({"form": "tabulated", "samples": [1, 0.5, 0.25]},
+                      '{"form": "tabulated", "samples": [1.0, 0.5, 0.25]}'),
+        "samples_signed": ({"form": "tabulated", "samples_signed": [0.25, 0.5, 1, 0.5, 0.25]},
+                           '{"form": "tabulated", "samples": [1.0, 0.5, 0.25]}'),
+    }
+
+    @staticmethod
+    def kernel_echo_config(kernel):
+        return config_from_dict({"problem": "hartree", "grid": {"points": [16], "dx": 0.5},
+                                 "kernel": kernel, "t": 0.4, "eps": 0.1})
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_echo_is_the_section(self, case):
+        kernel, echo = self.CASES[case]
+        cfg = self.kernel_echo_config(kernel)
+        assert json.dumps(config_to_dict(cfg), sort_keys=True) == KERNEL_ECHO % echo
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_echo_reads_back(self, case):
+        cfg = self.kernel_echo_config(self.CASES[case][0])
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_eps_override_keeps_the_kernel(self, case):
+        cfg = self.kernel_echo_config(self.CASES[case][0])
+        args = cli.build_parser().parse_args(["simulate", "--config", "c.json", "--eps", "0.05"])
+        assert cli._apply_overrides(cfg, args) == replace(cfg, eps=0.05)
 
 
 class TestSimulate:
@@ -268,6 +317,18 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_only_compare_loads_the_reference_solver(self, tmp_path):
+        """`simulate` never imports `oracle`; `compare` does."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(hartree_config_dict()))
+        code = ("import sys\nfrom nlqsim import cli\n"
+                "print(cli.main(sys.argv[1:]), 'nlqsim.oracle' in sys.modules)")
+        for command, loaded in (("simulate", False), ("compare", True)):
+            proc = run_child(["-c", code, command, "--config", str(cfg_path),
+                              "--out", str(tmp_path / command)])
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.split() == ["0", str(loaded)]
+
 
 class TestTracerNames:
     def test_every_traced_name_exists(self):
@@ -406,11 +467,11 @@ class TestCompare:
         def counting(phi0, rule, c_T, t, dt, *args, **kwargs):
             out = solve(phi0, rule, c_T, t, dt, *args, **kwargs)
             solves.append((phi0, t, dt, out))
-            assert kwargs == {"row": cli.oracle.BLANES_MOAN4}
+            assert kwargs == {"row": oracle.BLANES_MOAN4}
             return out
 
-        solve = cli.oracle.split_step_solve
-        monkeypatch.setattr(cli.oracle, "split_step_solve", counting)
+        solve = oracle.split_step_solve
+        monkeypatch.setattr(oracle, "split_step_solve", counting)
         cfg = config_from_dict(payload)
         rows = cli.run_compare(cfg, str(tmp_path), halvings=halvings)["comparisons"]
         finest = rows[-1]["eps"]
@@ -423,9 +484,9 @@ class TestCompare:
             assert start is before
         # as many steps as one solve to the latest final time, never more
         # than a solve per row at its own eps would take
-        steps = sum(cli.oracle.step_count(t, dt) for _, t, dt, _ in solves)
-        assert steps == ref_steps == cli.oracle.step_count(t_runs[-1], finest)
-        per_row = sum(cli.oracle.step_count(row["n_steps"] * row["eps"], row["eps"])
+        steps = sum(oracle.step_count(t, dt) for _, t, dt, _ in solves)
+        assert steps == ref_steps == oracle.step_count(t_runs[-1], finest)
+        per_row = sum(oracle.step_count(row["n_steps"] * row["eps"], row["eps"])
                       for row in rows)
         assert steps < per_row
 
@@ -476,15 +537,15 @@ class TestCompare:
             solves.append(solve(*args, **kwargs))
             return solves[-1]
 
-        solve = cli.oracle.split_step_solve
-        monkeypatch.setattr(cli.oracle, "split_step_solve", recording)
+        solve = oracle.split_step_solve
+        monkeypatch.setattr(oracle, "split_step_solve", recording)
         cfg = config_from_dict(payload)
         cli.run_compare(cfg, str(tmp_path))
         (used,) = solves
         phi0 = FieldState.from_amplitudes(cli.build_problem(cfg)[1].ancilla0.copy(), cfg.grid)
         rule = cli.build_oracle_potential(cfg)
         c_T = cfg.kinetic_prefactor
-        fine = solve(phi0, rule, c_T, cfg.t, cfg.eps / 32, row=cli.oracle.BLANES_MOAN4)
+        fine = solve(phi0, rule, c_T, cfg.t, cfg.eps / 32, row=oracle.BLANES_MOAN4)
         strang = solve(phi0, rule, c_T, cfg.t, cfg.eps / 20)
         used_err = np.linalg.norm(used.values - fine.values)
         strang_err = np.linalg.norm(strang.values - fine.values)
@@ -553,6 +614,25 @@ class TestResources:
         assert report["instrumented"]["matches_closed_form"] is True
         csv_lines = (tmp_path / "resources.csv").read_text().splitlines()
         assert len(csv_lines) == 1 + 4
+
+    def test_instrument_counts_the_executed_ops(self, tmp_path, monkeypatch):
+        """The instrumented counts are the primitive calls that execute made:
+        an execute that skips its last op no longer matches the closed form,
+        and the primitives are restored afterwards."""
+        primitives = {name: getattr(statevec, name) for name in nlcompiler.GATES.values()}
+        execute = nlcompiler.execute
+
+        def skip_last(seq, r):
+            return execute(replace(seq, ops=seq.ops[:-1]), r)
+
+        monkeypatch.setattr(nlcompiler, "execute", skip_last)
+        report = cli.run_resources(2, 2, 1, 1, str(tmp_path), instrument=True)
+        (row,) = report["rows"]
+        closed_form = (row["mcx_per_step"] + row["nonlinear_per_step"]
+                       + row["ancilla_phase_per_step"])
+        assert report["instrumented"]["matches_closed_form"] is False
+        assert sum(report["instrumented"]["measured"].values()) == closed_form - 1
+        assert {name: getattr(statevec, name) for name in primitives} == primitives
 
     def test_quadrupling(self, tmp_path):
         rc = cli.main(["resources", "--n-min", "5", "--n-max", "6", "--out", str(tmp_path)])
@@ -739,7 +819,7 @@ class TestConfigBoundary:
         ),
         "kernel-extra-key": (
             gp_kernel_dict({"form": "gaussian", "sigma": 1.0, "amplitude": 2.0, "width": 3.0}),
-            2, "unknown gaussian kernel key 'width'",
+            2, "unknown kernel key 'width'",
         ),
         "basic_c-negative": (gp_config_dict(basic_c=-3), 2, "basic_c must be >= 1"),
         "basic_c-zero": (gp_config_dict(basic_c=0), 2, "basic_c must be >= 1"),
@@ -904,6 +984,7 @@ class TestConfigBoundary:
             (cli._CONFIG, ExperimentConfig),
             (cli._GRID, GridSpec),
             (cli._INITIAL_STATE, InitialStateSpec),
+            (cli._KERNEL, KernelSpec),
         ):
             assert set(parsers) == {f.name for f in fields(cls)}
 
@@ -1016,7 +1097,7 @@ class TestRunBounds:
 
         for module, name in ((cli.nlcompiler, "estimate_resources"),
                              (cli.nlcompiler, "compile_w"),
-                             (cli.oracle, "ground_state")):
+                             (oracle, "ground_state")):
             monkeypatch.setattr(module, name, refuse)
 
     @pytest.mark.parametrize(

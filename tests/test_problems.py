@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nlqsim import nlcompiler, statevec
+from nlqsim.cli import ConfigError, ExperimentConfig, config_from_dict, config_to_dict
 from nlqsim.problems import (
     GridSpec,
     KernelSpec,
@@ -95,24 +97,32 @@ class TestKernelSpec:
         k = KernelSpec.tabulated_signed([1.0, 2.0, 3.0, 2.0, 1.0])
         assert k.samples == (3.0, 2.0, 1.0)
 
+    @staticmethod
+    def kernel_config(kernel) -> ExperimentConfig:
+        """A 16-site Hartree config read around a kernel section."""
+        return config_from_dict({"problem": "hartree", "grid": {"points": [16], "dx": 0.5},
+                                 "kernel": kernel, "t": 0.4, "eps": 0.1})
+
     def test_json_round_trip(self):
+        base = self.kernel_config({"form": "contact", "g": 0.0})
         for k in (
             KernelSpec.constant(1.5),
             KernelSpec.gaussian(0.7, -2.0),
             KernelSpec.contact(3.0),
             KernelSpec.tabulated([1.0, 0.5, 0.25]),
         ):
-            assert KernelSpec.from_json_dict(json.loads(json.dumps(k.to_json_dict()))) == k
+            echo = json.loads(json.dumps(config_to_dict(replace(base, kernel=k))))
+            assert self.kernel_config(echo["kernel"]).kernel == k
 
     def test_json_signed_samples(self):
-        k = KernelSpec.from_json_dict(
+        k = self.kernel_config(
             json.loads('{"form": "tabulated", "samples_signed": [1.0, 2.0, 1.0]}')
-        )
+        ).kernel
         assert k.samples == (2.0, 1.0)
 
     def test_unknown_form(self):
         with pytest.raises(ValueError):
-            KernelSpec.from_json_dict(json.loads('{"form": "cubic"}'))
+            self.kernel_config(json.loads('{"form": "cubic"}'))
 
     @pytest.mark.parametrize(
         "payload, match",
@@ -122,22 +132,22 @@ class TestKernelSpec:
             ({"form": "constant", "c": 1.0, "sigma": 2.0}, "unknown constant kernel key 'sigma'"),
             ({"form": "gaussian", "sigma": 1.0, "amplitude": 2.0, "g": 0.0}, "key 'g'"),
             ({"form": "tabulated", "samples": [1.0], "c": 1.0}, "key 'c'"),
-            ({"form": "constant", "c": "3"}, "JSON numbers"),
-            ({"form": "contact", "g": True}, "JSON numbers"),
-            ({"form": "gaussian", "sigma": 1.0}, "JSON numbers"),
-            ({"form": "tabulated", "samples": 5}, "JSON numbers"),
-            ({"form": "tabulated", "samples": [1.0, None]}, "JSON numbers"),
+            ({"form": "constant", "c": "3"}, "c must be a number"),
+            ({"form": "contact", "g": True}, "g must be a number"),
+            ({"form": "gaussian", "sigma": 1.0}, "gaussian kernel needs 'amplitude'"),
+            ({"form": "tabulated", "samples": 5}, "samples must be a list of numbers"),
+            ({"form": "tabulated", "samples": [1.0, None]}, "samples must be a number"),
             ({"form": "gaussian", "sigma": 1.0, "amplitude": float("inf")}, "amplitude must be finite"),
             ({"form": "gaussian", "sigma": float("nan"), "amplitude": 1.0}, "sigma must be finite"),
             ({"form": "contact", "g": float("-inf")}, "g must be finite"),
         ],
     )
     def test_json_rejects(self, payload, match):
-        with pytest.raises(ValueError, match=match):
-            KernelSpec.from_json_dict(payload)
+        with pytest.raises(ConfigError, match=match):
+            self.kernel_config(payload)
 
     def test_json_integers_accepted(self):
-        assert KernelSpec.from_json_dict({"form": "constant", "c": 2}) == KernelSpec.constant(2.0)
+        assert self.kernel_config({"form": "constant", "c": 2}).kernel == KernelSpec.constant(2.0)
 
 
 class TestHartreeCoupling:
