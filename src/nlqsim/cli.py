@@ -23,9 +23,14 @@ makes (checked by run_compare before any work). A compare reference step is
 one step of the fourth-order row, six potential rounds. A run above the cap
 is a config error.
 
-Exit codes: 0 success, 1 numerical failure or an allocation that failed, 2
-usage or config error, each failure reported as one stderr line, never a
-traceback.
+Every subcommand refuses an --out that cannot be a directory (empty, an
+existing file, or a path below one) before any work; the directory is
+created only when the outputs are written. A grid whose cell volume dx**dims
+is not a normal float is refused by GridSpec, so as a config error.
+
+Exit codes: 0 success, 1 numerical failure, an allocation that failed or an
+output that could not be written, 2 usage or config error, each failure
+reported as one stderr line, never a traceback.
 All outputs are deterministic for a fixed config: floats are
 serialized with full round-trip precision and JSON keys are sorted.
 """
@@ -358,6 +363,19 @@ def build_oracle_potential(cfg: ExperimentConfig):
     return oracle.coupling_potential(cfg.coupling_csv, cfg.grid)
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse an output directory that cannot be created: an empty path, an
+    existing path that is not a directory, or a path below one. The
+    directory itself is created only when the outputs are written."""
+    if not path:
+        raise ConfigError("--out must name a directory, got ''")
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise ConfigError(f"--out {path} cannot be a directory: {head} is not one")
+
+
 def _write_csv(path: str, rows: list[dict], columns) -> None:
     """One header line, then one line per row; a missing column is empty."""
     with open(path, "w", newline="") as fh:
@@ -471,6 +489,30 @@ def run_compare(cfg: ExperimentConfig, out_dir: str, halvings: int = 0) -> dict:
     return report
 
 
+def instrumented_counts(
+    seq: nlcompiler.GateSequence, r: statevec.Register
+) -> nlcompiler.GateCounts:
+    """Execute seq on r with a call counter on each statevec primitive that
+    `nlcompiler.GATES` names, and return the calls made per kind."""
+    calls = dict.fromkeys(nlcompiler.GATES.values(), 0)
+    primitives = {name: getattr(statevec, name) for name in calls}
+
+    def counting(name, apply):
+        def wrapper(r, arg):
+            calls[name] += 1
+            return apply(r, arg)
+        return wrapper
+
+    try:
+        for name, apply in primitives.items():
+            setattr(statevec, name, counting(name, apply))
+        nlcompiler.execute(seq, r)
+    finally:
+        for name, apply in primitives.items():
+            setattr(statevec, name, apply)
+    return nlcompiler.GateCounts(*calls.values())  # GATES is in field order
+
+
 def run_resources(
     n_min: int,
     n_max: int,
@@ -515,24 +557,7 @@ def run_resources(
         dim = 2**n
         mat = rng.normal(size=(dim, dim))
         f = CouplingMatrix.from_dense((mat + mat.T) / 2.0)
-        seq = nlcompiler.compile_w(f, 0.1)
-        calls = dict.fromkeys(nlcompiler.GATES.values(), 0)
-        primitives = {name: getattr(statevec, name) for name in calls}
-
-        def counting(name, apply):
-            def wrapper(r, arg):
-                calls[name] += 1
-                return apply(r, arg)
-            return wrapper
-
-        try:
-            for name, apply in primitives.items():
-                setattr(statevec, name, counting(name, apply))
-            nlcompiler.execute(seq, statevec.uniform_state(n))
-        finally:
-            for name, apply in primitives.items():
-                setattr(statevec, name, apply)
-        counts = nlcompiler.GateCounts(*calls.values())  # GATES is in field order
+        counts = instrumented_counts(nlcompiler.compile_w(f, 0.1), statevec.uniform_state(n))
         expected = nlcompiler.estimate_resources(n, 1, basic_c=basic_c).per_step
         report["instrumented"] = {
             "n": n,
@@ -692,6 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_out_dir(args.out)
         # non-finite results are checked and reported, so numpy stays quiet
         with np.errstate(all="ignore"):
             if args.command == "simulate":
@@ -721,6 +747,9 @@ def main(argv=None) -> int:
         return 1
     except MemoryError as exc:
         print(f"out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # readers raise ConfigError; this is a failed write
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -38,18 +38,18 @@ ancilla flip as one multi-controlled NOT, expanded into basic_c * n**2 basic
 gates when converting to basic-gate counts; N and P count as one gate each.
 A direct-mode evolution therefore never builds a gate list.
 
-A compiled sequence is a tuple of `GateOp(kind, arg)`. The op kinds live in
-one table, `GATES`: it names the statevec primitive that `execute` applies
-for each kind, and its order is the field order of `GateCounts`.
+A compiled sequence is a tuple of plain ``(kind, arg)`` pairs. The op kinds
+live in one table, `GATES`: it names the statevec primitive that `execute`
+applies for each kind, and its order is the field order of `GateCounts`.
+Gate counts come from the closed form or from the primitive calls an
+execution makes, never from a recount of the ops.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -172,26 +172,21 @@ class GammaSchedule:
         return int(np.count_nonzero(self.gamma_k)), int(np.count_nonzero(self.gamma_kl))
 
 
-class GateOp(NamedTuple):
-    """One primitive operation of a compiled sequence: a kind from `GATES` and
-    its argument (the principal index for "MCX", the angle for "NL"/"APH")."""
-
-    kind: str
-    arg: int | float
-
-
 #: op kind -> statevec primitive that applies it, in the field order of
-#: `GateCounts`. The primitive is looked up by name on each `execute` call, so
-#: a wrapper installed on the statevec attribute sees every op.
+#: `GateCounts`. An op is the pair (kind, arg): the principal index (an int)
+#: for "MCX", the angle (a float) for "NL" and "APH". The primitive is looked
+#: up by name on each `execute` call, so a wrapper installed on the statevec
+#: attribute sees every op.
 GATES = {"MCX": "apply_mcx_k", "NL": "apply_nonlinear", "APH": "apply_ancilla_phase"}
 
 
 @dataclass(frozen=True)
 class GateSequence:
-    """Immutable compiled sequence acting on an n-qubit principal register."""
+    """Immutable compiled sequence acting on an n-qubit principal register:
+    ops is a tuple of (kind, arg) pairs, kind a key of `GATES`."""
 
     n: int
-    ops: tuple[GateOp, ...]
+    ops: tuple[tuple[str, int | float], ...]
 
     def __post_init__(self):
         unknown = {kind for kind, _ in self.ops} - GATES.keys()
@@ -200,10 +195,6 @@ class GateSequence:
 
     def __len__(self) -> int:
         return len(self.ops)
-
-    def counts(self) -> "GateCounts":
-        tally = Counter(kind for kind, _ in self.ops)
-        return GateCounts(*(tally[kind] for kind in GATES))
 
 
 @dataclass(frozen=True)
@@ -290,21 +281,21 @@ def gammas_from_coupling(f: CouplingMatrix, eps: float) -> GammaSchedule:
     return GammaSchedule(gamma_k, f.rows[pair], f.cols[pair], half[pair])
 
 
-def schedule_blocks(schedule: GammaSchedule) -> list[tuple[GateOp, ...]]:
-    """Gate blocks for a schedule: nonzero singles by ascending k, then the
-    pairs in their row-major (k, l) order. Zero-angle blocks are never emitted.
+def schedule_blocks(schedule: GammaSchedule) -> list[tuple]:
+    """Gate blocks for a schedule, each a tuple of (kind, arg) ops: nonzero
+    singles by ascending k, then the pairs in their row-major (k, l) order.
+    Zero-angle blocks are never emitted.
 
     The order is immaterial for the resulting state (all constituents are
     modulus-preserving) but fixed for reproducibility.
     """
-    blocks: list[tuple[GateOp, ...]] = [
-        (GateOp("MCX", k), GateOp("NL", g), GateOp("APH", g), GateOp("MCX", k))
+    blocks = [
+        (("MCX", k), ("NL", g), ("APH", g), ("MCX", k))
         for k, g in enumerate(schedule.gamma_k.tolist())
         if g != 0.0
     ]
     blocks += [
-        (GateOp("MCX", k), GateOp("MCX", l), GateOp("NL", g), GateOp("APH", g),
-         GateOp("MCX", l), GateOp("MCX", k))
+        (("MCX", k), ("MCX", l), ("NL", g), ("APH", g), ("MCX", l), ("MCX", k))
         for k, l, g in zip(
             schedule.pair_k.tolist(), schedule.pair_l.tolist(), schedule.gamma_kl.tolist()
         )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -34,6 +35,8 @@ class GridSpec:
 
     points: grid points per axis (each a power of two, 1 or 2 axes);
     dx: spacing, identical for all axes; x0: coordinate of index 0.
+    The cell volume dx**dims must be a normal float: the field normalization
+    divides by it and the quadratures multiply by it.
     """
 
     points: tuple[int, ...]
@@ -50,6 +53,14 @@ class GridSpec:
                 raise ValueError(f"points per axis must be powers of two >= 2, got {m}")
         if not self.dx > 0:
             raise ValueError(f"dx must be positive, got {self.dx}")
+        try:
+            volume = self.dx ** len(pts)
+        except OverflowError:
+            volume = math.inf
+        if not sys.float_info.min <= volume <= sys.float_info.max:
+            raise ValueError(
+                f"dx {self.dx} gives a cell volume dx**{len(pts)} outside the normal floats"
+            )
 
     @property
     def dims(self) -> int:

@@ -10,12 +10,13 @@ builds both views once, at construction, and its fields are frozen, so
 
 Every gate implemented here is either phase-only or an amplitude swap, so the
 2-norm is preserved to machine precision. Both branch weights come from one
-``np.add.reduce`` over the rows of the squared magnitudes, numpy's pairwise
-summation of each row, which is deterministic for a fixed length; the
-feedback phases of the nonlinear gate are therefore bit-reproducible. The
-squared magnitudes go into one float64 buffer per register, allocated by the
-first weight computation, so a compiled step allocates no array per gate and
-a register that never needs the weights never holds the buffer.
+function, `branch_weights`: one ``np.add.reduce`` over the rows of the squared
+magnitudes, numpy's pairwise summation of each row, which is deterministic
+for a fixed length; the feedback phases of the nonlinear gate are therefore
+bit-reproducible. The squared magnitudes go into one float64 buffer per
+register, allocated by the first weight computation, so a compiled step
+allocates no array per gate and a register that never needs the weights never
+holds the buffer.
 
 The gate set is deliberately small: the ancilla-flip on a single principal
 index, the branch-probability phase gate, an ancilla-conditioned phase, a
@@ -113,14 +114,6 @@ class Register:
         return float(np.vdot(a1, a1).real) <= NORM_TOL
 
 
-@dataclass(frozen=True)
-class BranchWeights:
-    """Probabilities of the two ancilla branches; p0 + p1 = 1 for any state."""
-
-    p0: float
-    p1: float
-
-
 def init_from_amplitudes(a: np.ndarray) -> Register:
     """Build a register from principal amplitudes, ancilla set to |0>.
 
@@ -144,9 +137,10 @@ def uniform_state(n: int) -> Register:
     return init_from_amplitudes(np.ones(2**n, dtype=np.complex128))
 
 
-def _weights(r: Register) -> list[float]:
-    """[p0, p1], both branch rows summed in one deterministic reduction over
-    the register's weight buffer."""
+def branch_weights(r: Register) -> list[float]:
+    """[p0, p1], the ancilla branch probabilities (p0 + p1 = 1 for a
+    normalized state): both branch rows summed in one deterministic
+    reduction over the register's weight buffer."""
     if r._mags is None:
         mags = np.empty(r.amps.shape[0])
         object.__setattr__(r, "_mags", (mags, mags.reshape(2, -1)))
@@ -154,11 +148,6 @@ def _weights(r: Register) -> list[float]:
     np.abs(r.amps, out=mags)
     mags *= mags
     return np.add.reduce(rows, axis=1).tolist()
-
-
-def branch_weights(r: Register) -> BranchWeights:
-    """Ancilla branch probabilities, reduced in a fixed deterministic order."""
-    return BranchWeights(*_weights(r))
 
 
 def apply_mcx_k(r: Register, k: int) -> Register:
@@ -186,7 +175,7 @@ def apply_nonlinear(r: Register, gamma: float) -> Register:
     ``cmath.exp`` on the Python complex, which gives the bits of ``np.exp``
     without its array-call overhead, and multiply each branch view in place.
     """
-    p0, p1 = _weights(r)
+    p0, p1 = branch_weights(r)
     a0, a1 = r.ancilla0, r.ancilla1
     a0 *= cmath.exp(1j * gamma * p0)
     a1 *= cmath.exp(1j * gamma * p1)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from nlqsim import evolution, nlcompiler, oracle, problems, statevec
+from nlqsim.cli import instrumented_counts
 from nlqsim.evolution import KineticSpec, evolve, observables
 from nlqsim.nlcompiler import (
     CouplingMatrix,
@@ -193,8 +194,7 @@ class TestCriterion4:
         for n in (1, 2, 3, 4):
             f = random_coupling(rng, n)
             seq = compile_w(f, 0.1)
-            execute(seq, random_register(rng, n))
-            counts = seq.counts()
+            counts = instrumented_counts(seq, random_register(rng, n))
             singles, pairs = gammas_from_coupling(f, 0.1).sparsity()
             if counts != estimate_resources(n, 1, singles=singles, pairs=pairs).per_step:
                 failures.append(f"instrumented mismatch at n={n}")

@@ -797,6 +797,9 @@ def gp_kernel_dict(kernel, **overrides):
     return gp_config_dict(problem="hartree", kernel=kernel, **overrides)
 
 
+GAUSSIAN = {"form": "gaussian", "sigma": 1.0, "amplitude": 2.0}
+
+
 def one_error_line(capsys) -> str:
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err + captured.out
@@ -884,6 +887,19 @@ class TestConfigBoundary:
         "constant-c-huge": (
             gp_kernel_dict({"form": "constant", "c": 1e308}, eps=8.0, t=8.0), 1,
             "non-finite rotation angle",
+        ),
+        # the cell volume dx**dims underflows to zero, is subnormal, overflows
+        "cell-volume-zero": (
+            gp_kernel_dict(GAUSSIAN, grid={"points": [4, 4], "dx": 1e-200}, t=0.1, eps=0.05),
+            2, "dx 1e-200 gives a cell volume dx**2 outside the normal floats",
+        ),
+        "cell-volume-subnormal": (
+            gp_kernel_dict(GAUSSIAN, grid={"points": [8], "dx": 5e-324}, t=0.1, eps=0.05),
+            2, "dx 5e-324 gives a cell volume dx**1 outside the normal floats",
+        ),
+        "cell-volume-overflow": (
+            gp_kernel_dict(GAUSSIAN, grid={"points": [4, 4], "dx": 1e200}, t=0.1, eps=0.05),
+            2, "dx 1e+200 gives a cell volume dx**2 outside the normal floats",
         ),
     }
 
@@ -1152,6 +1168,54 @@ class TestRunBounds:
         assert rc == 0
         (row,) = json.loads((tmp_path / "resources.json").read_text())["rows"]
         assert row["grid_points"] == 2**64
+
+
+class TestOutDir:
+    """An --out that cannot be a directory is refused before any work, and a
+    failed write is one stderr line."""
+
+    @staticmethod
+    def no_work(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        for module, name in ((cli, "load_config"), (cli, "build_problem"),
+                             (cli.nlcompiler, "estimate_resources"),
+                             (oracle, "ground_state")):
+            monkeypatch.setattr(module, name, refuse)
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "file-sub"])
+    @pytest.mark.parametrize("command", ["simulate", "compare", "resources", "bec"])
+    def test_refused_before_any_work(self, tmp_path, capsys, monkeypatch, command, below):
+        self.no_work(monkeypatch)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if below else blocker
+        argv = [command, "--out", str(out)]
+        if command in ("simulate", "compare"):
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert cli.main(argv) == 2
+        line = one_error_line(capsys)
+        assert line.startswith(f"config error: --out {out} cannot be a directory")
+        assert str(blocker) in line
+        assert blocker.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+
+    def test_empty_out_refused(self, capsys, monkeypatch):
+        self.no_work(monkeypatch)
+        assert cli.main(["resources", "--out", ""]) == 2
+        assert one_error_line(capsys) == "config error: --out must name a directory, got ''"
+
+    def test_write_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
+        def full_disk(path, payload):
+            raise OSError(28, "No space left on device", path)
+
+        monkeypatch.setattr(cli, "_write_json", full_disk)
+        rc = cli.main(["resources", "--n-max", "2", "--out", str(tmp_path / "out")])
+        line = one_error_line(capsys)
+        assert rc == 1
+        assert line.startswith("cannot write outputs: [Errno 28] No space left on device")
+        assert "resources.json" in line
 
 
 # values written over a config entry by the property test below

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from nlqsim import evolution, nlcompiler, statevec
+from nlqsim.cli import instrumented_counts
 from nlqsim.nlcompiler import (
+    GATES,
     CouplingMatrix,
     GateCounts,
-    GateOp,
     GateSequence,
     apply_w_direct,
     compile_w,
@@ -139,18 +140,13 @@ class TestCompile:
     def test_zero_coupling_empty(self):
         assert len(compile_w(CouplingMatrix.zeros(2), 0.1)) == 0
 
-    def test_dense_two_state_counts(self):
+    def test_dense_two_state_counts(self, rng):
         f = CouplingMatrix.from_dense(np.array([[0.3, 0.2], [0.2, -0.1]]))
         seq = compile_w(f, 0.1)
-        counts = seq.counts()
+        counts = instrumented_counts(seq, random_register(rng, 1))
         assert counts.nonlinear == 3  # 2 singles + 1 pair
         assert counts.mcx == 8
         assert counts.ancilla_phase == 3
-
-    def test_counts_per_kind(self):
-        seq = GateSequence(1, (GateOp("APH", 0.1), GateOp("NL", 0.1), GateOp("APH", 0.2),
-                               GateOp("MCX", 0), GateOp("NL", 0.2), GateOp("APH", 0.3)))
-        assert seq.counts() == GateCounts(mcx=1, nonlinear=2, ancilla_phase=3)
 
     def test_tridiagonal_counts(self):
         # periodic nearest-neighbor stencil: M singles and M wrapped pairs
@@ -165,10 +161,24 @@ class TestCompile:
 
     def test_sequence_is_singles_then_pairs(self):
         f = CouplingMatrix.from_dense(np.array([[0.3, 0.2], [0.2, -0.1]]))
-        kinds = [op.kind for op in compile_w(f, 0.1).ops]
+        kinds = [kind for kind, _ in compile_w(f, 0.1).ops]
         assert kinds == ["MCX", "NL", "APH", "MCX",
                          "MCX", "NL", "APH", "MCX",
                          "MCX", "MCX", "NL", "APH", "MCX", "MCX"]
+
+    def test_ops_are_plain_kind_arg_pairs(self):
+        f = CouplingMatrix.from_dense(np.array([[0.3, 0.2], [0.2, -0.1]]))
+        sch = gammas_from_coupling(f, 0.1)
+        g0, g1 = sch.gamma_k.tolist()
+        (g01,) = sch.gamma_kl.tolist()
+        ops = compile_w(f, 0.1).ops
+        assert all(type(op) is tuple and len(op) == 2 and op[0] in GATES for op in ops)
+        assert all(type(arg) is int for kind, arg in ops if kind == "MCX")
+        assert all(type(arg) is float for kind, arg in ops if kind != "MCX")
+        assert ops == (("MCX", 0), ("NL", g0), ("APH", g0), ("MCX", 0),
+                       ("MCX", 1), ("NL", g1), ("APH", g1), ("MCX", 1),
+                       ("MCX", 0), ("MCX", 1), ("NL", g01), ("APH", g01),
+                       ("MCX", 1), ("MCX", 0))
 
 
 def sparse_random_coupling(rng, dim, fill):
@@ -430,8 +440,7 @@ class TestResources:
         for n in (1, 2, 3):
             f = random_coupling(rng, n)
             seq = compile_w(f, 0.1)
-            execute(seq, random_register(rng, n))
-            counts = seq.counts()
+            counts = instrumented_counts(seq, random_register(rng, n))
             singles, pairs = gammas_from_coupling(f, 0.1).sparsity()
             expected = estimate_resources(n, 1, singles=singles, pairs=pairs)
             assert counts == expected.per_step
@@ -440,8 +449,7 @@ class TestResources:
         f = np.zeros((8, 8))
         f[1, 4] = f[4, 1] = 0.3
         seq = compile_w(CouplingMatrix.from_dense(f), 0.1)
-        execute(seq, random_register(rng, 3))
-        counts = seq.counts()
+        counts = instrumented_counts(seq, random_register(rng, 3))
         # one pair block and the two compensating singles it induces
         assert counts == GateCounts(mcx=8, nonlinear=3, ancilla_phase=3)
 
@@ -476,4 +484,4 @@ class TestTensorSquare:
 class TestGateSequence:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown gate kind 'FOO'"):
-            GateSequence(1, (GateOp("MCX", 0), GateOp("FOO", 1.0)))
+            GateSequence(1, (("MCX", 0), ("FOO", 1.0)))
