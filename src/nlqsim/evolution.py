@@ -20,11 +20,19 @@ larger grids the factors exp(-i*eps*c_T*p^2), applied between a transform
 The splitting is first order in eps by construction; halving eps halves the
 state error against a converged reference. Gate counts for the potential
 step are tallied exactly and must match the closed-form estimate.
+
+`write_trajectory_csv` exports the recorded snapshots; its time goes to
+float repr. A trajectory of at least PARALLEL_MIN_ROWS rows is formatted by
+two processes when this one may run on two CPUs: a forked child writes the
+header and the first half of the snapshots while the caller formats the
+second half and appends it. The bytes are those of the one-process write.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +52,11 @@ MODES = ("compiled", "direct")
 #: costs of two transforms (sweep in BENCH_12.json), and the matrices take at
 #: most 1 MiB
 KINETIC_MATRIX_MAX_POINTS = 256
+
+#: trajectories of at least this many rows are formatted by two processes
+#: (when two CPUs are available): below it the fork and reap of the second
+#: process cost more than half the formatting saves (sweep in BENCH_24.json)
+PARALLEL_MIN_ROWS = 8192
 
 
 class SimulationError(RuntimeError):
@@ -270,17 +283,105 @@ def write_trajectory_csv(path, snapshots: list[Snapshot]):
     The bytes are those of a default ``csv.writer`` with every float written
     as its repr: comma-separated, CRLF-terminated, no quoting (no field can
     contain a comma, quote or line break). Each snapshot is one write.
+
+    Formatting is bound by float repr, so a long trajectory is split over
+    two processes: with at least PARALLEL_MIN_ROWS rows, two or more
+    snapshots, `os.fork` and two CPUs this process may run on, a forked
+    child writes the header and the first half of the snapshots into `path`
+    while this process formats the second half, reaps the child and appends
+    its half. The bytes are the same either way. No process outlives the
+    call; a failure in the child is raised here as an OSError with the
+    child's errno, text and filename. If no process can be forked, the
+    trajectory is written here alone.
     """
+    rows = sum(snap.amps.size for snap in snapshots)
+    if rows < PARALLEL_MIN_ROWS or len(snapshots) < 2 or not _two_cpus():
+        _write_snapshots(path, snapshots)
+        return
+    half = len(snapshots) // 2
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare
+        os.close(read_fd)
+        os.close(write_fd)
+        _write_snapshots(path, snapshots)
+        return
+    if pid == 0:
+        _child_write(path, snapshots[:half], read_fd, write_fd)
+    os.close(write_fd)
+    try:
+        tail = [_snapshot_rows(snap) for snap in snapshots[half:]]
+    finally:
+        with os.fdopen(read_fd, "rb") as pipe:
+            report = pipe.read()
+        _, status = os.waitpid(pid, 0)
+    if report:
+        code, filename, text = report.decode("utf-8", "surrogateescape").split("\0", 2)
+        if code:
+            raise OSError(int(code), text, filename)
+        raise OSError(text)
+    if status != 0:
+        raise OSError(
+            f"the process writing {os.fsdecode(path)} ended with code "
+            f"{os.waitstatus_to_exitcode(status)}"
+        )
+    with open(path, "a", newline="") as fh:
+        fh.writelines(tail)
+
+
+def _two_cpus() -> bool:
+    """A forked child can run beside this process on a CPU of its own."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
+
+
+def _write_snapshots(path, snapshots: list[Snapshot]):
+    """The header and the rows of `snapshots` into a new file at `path`."""
     with open(path, "w", newline="") as fh:
         fh.write("step,time,k,re,im\r\n")
         for snap in snapshots:
-            lead = f"{snap.step},{snap.time!r},"
-            a = snap.amps
-            rows = [
-                f"{lead}{k},{re!r},{im!r}\r\n"
-                for k, (re, im) in enumerate(zip(a.real.tolist(), a.imag.tolist()))
-            ]
-            fh.write("".join(rows))
+            fh.write(_snapshot_rows(snap))
+
+
+def _child_write(path, snapshots: list[Snapshot], read_fd: int, write_fd: int):
+    """Body of the forked writer: `_write_snapshots`, with a failure sent
+    down `write_fd` as errno, filename and text separated by NULs.
+
+    It takes no lock, starts no thread and calls no BLAS; it leaves by
+    `os._exit` on every path, so it never flushes the parent's stdio
+    buffers, runs exit handlers or returns into the caller.
+    """
+    code = 1
+    try:
+        os.close(read_fd)
+        _write_snapshots(path, snapshots)
+        code = 0
+    except BaseException as exc:
+        if isinstance(exc, OSError) and exc.errno is not None:
+            fields = (str(exc.errno), os.fsdecode(exc.filename or path),
+                      exc.strerror or str(exc))
+        else:
+            fields = ("", "", f"writing {os.fsdecode(path)} failed: {exc!r}")
+        os.write(write_fd, "\0".join(fields).encode("utf-8", "surrogateescape"))
+    finally:
+        os._exit(code)
+
+
+def _snapshot_rows(snap: Snapshot) -> str:
+    """The CSV rows of one snapshot: one %-format of the cached template
+    for its length over (lead, re, im) per row."""
+    a = snap.amps
+    values = [f"{snap.step},{snap.time!r},"] * (3 * a.size)
+    values[1::3] = a.real.tolist()
+    values[2::3] = a.imag.tolist()
+    return _row_template(a.size) % tuple(values)
+
+
+@functools.lru_cache(maxsize=8)
+def _row_template(n: int) -> str:
+    """'%s0,%r,%r\r\n%s1,%r,%r\r\n...' up to k = n - 1."""
+    return "".join(f"%s{k},%r,%r\r\n" for k in range(n))
 
 
 def summary_dict(

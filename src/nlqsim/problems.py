@@ -36,7 +36,9 @@ class GridSpec:
     points: grid points per axis (each a power of two, 1 or 2 axes);
     dx: spacing, identical for all axes; x0: coordinate of index 0.
     The cell volume dx**dims must be a normal float: the field normalization
-    divides by it and the quadratures multiply by it.
+    divides by it and the quadratures multiply by it. The largest momentum
+    squared on the grid, dims * (pi/dx)**2 at the Nyquist corner, must be
+    finite: the kinetic step multiplies it by eps * c_T.
     """
 
     points: tuple[int, ...]
@@ -60,6 +62,12 @@ class GridSpec:
         if not sys.float_info.min <= volume <= sys.float_info.max:
             raise ValueError(
                 f"dx {self.dx} gives a cell volume dx**{len(pts)} outside the normal floats"
+            )
+        nyquist = math.pi / self.dx
+        if not len(pts) * nyquist * nyquist <= sys.float_info.max:
+            raise ValueError(
+                f"dx {self.dx} gives a Nyquist momentum squared {len(pts)} * (pi/dx)**2 "
+                "that overflows"
             )
 
     @property

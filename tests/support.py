@@ -8,11 +8,13 @@ path calls them.
   coupling_to_triplet_csv - writes a coupling as the triplet CSV that
       `problems.coupling_from_triplet_csv` reads
   convergence_ratios - step-halving ratios of the split-step reference
+  fake_cpus - a CPU count for the trajectory writer, recording its forks
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,3 +157,18 @@ def convergence_ratios(
         for i in range(len(finals) - 1)
     ]
     return [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
+
+
+def fake_cpus(monkeypatch, count: int) -> list[int]:
+    """Make `os.sched_getaffinity` report `count` CPUs and wrap `os.fork`;
+    the returned list gets the pid of every process that forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    calls = []
+    fork = os.fork
+
+    def recording():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recording)
+    return calls

@@ -258,6 +258,44 @@ def stencil_config_dict(points, steps):
     }
 
 
+class TestSplitTrajectory:
+    """A 32x32 stencil run recording at least PARALLEL_MIN_ROWS rows formats
+    its trajectory in two processes when two CPUs are available."""
+
+    @staticmethod
+    def config_path(tmp_path):
+        steps = -(-evolution.PARALLEL_MIN_ROWS // 1024)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**stencil_config_dict((32, 32), steps), "record_stride": 1}))
+        return str(path)
+
+    def test_same_bytes_as_one_cpu(self, tmp_path, capsys, monkeypatch):
+        cfg_path = self.config_path(tmp_path)
+        forks = support.fake_cpus(monkeypatch, 2)
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "two")]) == 0
+        assert capsys.readouterr().err == ""
+        assert forks == [os.getpid()]
+        forks = support.fake_cpus(monkeypatch, 1)
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "one")]) == 0
+        assert forks == []
+        split = (tmp_path / "two" / "trajectory.csv").read_bytes()
+        assert split.count(b"\r\n") >= 1 + evolution.PARALLEL_MIN_ROWS
+        assert split == (tmp_path / "one" / "trajectory.csv").read_bytes()
+
+    def test_child_write_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        (out / "trajectory.csv").mkdir(parents=True)
+        forks = support.fake_cpus(monkeypatch, 2)
+        rc = cli.main(["simulate", "--config", self.config_path(tmp_path), "--out", str(out)])
+        line = one_error_line(capsys)
+        assert rc == 1
+        assert forks == [os.getpid()]
+        assert line.startswith("cannot write outputs: [Errno 21] Is a directory")
+        assert line.endswith("trajectory.csv'")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 class TestSparseCouplings:
     def test_stencil_runs_never_build_the_dense_matrix(self, tmp_path, monkeypatch):
         def no_dense(self):
@@ -860,6 +898,11 @@ class TestConfigBoundary:
         ),
         "navier-stokes-dx-tiny": (
             gp_config_dict(problem="navier-stokes", grid={"points": [16], "dx": 1e-200}), 2,
+            "dx 1e-200 gives a Nyquist momentum squared 1 * (pi/dx)**2 that overflows",
+        ),
+        # passes the grid checks; the stencil weight's denominator underflows
+        "navier-stokes-dx-small": (
+            gp_config_dict(problem="navier-stokes", grid={"points": [16], "dx": 1e-150}), 2,
             "ZeroDivisionError",
         ),
         "navier-stokes-dx-huge": (
@@ -901,6 +944,16 @@ class TestConfigBoundary:
             gp_kernel_dict(GAUSSIAN, grid={"points": [4, 4], "dx": 1e200}, t=0.1, eps=0.05),
             2, "dx 1e+200 gives a cell volume dx**2 outside the normal floats",
         ),
+        # a normal cell volume, but p**2 at the Nyquist corner overflows, which
+        # no eps or c_T can mend; in 2-d the two axes' squares add
+        "nyquist-momentum-overflow-1d": (
+            gp_kernel_dict(GAUSSIAN, grid={"points": [16], "dx": 1e-200}, t=0.1, eps=0.05),
+            2, "dx 1e-200 gives a Nyquist momentum squared 1 * (pi/dx)**2 that overflows",
+        ),
+        "nyquist-momentum-overflow-2d": (
+            gp_kernel_dict(GAUSSIAN, grid={"points": [4, 4], "dx": 3e-154}, t=0.1, eps=0.05),
+            2, "dx 3e-154 gives a Nyquist momentum squared 2 * (pi/dx)**2 that overflows",
+        ),
     }
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
@@ -914,6 +967,18 @@ class TestConfigBoundary:
         assert rc == code
         assert line.startswith("config error: " if code == 2 else "numerical failure: ")
         assert fragment in line
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize("points", [[16], [4, 4]])
+    def test_small_dx_still_runs(self, tmp_path, capsys, command, points):
+        """dx 1e-150 keeps the cell volume normal and p**2 finite."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            gp_kernel_dict(GAUSSIAN, grid={"points": points, "dx": 1e-150}, t=0.1, eps=0.05)
+        ))
+        rc = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "argv, fragment",

@@ -1,4 +1,6 @@
 import csv
+import errno
+import os
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from nlqsim.problems import (
 from nlqsim.statevec import init_from_amplitudes
 
 from conftest import random_coupling, random_register
-from support import basis_state, fidelity
+from support import basis_state, fake_cpus, fidelity
 
 
 @pytest.fixture
@@ -608,3 +610,136 @@ class TestTrajectoryExport:
         self.csv_writer_reference(want, snapshots)
         assert got.read_bytes() == want.read_bytes()
         assert b"\r\n" in got.read_bytes()
+
+
+class TestSplitWriter:
+    """A trajectory of at least PARALLEL_MIN_ROWS rows is written by a forked
+    child (header and first half) and this process (second half): the
+    bytes stay those of the csv.writer reference, and no child outlives the
+    call."""
+
+    SPECIAL = np.array([-0.0, 0.0, 1e-300, -2.5e-310, 1.7e150, -3.3e-5, 1.0, 123456.789])
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Two CPUs for this process, and the pid of every os.fork caller."""
+        return fake_cpus(monkeypatch, 2)
+
+    @staticmethod
+    def no_fork(monkeypatch):
+        def refuse():
+            raise AssertionError("a writer process was forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+
+    @staticmethod
+    def assert_no_child():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def trajectory(self, rng, count, rows=None):
+        """count snapshots of at least `rows` rows in all (default
+        PARALLEL_MIN_ROWS); the first and the last hold the special values,
+        so each half of a split has them."""
+        m = -(-(rows or evolution.PARALLEL_MIN_ROWS) // count)
+        special = np.resize(self.SPECIAL, m)
+        snapshots = [
+            Snapshot(5 * s, 5 * s * 0.1, rng.normal(size=m) + 1j * rng.normal(size=m))
+            for s in range(count)
+        ]
+        snapshots[0] = Snapshot(0, 0.0, special + 1j * special[::-1])
+        snapshots[-1] = Snapshot(snapshots[-1].step, snapshots[-1].time,
+                                 special[::-1] + 1j * special)
+        return snapshots
+
+    def reference_bytes(self, path, snapshots):
+        TestTrajectoryExport.csv_writer_reference(path, snapshots)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("count", [2, 3, 8, 9])
+    def test_bytes_match_csv_writer(self, tmp_path, rng, forks, count):
+        snapshots = self.trajectory(rng, count)
+        got = tmp_path / "got.csv"
+        write_trajectory_csv(got, snapshots)
+        assert forks == [os.getpid()]
+        assert got.read_bytes() == self.reference_bytes(tmp_path / "want.csv", snapshots)
+        self.assert_no_child()
+
+    def test_replaces_a_longer_file(self, tmp_path, rng, forks):
+        snapshots = self.trajectory(rng, 4)
+        want = self.reference_bytes(tmp_path / "want.csv", snapshots)
+        got = tmp_path / "got.csv"
+        got.write_bytes(b"x" * (2 * len(want)))
+        write_trajectory_csv(got, snapshots)
+        assert got.read_bytes() == want
+
+    @pytest.mark.parametrize("case", ["one-cpu", "few-rows", "one-snapshot"])
+    def test_serial_without_fork(self, tmp_path, rng, monkeypatch, case):
+        fake_cpus(monkeypatch, 1 if case == "one-cpu" else 2)
+        self.no_fork(monkeypatch)
+        if case == "few-rows":
+            snapshots = self.trajectory(rng, 4, rows=evolution.PARALLEL_MIN_ROWS - 4)
+            assert sum(s.amps.size for s in snapshots) < evolution.PARALLEL_MIN_ROWS
+        else:
+            snapshots = self.trajectory(rng, 1 if case == "one-snapshot" else 8)
+        got = tmp_path / "got.csv"
+        write_trajectory_csv(got, snapshots)
+        assert got.read_bytes() == self.reference_bytes(tmp_path / "want.csv", snapshots)
+
+    def test_fork_failure_writes_serially(self, tmp_path, rng, monkeypatch):
+        fake_cpus(monkeypatch, 2)
+
+        def no_process():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_process)
+        snapshots = self.trajectory(rng, 3)
+        got = tmp_path / "got.csv"
+        write_trajectory_csv(got, snapshots)
+        assert got.read_bytes() == self.reference_bytes(tmp_path / "want.csv", snapshots)
+
+    def test_child_failure_raised_here(self, tmp_path, rng, forks):
+        with pytest.raises(OSError) as info:
+            write_trajectory_csv(tmp_path, self.trajectory(rng, 3))
+        assert forks == [os.getpid()]
+        assert info.value.errno == errno.EISDIR
+        assert info.value.filename == str(tmp_path)
+        self.assert_no_child()
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_child_exception_raised_here(self, tmp_path, rng, forks, monkeypatch, error):
+        """Any exception in the child, not only an OSError, ends it by
+        os._exit and is reported here."""
+        parent = os.getpid()
+        rows = evolution._snapshot_rows
+
+        def child_fails(snap):
+            if os.getpid() != parent:
+                raise error("formatting broke")
+            return rows(snap)
+
+        monkeypatch.setattr(evolution, "_snapshot_rows", child_fails)
+        path = tmp_path / "got.csv"
+        with pytest.raises(OSError, match=f"{error.__name__}.*formatting broke") as info:
+            write_trajectory_csv(path, self.trajectory(rng, 3))
+        assert str(path) in str(info.value)
+        self.assert_no_child()
+
+    def test_parent_failure_leaves_no_child(self, tmp_path, rng, forks, monkeypatch):
+        parent = os.getpid()
+        rows = evolution._snapshot_rows
+
+        def parent_fails(snap):
+            if os.getpid() == parent:
+                raise RuntimeError("formatting broke")
+            return rows(snap)
+
+        monkeypatch.setattr(evolution, "_snapshot_rows", parent_fails)
+        snapshots = self.trajectory(rng, 5)
+        got = tmp_path / "got.csv"
+        with pytest.raises(RuntimeError, match="formatting broke"):
+            write_trajectory_csv(got, snapshots)
+        self.assert_no_child()
+        # the child was reaped after it had written all of its half
+        monkeypatch.undo()
+        assert got.read_bytes() == self.reference_bytes(tmp_path / "want.csv", snapshots[:2])
