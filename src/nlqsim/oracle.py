@@ -110,25 +110,17 @@ def _transforms(grid: GridSpec):
 def kernel_potential(kernel: KernelSpec, grid: GridSpec) -> PotentialRule:
     """V = (Phi * rho) evaluated by FFT circular convolution.
 
-    The kernel is wrapped to minimal image on the grid; the quadrature weight
-    dV multiplies the convolution sum and is folded into the kernel's
-    transform. Kernel and density are real, so the convolution runs on
-    real-input transforms. The contact kernel g*delta needs no convolution:
+    The kernel is sampled at minimal image on the grid (`grid_samples`); the
+    quadrature weight dV multiplies the convolution sum and is folded into the
+    kernel's transform. Kernel and density are real, so the convolution runs
+    on real-input transforms. The contact kernel g*delta needs no convolution:
     its rule is V = g*rho pointwise. Independent of any coupling matrix.
     """
     if kernel.form == "contact":
         g = kernel.g
         return lambda density: g * density
-    if grid.dims == 1:
-        w = kernel.grid_samples(grid)
-    else:
-        if kernel.form == "tabulated":
-            raise ValueError("tabulated kernels require a 1-d grid")
-        deltas = [grid.wrapped_deltas(ax)[0] for ax in range(grid.dims)]
-        rsq = (deltas[0] ** 2)[:, None] + (deltas[1] ** 2)[None, :]
-        w = kernel.radial(np.sqrt(rsq) * grid.dx)
     _, _, rfft, irfft = _transforms(grid)
-    w_hat = rfft(w) * grid.cell_volume
+    w_hat = rfft(kernel.grid_samples(grid)) * grid.cell_volume
 
     def rule(density: np.ndarray) -> np.ndarray:
         return irfft(w_hat * rfft(density))

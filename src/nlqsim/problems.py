@@ -10,11 +10,13 @@ V(x_k) = sum_j Phi((x_k - x_j)) * rho_j * dx**dims reduces to
 V_k = sum_j Phi(d_kj) * |a_j|^2: the quadrature weight cancels against the
 density normalization, so the coupling entries are kernel values evaluated at
 the minimal-image grid separation, with no extra dx factor. The contact
-(delta) kernel carries weight g / dx**dims at zero separation, which makes
-the contact-interaction builder and the point-interaction special case of the
-nonlocal builder produce bit-identical matrices.
+(delta) kernel carries weight g / dx**dims at zero separation; the
+contact-interaction builder is the nonlocal builder on that kernel.
 
-Grids are periodic; kernels are evaluated at the minimal-image separation.
+Grids are periodic, so every built-in coupling depends only on the wrapped
+offset j - k: a builder samples the row of site 0, shaped like the grid
+(`KernelSpec.grid_samples`, or the Laplacian stencil), and `periodic_coupling`
+expands it into the entries f[k, j] = row[(j - k) mod points].
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import reduce
 
 import numpy as np
 
@@ -89,26 +92,6 @@ class GridSpec:
     def coords(self, axis: int = 0) -> np.ndarray:
         """Coordinates x0 + i*dx along one axis."""
         return self.x0 + self.dx * np.arange(self.points[axis])
-
-    def wrapped_deltas(self, axis: int = 0) -> np.ndarray:
-        """Minimal-image integer separations |i - j| for one axis (matrix)."""
-        m = self.points[axis]
-        idx = np.arange(m)
-        d = np.abs(idx[:, None] - idx[None, :])
-        return np.minimum(d, m - d)
-
-    def separation_matrix(self) -> np.ndarray:
-        """Minimal-image physical distances between all pairs of grid sites."""
-        if self.dims == 1:
-            return self.wrapped_deltas(0) * self.dx
-        d0 = self.wrapped_deltas(0)
-        d1 = self.wrapped_deltas(1)
-        m0, m1 = self.points
-        # row-major composite index k = i0*m1 + i1
-        dsq = (
-            (d0**2)[:, None, :, None] + (d1**2)[None, :, None, :]
-        ).reshape(self.size, self.size)
-        return np.sqrt(dsq) * self.dx
 
 
 #: config keys of each kernel form besides "form"; a tabulated kernel needs one
@@ -204,25 +187,54 @@ class KernelSpec:
         raise ValueError(f"kernel form {self.form!r} has no radial evaluation")
 
     def grid_samples(self, grid: GridSpec) -> np.ndarray:
-        """Phi at separations d*dx for d = 0..M-1 on a 1-d grid (wrapped)."""
-        if grid.dims != 1:
-            raise ValueError("grid samples are defined for 1-d grids")
-        m = grid.points[0]
-        d = np.arange(m)
-        dmin = np.minimum(d, m - d)
+        """Phi at the minimal-image separation of every site from site 0,
+        shaped like the grid: the row of the periodic coupling."""
         if self.form == "contact":
-            w = np.zeros(m)
-            w[0] = self.g / grid.cell_volume
+            w = np.zeros(grid.points)
+            w[(0,) * grid.dims] = self.g / grid.cell_volume
             return w
+        # minimal-image integer separation from index 0 along each axis
+        deltas = [np.minimum(d, m - d) for m in grid.points for d in [np.arange(m)]]
         if self.form == "tabulated":
-            if len(self.samples) < m // 2 + 1:
+            if grid.dims != 1:
+                raise ValueError("tabulated kernels require a 1-d grid")
+            if len(self.samples) < grid.points[0] // 2 + 1:
                 raise ValueError(
                     f"tabulated kernel covers separations up to "
-                    f"{len(self.samples) - 1}, grid needs {m // 2}"
+                    f"{len(self.samples) - 1}, grid needs {grid.points[0] // 2}"
                 )
-            table = np.asarray(self.samples)
-            return table[dmin]
-        return self.radial(dmin * grid.dx)
+            return np.asarray(self.samples)[deltas[0]]
+        dsq = reduce(np.add.outer, [d**2 for d in deltas])
+        return self.radial(np.sqrt(dsq) * grid.dx)
+
+
+def periodic_coupling(row: np.ndarray) -> CouplingMatrix:
+    """The coupling f[k, j] = row[(j - k) mod points] of a row shaped like
+    its grid, as row-major entries in O(N * nnz(row)); zeros store nothing.
+
+    Site k = (k0, k1) holds offset o at column (k + o) mod points. Per k1 the
+    offsets are sorted once by column in block row k0 = 0; block row k0 adds
+    k0 * m1 and rotates that order to put the offsets with o0 >= m0 - k0,
+    which wrap, first.
+    """
+    row = np.asarray(row, dtype=np.float64)
+    m0, m1 = (*row.shape, 1)[:2]
+    size = m0 * m1
+    o0, o1 = np.nonzero(row.reshape(m0, m1))
+    nnz = o0.size
+    # m0 and m1 are powers of two (or CouplingMatrix refuses size), so masks
+    # wrap; per k1, the column of each offset in block row k0 = 0
+    cols = o0 * m1 + ((o1 + np.arange(m1)[:, None]) & (m1 - 1))
+    by_col = np.argsort(cols, axis=1, kind="stable")
+    # doubled along the offsets, so that each rotation is a contiguous run
+    by_col = np.concatenate((by_col, by_col), axis=1)
+    cols = cols[np.arange(m1)[:, None], by_col].reshape(-1)
+    vals = row.reshape(m0, m1)[o0[by_col], o1[by_col]].reshape(-1)
+    k0 = np.arange(m0)[:, None, None]
+    at = np.searchsorted(o0, m0 - k0) + 2 * nnz * np.arange(m1)[:, None] + np.arange(nnz)
+    cols = (k0 * m1 + cols[at]) & (size - 1)
+    rows = np.repeat(np.arange(size), nnz)
+    return CouplingMatrix(size, rows, cols.reshape(-1), vals[at].reshape(-1))
 
 
 def hartree_coupling(kernel: KernelSpec, grid: GridSpec) -> CouplingMatrix:
@@ -230,18 +242,10 @@ def hartree_coupling(kernel: KernelSpec, grid: GridSpec) -> CouplingMatrix:
 
     See the module docstring for why no quadrature factor appears. Tabulated
     kernels work on 1-d grids; analytic radial forms also work on 2-d grids.
-    The point-interaction (contact) kernel reduces to the diagonal
-    contact-interaction coupling exactly.
+    The point-interaction (contact) kernel is the diagonal contact-interaction
+    coupling.
     """
-    if kernel.form == "contact":
-        return gross_pitaevskii_coupling(kernel.g, grid)
-    if grid.dims == 1:
-        samples = kernel.grid_samples(grid)
-        dmin = grid.wrapped_deltas(0)
-        return CouplingMatrix.from_dense(samples[dmin])
-    if kernel.form == "tabulated":
-        raise ValueError("tabulated kernels require a 1-d grid")
-    return CouplingMatrix.from_dense(kernel.radial(grid.separation_matrix()))
+    return periodic_coupling(kernel.grid_samples(grid))
 
 
 def gross_pitaevskii_coupling(g: float, grid: GridSpec) -> CouplingMatrix:
@@ -250,9 +254,7 @@ def gross_pitaevskii_coupling(g: float, grid: GridSpec) -> CouplingMatrix:
     This is V_k = g * rho_k written in amplitude variables, the point-like
     limit of the nonlocal interaction. A zero g stores no entries.
     """
-    w = g / grid.cell_volume
-    sites = np.arange(grid.size if w != 0.0 else 0)
-    return CouplingMatrix(grid.size, sites, sites, np.full(sites.size, w))
+    return hartree_coupling(KernelSpec.contact(g), grid)
 
 
 def navier_stokes_coupling(rho0: float, grid: GridSpec) -> CouplingMatrix:
@@ -260,32 +262,28 @@ def navier_stokes_coupling(rho0: float, grid: GridSpec) -> CouplingMatrix:
 
     Per axis i the stencil is f[k, k +/- e_i] = w and f[k, k] -= 2w with
     w = 1 / (4 * rho0 * dx**2 * dx**dims); the dx**dims converts amplitude
-    weights to physical density. Rows sum to zero exactly, so constant
-    densities feel no potential at all. Built as 2*dims + 1 entries per site
-    in O(nnz log nnz), never as an N x N array.
+    weights to physical density. A 2-point axis's one neighbour holds w + w.
+    Rows sum to zero exactly, so constant densities feel no potential at all.
+    w must be a normal float and the diagonal -2w * dims finite.
     """
     if not rho0 > 0:
         raise ValueError(f"reference density must be positive, got {rho0}")
-    w = 1.0 / (4.0 * rho0 * grid.dx**2 * grid.cell_volume)
-    sites = np.arange(grid.size).reshape(grid.points)
-    rows = sites.reshape(-1)
-    entries = []
+    try:
+        w = 1.0 / (4.0 * rho0 * grid.dx**2 * grid.cell_volume)
+    except (ZeroDivisionError, OverflowError):  # the denominator under- or overflows
+        w = math.nan
+    if not sys.float_info.min <= w <= sys.float_info.max / (2 * grid.dims):
+        raise ValueError(
+            f"rho0 {rho0} and dx {grid.dx} put the stencil weight w = 1 / (4 rho0 "
+            f"dx**2 dx**{grid.dims}) or the diagonal 2 * {grid.dims} * w outside the normal floats"
+        )
+    origin = (0,) * grid.dims
+    row = np.zeros(grid.points)
+    row[origin] = -2.0 * w * grid.dims
     for axis in range(grid.dims):
         for step in (-1, 1):
-            entries.append((rows, np.roll(sites, -step, axis=axis).reshape(-1), w))
-        entries.append((rows, rows, -2.0 * w))
-    keys = np.concatenate([r * grid.size + c for r, c, _ in entries])
-    vals = np.concatenate([np.full(grid.size, v) for _, _, v in entries])
-    # a stable sort keeps repeated positions in the order they were added;
-    # on a 2-point axis both shifts hit the same neighbour, which then holds
-    # w + w, and with two axes the diagonal holds -2w - 2w
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    keys, vals = keys[starts], np.add.reduceat(vals, starts)
-    keep = vals != 0.0
-    rows, cols = np.divmod(keys[keep], grid.size)
-    return CouplingMatrix(grid.size, rows, cols, vals[keep])
+            row[origin[:axis] + (step,) + origin[axis + 1:]] += w
+    return periodic_coupling(row)
 
 
 def gaussian_packet(

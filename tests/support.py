@@ -7,6 +7,7 @@ path calls them.
   MadelungFields, madelung_fields - hydrodynamic fields of a register
   coupling_to_triplet_csv - writes a coupling as the triplet CSV that
       `problems.coupling_from_triplet_csv` reads
+  dense_hartree - the Hartree coupling filled pair by pair as a dense array
   convergence_ratios - step-halving ratios of the split-step reference
   fake_cpus - a CPU count for the trajectory writer, recording its forks
 """
@@ -16,13 +17,14 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from nlqsim import statevec
 from nlqsim.nlcompiler import CouplingMatrix
 from nlqsim.oracle import STRANG, FieldState, PotentialRule, Row, split_step_solve
-from nlqsim.problems import GridSpec
+from nlqsim.problems import GridSpec, KernelSpec
 from nlqsim.statevec import Register, init_from_amplitudes
 
 
@@ -131,6 +133,32 @@ def coupling_to_triplet_csv(f: CouplingMatrix, path) -> None:
         for k, j, v in zip(f.rows[upper].tolist(), f.cols[upper].tolist(),
                            f.vals[upper].tolist()):
             writer.writerow([k, j, repr(v)])
+
+
+@lru_cache(maxsize=None)
+def squared_separations(points: tuple[int, ...]) -> np.ndarray:
+    """Squared minimal-image integer separation of every pair of sites on a
+    periodic grid, one pair at a time; sites are flat row-major indices."""
+    sites = [np.unravel_index(k, points) for k in range(np.prod(points))]
+    sep = np.zeros((len(sites), len(sites)), dtype=np.int64)
+    for k, at in enumerate(sites):
+        for j, to in enumerate(sites):
+            steps = (abs(int(a) - int(b)) for a, b in zip(at, to))
+            sep[k, j] = sum(min(s, m - s) ** 2 for s, m in zip(steps, points))
+    return sep
+
+
+def dense_hartree(kernel: KernelSpec, grid: GridSpec) -> np.ndarray:
+    """The Hartree coupling as a dense array, filled pair by pair: Phi at the
+    minimal-image distance of the two sites. A tabulated kernel reads its table
+    at the integer separation; the contact kernel puts g / dx**dims on the
+    diagonal."""
+    sep = squared_separations(grid.points)
+    if kernel.form == "contact":
+        return np.where(sep == 0, kernel.g / grid.cell_volume, 0.0)
+    if kernel.form == "tabulated":
+        return np.asarray(kernel.samples)[np.sqrt(sep).astype(np.int64)]
+    return kernel.radial(np.sqrt(sep) * grid.dx)
 
 
 def convergence_ratios(

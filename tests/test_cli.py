@@ -900,18 +900,24 @@ class TestConfigBoundary:
             gp_config_dict(problem="navier-stokes", grid={"points": [16], "dx": 1e-200}), 2,
             "dx 1e-200 gives a Nyquist momentum squared 1 * (pi/dx)**2 that overflows",
         ),
-        # passes the grid checks; the stencil weight's denominator underflows
+        # passes the grid checks; the stencil weight's denominator underflows,
+        # overflows, is subnormal, and the weight itself underflows to zero
         "navier-stokes-dx-small": (
             gp_config_dict(problem="navier-stokes", grid={"points": [16], "dx": 1e-150}), 2,
-            "ZeroDivisionError",
+            "rho0 1.0 and dx 1e-150 put the stencil weight w = 1 / (4 rho0 dx**2 dx**1) "
+            "or the diagonal 2 * 1 * w outside the normal floats",
         ),
         "navier-stokes-dx-huge": (
             gp_config_dict(problem="navier-stokes", grid={"points": [16], "dx": 1e200}), 2,
-            "OverflowError",
+            "rho0 1.0 and dx 1e+200 put the stencil weight",
         ),
         "navier-stokes-rho0-tiny": (
             gp_config_dict(problem="navier-stokes", rho0=1e-320), 2,
-            "coupling matrix entries must be finite",
+            "rho0 1e-320 and dx 0.5 put the stencil weight",
+        ),
+        "navier-stokes-rho0-huge": (
+            gp_config_dict(problem="navier-stokes", rho0=1e308), 2,
+            "rho0 1e+308 and dx 0.5 put the stencil weight",
         ),
         "gaussian-sigma-tiny": (
             gp_kernel_dict({"form": "gaussian", "sigma": 1e-200, "amplitude": 2.0}), 2,

@@ -250,7 +250,7 @@ def complex_fft_convolution(kernel, grid, dens):
     if grid.dims == 1:
         w = kernel.grid_samples(grid)
     else:
-        d0, d1 = (grid.wrapped_deltas(ax)[0] for ax in range(2))
+        d0, d1 = (np.minimum(d, m - d) for m in grid.points for d in [np.arange(m)])
         w = kernel.radial(np.sqrt((d0**2)[:, None] + (d1**2)[None, :]) * grid.dx)
     conv = np.fft.ifftn(np.fft.fftn(w) * np.fft.fftn(dens)).real
     return conv * grid.cell_volume

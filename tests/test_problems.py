@@ -21,7 +21,7 @@ from nlqsim.problems import (
     uniform_amplitudes,
 )
 
-from support import coupling_to_triplet_csv, fidelity, madelung_fields
+from support import coupling_to_triplet_csv, dense_hartree, fidelity, madelung_fields
 
 
 @pytest.fixture
@@ -60,11 +60,14 @@ class TestGridSpec:
             GridSpec(points=(4, 4, 4), dx=0.1)
 
     def test_wrapped_deltas(self):
-        grid = GridSpec(points=(4,), dx=1.0)
-        d = grid.wrapped_deltas(0)
-        assert d[0, 3] == 1  # minimal image, not 3
-        assert d[0, 2] == 2
-        assert np.array_equal(d, d.T)
+        # a table indexed by separation reads back the minimal-image separation
+        # of every site from site 0
+        d = KernelSpec.tabulated([0.0, 1.0, 2.0]).grid_samples(GridSpec(points=(4,), dx=1.0))
+        assert d.tolist() == [0.0, 1.0, 2.0, 1.0]  # site 3 is 1 away, not 3
+        r = KernelSpec.gaussian(1.0, 1.0).grid_samples(GridSpec(points=(4, 2), dx=1.0))
+        assert r.shape == (4, 2)
+        assert r[1, 0] == r[3, 0] == r[0, 1]
+        assert r[3, 1] == r[1, 1] < r[1, 0]
 
 
 class TestKernelSpec:
@@ -312,6 +315,26 @@ class TestTripletBuilders:
         for g in (1.7, -0.4, 0.0):
             self.assert_entries_of(gross_pitaevskii_coupling(g, grid),
                                    dense_gross_pitaevskii(g, grid))
+
+    KERNELS = [KernelSpec.constant(1.5), KernelSpec.gaussian(1.0, 2.0),
+               KernelSpec.contact(1.3), KernelSpec.contact(0.0),
+               KernelSpec.tabulated([1.0 / (1 + d) for d in range(9)])]
+
+    @pytest.mark.parametrize("points", GRIDS)
+    @pytest.mark.parametrize("kernel", KERNELS,
+                             ids=["constant", "gaussian", "contact", "contact-zero", "tabulated"])
+    def test_hartree(self, points, kernel):
+        # at dx 6 the Gaussian underflows to zero beyond 38 / 6 grid steps
+        for dx in (0.3, 6.0):
+            grid = GridSpec(points=points, dx=dx)
+            if kernel.form == "tabulated" and grid.dims == 2:
+                with pytest.raises(ValueError, match="tabulated kernels require a 1-d grid"):
+                    hartree_coupling(kernel, grid)
+                continue
+            mat = dense_hartree(kernel, grid)
+            self.assert_entries_of(hartree_coupling(kernel, grid), mat)
+            if kernel.form == "gaussian" and dx == 6.0 and grid.size == 256:
+                assert 0 < np.count_nonzero(mat) < mat.size
 
     def test_zero_g_stores_nothing(self, grid16):
         assert gross_pitaevskii_coupling(0.0, grid16).vals.size == 0

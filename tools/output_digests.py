@@ -4,7 +4,10 @@
 
 The calls are the full, setup and check invocations of each benchmark
 workload, on the config that ``benchmarks/workloads.make(name, S)`` draws
-(the workload definitions are only read), then a default ``bec`` and
+(the workload definitions are only read); then calls on fixed configs that
+reach every coupling builder (an 8x8 Gaussian Hartree run in both modes and
+``compare --halvings 1``, a 1-d Gross-Pitaevskii run, a contact-kernel
+Hartree run and a 2x8 Navier-Stokes run); then a default ``bec`` and
 ``resources --n-min 1 --n-max 6 --steps 100 --instrument``. Each call runs
 in a fresh process on the nlqsim package under ``--src`` (default: this
 checkout's ``src``). One line is printed per output file, ``sha256  call/file``,
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -32,7 +36,30 @@ sys.path.insert(0, str(ROOT / "benchmarks"))
 
 import workloads  # noqa: E402
 
-#: calls made without a config, after the workloads
+PACKET = {"preset": "gaussian", "center": 0.3, "sigma": 1.0, "kappa": 0.4}
+
+
+def _config(problem: str, points: list[int], **fields) -> dict:
+    return {"problem": problem, "grid": {"points": points, "dx": 0.5, "x0": -2.0},
+            "initial_state": PACKET, "t": 0.4, "eps": 0.1, **fields}
+
+
+#: fixed configs, each with its calls by role, made after the workloads
+FIXED_CALLS = {
+    "hartree-8x8": (
+        _config("hartree", [8, 8], kernel={"form": "gaussian", "sigma": 1.0, "amplitude": 2.0}),
+        {"compiled": ("simulate", "--mode", "compiled"),
+         "direct": ("simulate", "--mode", "direct"),
+         "halvings": ("compare", "--halvings", "1")},
+    ),
+    "gross-pitaevskii": (_config("gross-pitaevskii", [16], g=1.3), {"full": ("simulate",)}),
+    "hartree-contact": (
+        _config("hartree", [16], kernel={"form": "contact", "g": 1.3}), {"full": ("simulate",)},
+    ),
+    "stencil-2x8": (_config("navier-stokes", [2, 8], rho0=1.0), {"full": ("simulate",)}),
+}
+
+#: calls made without a config, after the fixed configs
 EXTRA_CALLS = {
     "bec": ("bec",),
     "resources": ("resources", "--n-min", "1", "--n-max", "6", "--steps", "100",
@@ -51,6 +78,10 @@ def calls(seed: int, work: Path) -> list[tuple[str, tuple[str, ...]]]:
         roles = {"full": load.full, "setup": load.setup, **load.checks}
         for role, call in roles.items():
             out.append((f"{name}.{role}", (*call.argv, "--config", str(config))))
+    for name, (data, roles) in FIXED_CALLS.items():
+        config = work / f"{name}.json"
+        config.write_text(json.dumps(data))
+        out += [(f"{name}.{role}", (*argv, "--config", str(config))) for role, argv in roles.items()]
     out += EXTRA_CALLS.items()
     return out
 
