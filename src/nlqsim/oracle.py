@@ -44,6 +44,10 @@ FIELD_NORM_TOL = 1e-10
 
 PotentialRule = Callable[[np.ndarray], np.ndarray]
 
+#: kinetic prefactor of the condensate code (`gpe2_solve`, `ground_state`):
+#: T = -1/2 d^2/dx^2 = c_T * p^2 with c_T = 1/2
+CONDENSATE_C_T = 0.5
+
 
 @dataclass(frozen=True)
 class FieldState:
@@ -316,9 +320,10 @@ def gpe2_solve(s: TwoModeState, t: float, dt: float) -> TwoModeState:
     """Coupled symmetric split-step evolution of both modes.
 
     The modes are stacked and stepped together by `_split_step` on the Strang
-    row with c_T = 1/2. Both densities are frozen during the joint potential
-    substep (it is phase-only for each mode), so the coupling term is handled
-    exactly within the substep and the scheme stays second order.
+    row with c_T = `CONDENSATE_C_T`. Both densities are frozen during the
+    joint potential substep (it is phase-only for each mode), so the coupling
+    term is handled exactly within the substep and the scheme stays second
+    order.
     """
     w1 = abs(s.alpha) ** 2
     w2 = abs(s.beta) ** 2
@@ -340,7 +345,7 @@ def gpe2_solve(s: TwoModeState, t: float, dt: float) -> TwoModeState:
 
     values = np.stack([s.phi1.values, s.phi2.values])
     p1, p2 = _split_step(
-        values, s.grid, potential, 0.5, t, dt, 100, ("mode 1 ", "mode 2 "), STRANG
+        values, s.grid, potential, CONDENSATE_C_T, t, dt, 100, ("mode 1 ", "mode 2 "), STRANG
     )
     return replace(s, phi1=FieldState(p1, s.grid), phi2=FieldState(p2, s.grid))
 
@@ -352,16 +357,17 @@ class GroundState:
     residual: float
 
 
-def _residual(phi, V, grid, c_T):
+def _residual(phi, V, grid):
     fft, ifft, _, _ = _transforms(grid)
-    h_phi = ifft(c_T * _momentum_sq(grid) * fft(phi)) + V * phi
+    h_phi = ifft(CONDENSATE_C_T * _momentum_sq(grid) * fft(phi)) + V * phi
     mu = float(np.real(np.sum(np.conj(phi) * h_phi) * grid.cell_volume))
     res = float(np.linalg.norm(h_phi - mu * phi) / np.linalg.norm(phi))
     return res, mu
 
 
-def ground_state(V: np.ndarray, grid: GridSpec, c_T: float = 0.5) -> GroundState:
-    """Ground state of T + V, T = c_T*p^2, by one dense diagonalization.
+def ground_state(V: np.ndarray, grid: GridSpec) -> GroundState:
+    """Ground state of T + V, T = c_T*p^2 with c_T = `CONDENSATE_C_T`, by one
+    dense diagonalization.
 
     The kinetic matrix is the transform route applied to every unit vector
     of the grid; its momentum ladder is even, so the matrix is real
@@ -376,13 +382,13 @@ def ground_state(V: np.ndarray, grid: GridSpec, c_T: float = 0.5) -> GroundState
         raise ValueError("potential must be finite")
     fft, ifft, _, _ = _transforms(grid)
     unit = np.eye(grid.size).reshape(grid.size, *grid.points)
-    h = ifft(c_T * _momentum_sq(grid) * fft(unit)).real.reshape(grid.size, grid.size)
+    h = ifft(CONDENSATE_C_T * _momentum_sq(grid) * fft(unit)).real.reshape(grid.size, grid.size)
     h[np.diag_indices(grid.size)] += V.reshape(-1)
     phi = np.linalg.eigh(h)[1][:, 0]
     if phi.sum() < 0:
         phi = -phi
     state = FieldState.from_samples(phi, grid)
-    res, mu = _residual(state.values, V, grid, c_T)
+    res, mu = _residual(state.values, V, grid)
     if not res < 1e-8:
         raise SimulationError(f"ground state residual {res:.3e} is not below 1e-8")
     return GroundState(state, mu, res)

@@ -16,7 +16,9 @@ contact-interaction builder is the nonlocal builder on that kernel.
 Grids are periodic, so every built-in coupling depends only on the wrapped
 offset j - k: a builder samples the row of site 0, shaped like the grid
 (`KernelSpec.grid_samples`, or the Laplacian stencil), and `periodic_coupling`
-expands it into the entries f[k, j] = row[(j - k) mod points].
+computes the entries f[k, j] = row[(j - k) mod points] from that definition:
+each site's columns are the site plus the row's nonzero offsets, wrapped and
+sorted, and each value is read back from the row at column minus site.
 """
 
 from __future__ import annotations
@@ -210,31 +212,23 @@ class KernelSpec:
 
 def periodic_coupling(row: np.ndarray) -> CouplingMatrix:
     """The coupling f[k, j] = row[(j - k) mod points] of a row shaped like
-    its grid, as row-major entries in O(N * nnz(row)); zeros store nothing.
-
-    Site k = (k0, k1) holds offset o at column (k + o) mod points. Per k1 the
-    offsets are sorted once by column in block row k0 = 0; block row k0 adds
-    k0 * m1 and rotates that order to put the offsets with o0 >= m0 - k0,
-    which wrap, first.
+    its grid, as row-major entries; zeros store nothing. Site k's columns are
+    k + o over the row's nonzero offsets o, wrapped per axis and sorted:
+    O(N * nnz * log nnz) for nnz nonzero offsets.
     """
     row = np.asarray(row, dtype=np.float64)
-    m0, m1 = (*row.shape, 1)[:2]
-    size = m0 * m1
-    o0, o1 = np.nonzero(row.reshape(m0, m1))
-    nnz = o0.size
-    # m0 and m1 are powers of two (or CouplingMatrix refuses size), so masks
-    # wrap; per k1, the column of each offset in block row k0 = 0
-    cols = o0 * m1 + ((o1 + np.arange(m1)[:, None]) & (m1 - 1))
-    by_col = np.argsort(cols, axis=1, kind="stable")
-    # doubled along the offsets, so that each rotation is a contiguous run
-    by_col = np.concatenate((by_col, by_col), axis=1)
-    cols = cols[np.arange(m1)[:, None], by_col].reshape(-1)
-    vals = row.reshape(m0, m1)[o0[by_col], o1[by_col]].reshape(-1)
-    k0 = np.arange(m0)[:, None, None]
-    at = np.searchsorted(o0, m0 - k0) + 2 * nnz * np.arange(m1)[:, None] + np.arange(nnz)
-    cols = (k0 * m1 + cols[at]) & (size - 1)
-    rows = np.repeat(np.arange(size), nnz)
-    return CouplingMatrix(size, rows, cols.reshape(-1), vals[at].reshape(-1))
+    points = row.shape
+    # the axes are powers of two (or CouplingMatrix refuses the size), so a
+    # mask wraps an axis and each axis has its own bits of the flat index
+    shifts = [sum(m.bit_length() - 1 for m in points[axis + 1:]) for axis in range(row.ndim)]
+    sites = [k.reshape(-1, 1) for k in np.indices(points)]
+    cols = sum(((k + o) & (m - 1)) << s
+               for k, o, m, s in zip(sites, np.nonzero(row), points, shifts))
+    cols.sort(axis=1, kind="stable")  # 1-d rows are two sorted runs: linear
+    # each entry holds the row's value at its wrapped offset j - k
+    vals = row[tuple(((cols >> s) - k) & (m - 1) for k, m, s in zip(sites, points, shifts))]
+    rows = np.repeat(np.arange(row.size), cols.shape[1])
+    return CouplingMatrix(row.size, rows, cols.reshape(-1), vals.reshape(-1))
 
 
 def hartree_coupling(kernel: KernelSpec, grid: GridSpec) -> CouplingMatrix:

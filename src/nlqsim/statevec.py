@@ -5,7 +5,7 @@ Index layout: with N = 2**n, ``amps[b*N + k]`` holds principal basis state
 branches are the contiguous halves ``amps[:N]`` (`ancilla0`) and ``amps[N:]``
 (`ancilla1`), the two rows of ``amps.reshape(2, N)``. Only this module knows
 the layout; everything else goes through the branch views. A `Register`
-builds both views once, at construction, and its fields are frozen, so
+builds both views once, at construction, and its attributes are frozen, so
 ``amps`` cannot be rebound behind them; the gates act on the views in place.
 
 Every gate implemented here is either phase-only or an amplitude swap, so the
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -39,55 +39,45 @@ import numpy as np
 NORM_TOL = 1e-12
 
 
-@dataclass
 class Register:
     """Amplitudes of an (n+1)-qubit system, ancilla stored as the flat MSB.
 
     `ancilla0` and `ancilla1` are views of the two halves of ``amps``, built
-    once in ``__post_init__``. The fields are frozen, so ``amps`` cannot be
-    rebound behind the views: assigning a field raises
-    ``FrozenInstanceError``, except the self-assignment an in-place operator
-    makes (``r.amps *= c``). The gates update ``amps`` in place. The float64
+    once at construction. The attributes are frozen, so ``amps`` cannot be
+    rebound behind the views: assigning one raises ``FrozenInstanceError``,
+    except the self-assignment an in-place operator makes
+    (``r.amps *= c``). The gates update ``amps`` in place. The float64
     buffer the branch weights are computed in is allocated on first use, by
     `branch_weights` or `apply_nonlinear`, so a register that never needs
-    the weights never holds it.
+    the weights never holds it. Registers compare by identity.
     """
 
-    n: int
-    amps: np.ndarray
-    #: view of the ancilla-|0> branch amplitudes (length 2**n)
-    ancilla0: np.ndarray = field(init=False, repr=False, compare=False)
-    #: view of the ancilla-|1> branch amplitudes (length 2**n)
-    ancilla1: np.ndarray = field(init=False, repr=False, compare=False)
-    #: squared-magnitude buffer (length 2**(n+1)) and its (2, 2**n) row view;
-    #: None until the first weight computation
-    _mags: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, amps: np.ndarray):
+        if n < 1:
             raise ValueError("need at least one principal qubit")
-        amps = np.asarray(self.amps, dtype=np.complex128)
-        if amps.shape != (2 ** (self.n + 1),):
+        amps = np.asarray(amps, dtype=np.complex128)
+        if amps.shape != (2 ** (n + 1),):
             raise ValueError(
-                f"amplitude vector must have length {2 ** (self.n + 1)}, "
-                f"got {amps.shape}"
+                f"amplitude vector must have length {2 ** (n + 1)}, got {amps.shape}"
             )
-        size = 1 << self.n
-        object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "ancilla0", amps[:size])
-        object.__setattr__(self, "ancilla1", amps[size:])
+        size = 1 << n
+        self.n = n
+        self.amps = amps
+        #: views of the ancilla-|0> and ancilla-|1> branch amplitudes (2**n each)
+        self.ancilla0 = amps[:size]
+        self.ancilla1 = amps[size:]
+        #: squared-magnitude buffer (length 2**(n+1)) and its (2, 2**n) row
+        #: view; None until the first weight computation
+        self._mags = None
 
     def __setattr__(self, name, value):
-        # frozen by hand: dataclass(frozen=True) would also refuse the
-        # self-assignment of ``r.amps *= c``
+        # frozen by hand, so the self-assignment of ``r.amps *= c`` passes
         if name in self.__dict__ and not (name == "amps" and value is self.amps):
-            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+            raise FrozenInstanceError(f"cannot assign to attribute {name!r}")
         object.__setattr__(self, name, value)
 
     def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise FrozenInstanceError(f"cannot delete attribute {name!r}")
 
     def __reduce__(self):
         # copies and pickles rebuild the views on the new amplitudes

@@ -637,6 +637,69 @@ class TestCompare:
         assert mutated["l2_error"] > 3.0 * clean["l2_error"]
 
 
+def _scale_potential(monkeypatch):
+    potential = CouplingMatrix.potential
+    monkeypatch.setattr(CouplingMatrix, "potential", lambda f, dens: 1.01 * potential(f, dens))
+
+
+def _scale_momentum_ladder(monkeypatch):
+    ladder = evolution.KineticSpec.axis_momentum_sq
+    monkeypatch.setattr(evolution.KineticSpec, "axis_momentum_sq",
+                        lambda spec: [1.01 * p_sq for p_sq in ladder(spec)])
+
+
+def _negate_angles(monkeypatch):
+    calibrate = nlcompiler.gammas_from_coupling
+
+    def negated(f, eps):
+        s = calibrate(f, eps)
+        return nlcompiler.GammaSchedule(-s.gamma_k, s.pair_k, s.pair_l, -s.gamma_kl)
+
+    monkeypatch.setattr(nlcompiler, "gammas_from_coupling", negated)
+
+
+class TestCompareSeesGatePathFaults:
+    """A fault in a gate-path layer the reference does not share shows in
+    `compare --halvings`: the finest row's l2 error rises at least 5x, or a
+    halving ratio leaves the first-order band. A fault in the kernel row,
+    which both paths sample alike, does not show and is not listed."""
+
+    L2_RATIO_BAND = (1.6, 2.6)
+
+    # the acceptance Hartree config (64 sites, t = 20 * eps)
+    ACCEPTANCE = hartree_config_dict(grid={"points": [64], "dx": 0.25, "x0": -8.0},
+                                     initial_state={"preset": "gaussian", "center": -2.0,
+                                                    "sigma": 1.0, "kappa": -1.0},
+                                     t=1.6, eps=0.08)
+
+    @pytest.mark.parametrize(
+        "fault, payload, halvings",
+        [
+            # measured: ratios 2.00/1.87/1.51, finest l2 error 2.10e-3 -> 2.95e-3
+            (_scale_potential, ACCEPTANCE, 3),
+            # measured: finest l2 error 2.10e-3 -> 2.69e-2
+            (_scale_momentum_ladder, ACCEPTANCE, 3),
+            # measured on 16 sites: finest l2 error 5.8e-3 -> 0.22
+            (_negate_angles, hartree_config_dict(mode="compiled"), 1),
+        ],
+        ids=["potential", "momentum-ladder", "compiled-angles"],
+    )
+    def test_fault_shows(self, tmp_path, monkeypatch, fault, payload, halvings):
+        cfg = config_from_dict(payload)
+        lo, hi = self.L2_RATIO_BAND
+
+        def run(name):
+            rows = cli.run_compare(cfg, str(tmp_path / name), halvings=halvings)["comparisons"]
+            return [row["l2_ratio"] for row in rows[:-1]], rows[-1]["l2_error"]
+
+        ratios, finest = run("clean")
+        assert all(lo <= ratio <= hi for ratio in ratios)
+        fault(monkeypatch)
+        faulty_ratios, faulty_finest = run("faulty")
+        assert (faulty_finest >= 5.0 * finest
+                or not all(lo <= ratio <= hi for ratio in faulty_ratios))
+
+
 class TestResources:
     def test_table_and_instrumented(self, tmp_path):
         rc = cli.main([

@@ -8,6 +8,7 @@ from nlqsim.cli import instrumented_counts
 from nlqsim.nlcompiler import (
     GATES,
     CouplingMatrix,
+    GammaSchedule,
     GateCounts,
     GateSequence,
     apply_w_direct,
@@ -399,6 +400,43 @@ class TestOrderIndependence:
 
 def _dispatch(r, op):
     execute(GateSequence(r.n, (op,)), r)
+
+
+class TestBlockClosedForm:
+    """One block of angle g on a clean register, global phase included: with
+    P the weight of the block's indices B before it, every amplitude gains
+    exp(i*g*(1 - P)), the indices in B a further exp(2i*g*P), and the
+    ancilla-|1> branch ends at exactly zero."""
+
+    @staticmethod
+    def run_block(rng, n, single):
+        dim = 2**n
+        g = float(rng.uniform(-3.0, 3.0))
+        gamma_k = np.zeros(dim)
+        if single:
+            block = [int(rng.integers(dim))]
+            gamma_k[block] = g
+            schedule = GammaSchedule(gamma_k, np.empty(0, int), np.empty(0, int), np.empty(0))
+        else:
+            block = sorted(rng.choice(dim, 2, replace=False).tolist())
+            k, l = np.array(block).reshape(2, 1)
+            schedule = GammaSchedule(gamma_k, k, l, np.array([g]))
+        (ops,) = schedule_blocks(schedule)
+        r = random_register(rng, n)
+        a = r.ancilla0.copy()
+        weight = float(np.sum(np.abs(a[block]) ** 2))
+        expected = a * np.exp(1j * g * (1.0 - weight))
+        expected[block] *= np.exp(2j * g * weight)
+        execute(GateSequence(n, ops), r)
+        return r, expected
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("single", [True, False], ids=["single", "pair"])
+    def test_block_phases(self, rng, n, single):
+        for _ in range(25):
+            r, expected = self.run_block(rng, n, single)
+            assert np.max(np.abs(r.ancilla0 - expected)) <= 1e-13
+            assert not r.ancilla1.any()
 
 
 class TestResources:

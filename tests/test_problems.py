@@ -17,6 +17,7 @@ from nlqsim.problems import (
     gross_pitaevskii_coupling,
     hartree_coupling,
     navier_stokes_coupling,
+    periodic_coupling,
     plane_wave_amplitudes,
     uniform_amplitudes,
 )
@@ -338,6 +339,36 @@ class TestTripletBuilders:
 
     def test_zero_g_stores_nothing(self, grid16):
         assert gross_pitaevskii_coupling(0.0, grid16).vals.size == 0
+
+
+class TestPeriodicCoupling:
+    """`periodic_coupling` against its definition, evaluated pairwise: the
+    nonzero entries of the dense f[k, j] = row[(j - k) mod points]."""
+
+    GRIDS = [(2,), (4,), (16,), (64,), (2, 2), (2, 8), (8, 2), (4, 16), (16, 16), (32, 32)]
+
+    @staticmethod
+    def pairwise(row):
+        coords = np.indices(row.shape).reshape(row.ndim, -1)
+        offsets = tuple(np.subtract.outer(c, c).T % m for c, m in zip(coords, row.shape))
+        f = row[offsets]
+        rows, cols = np.nonzero(f)
+        return rows, cols, f[rows, cols]
+
+    @staticmethod
+    def random_even_row(rng, points, fill):
+        row = rng.normal(size=points) * (rng.random(points) < fill)
+        # row + its reflection d -> -d mod points is exactly even
+        return row + np.roll(np.flip(row), 1, axis=tuple(range(len(points))))
+
+    @pytest.mark.parametrize("points", GRIDS)
+    def test_matches_pairwise_definition(self, rng, points):
+        rows = [np.zeros(points)]
+        rows += [self.random_even_row(rng, points, fill) for fill in (0.05, 0.3, 1.0) * 4]
+        for row in rows:
+            f = periodic_coupling(row)
+            for got, want in zip((f.rows, f.cols, f.vals), self.pairwise(row)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestMadelung:

@@ -142,6 +142,10 @@ class TestFixedViews:
         with pytest.raises(dataclasses.FrozenInstanceError):
             del r.amps
 
+    def test_registers_compare_by_identity(self, rng):
+        r = random_register(rng, 3)
+        assert r == r and r != r.copy()
+
     def test_in_place_operator_on_amps_is_allowed(self, rng):
         r = random_register(rng, 3)
         amps = r.amps
