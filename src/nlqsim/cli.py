@@ -357,7 +357,7 @@ def build_oracle_potential(cfg: ExperimentConfig):
     if cfg.problem == "hartree":
         return oracle.kernel_potential(cfg.kernel, cfg.grid)
     if cfg.problem == "gross-pitaevskii":
-        return oracle.kernel_potential(KernelSpec.contact(cfg.g), cfg.grid)
+        return oracle.kernel_potential(KernelSpec("contact", g=cfg.g), cfg.grid)
     if cfg.problem == "navier-stokes":
         return oracle.laplacian_potential(cfg.rho0, cfg.grid)
     return oracle.coupling_potential(cfg.coupling_csv, cfg.grid)

@@ -474,10 +474,17 @@ def field_from_csv(path, grid: GridSpec) -> FieldState:
         for row in reader:
             if not row:
                 continue
+            where = f"{path}: line {reader.line_num}"
             if len(row) != len(header):
-                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} fields, "
-                                 f"header has {len(header)}")
-            values.append(complex(float(row[ncoord]), float(row[ncoord + 1])))
+                raise ValueError(f"{where} has {len(row)} fields, header has {len(header)}")
+            try:
+                value = complex(float(row[ncoord]), float(row[ncoord + 1]))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+            if not np.isfinite(value):
+                raise ValueError(f"{where}: sample must be finite, got re {value.real}, "
+                                 f"im {value.imag}")
+            values.append(value)
     if len(values) != grid.size:
         raise ValueError(f"{path}: expected {grid.size} samples, got {len(values)}")
     return FieldState.from_samples(np.array(values), grid)

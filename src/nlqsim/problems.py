@@ -84,10 +84,6 @@ class GridSpec:
         return math.prod(self.points)  # exact: np.prod wraps around for huge grids
 
     @property
-    def n_qubits(self) -> int:
-        return int(self.size.bit_length() - 1)
-
-    @property
     def cell_volume(self) -> float:
         return self.dx**self.dims
 
@@ -158,35 +154,10 @@ class KernelSpec:
             raise ValueError("gaussian kernel needs sigma > 0")
 
     @classmethod
-    def constant(cls, c: float) -> "KernelSpec":
-        return cls("constant", c=c)
-
-    @classmethod
     def gaussian(cls, sigma: float, amplitude: float) -> "KernelSpec":
+        """The per-layer sweep's kernel (benchmarks/sweep.py); everything
+        else builds a kernel with the constructor."""
         return cls("gaussian", sigma=sigma, amplitude=amplitude)
-
-    @classmethod
-    def contact(cls, g: float) -> "KernelSpec":
-        return cls("contact", g=g)
-
-    @classmethod
-    def tabulated(cls, samples) -> "KernelSpec":
-        """Samples for separations d = 0, 1, 2, ...; even extension implied."""
-        return cls("tabulated", samples=samples)
-
-    @classmethod
-    def tabulated_signed(cls, samples) -> "KernelSpec":
-        """Samples covering d = -D..D (odd length, centered on d = 0)."""
-        return cls("tabulated", samples_signed=samples)
-
-    def radial(self, r: np.ndarray) -> np.ndarray:
-        """Evaluate an analytic kernel at physical distances r."""
-        r = np.asarray(r, dtype=np.float64)
-        if self.form == "constant":
-            return np.full_like(r, self.c)
-        if self.form == "gaussian":
-            return self.amplitude * np.exp(-(r**2) / (2.0 * self.sigma**2))
-        raise ValueError(f"kernel form {self.form!r} has no radial evaluation")
 
     def grid_samples(self, grid: GridSpec) -> np.ndarray:
         """Phi at the minimal-image separation of every site from site 0,
@@ -207,7 +178,10 @@ class KernelSpec:
                 )
             return np.asarray(self.samples)[deltas[0]]
         dsq = reduce(np.add.outer, [d**2 for d in deltas])
-        return self.radial(np.sqrt(dsq) * grid.dx)
+        r = np.sqrt(dsq) * grid.dx
+        if self.form == "constant":
+            return np.full_like(r, self.c)
+        return self.amplitude * np.exp(-(r**2) / (2.0 * self.sigma**2))
 
 
 def periodic_coupling(row: np.ndarray) -> CouplingMatrix:
@@ -248,7 +222,7 @@ def gross_pitaevskii_coupling(g: float, grid: GridSpec) -> CouplingMatrix:
     This is V_k = g * rho_k written in amplitude variables, the point-like
     limit of the nonlocal interaction. A zero g stores no entries.
     """
-    return hartree_coupling(KernelSpec.contact(g), grid)
+    return hartree_coupling(KernelSpec("contact", g=g), grid)
 
 
 def navier_stokes_coupling(rho0: float, grid: GridSpec) -> CouplingMatrix:
@@ -350,9 +324,15 @@ def coupling_from_triplet_csv(path, dim: int) -> CouplingMatrix:
         for row in reader:
             if not row:
                 continue
+            where = f"{path}: line {reader.line_num}"
             if len(row) < 3:
-                raise ValueError(f"{path}: line {reader.line_num} needs k,j,f, got {row!r}")
-            k, j, v = int(row[0]), int(row[1]), float(row[2])
+                raise ValueError(f"{where} needs k,j,f, got {row!r}")
+            try:
+                k, j, v = int(row[0]), int(row[1]), float(row[2])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+            if not math.isfinite(v):
+                raise ValueError(f"{where}: f must be finite, got {v}")
             if not (0 <= k < dim and 0 <= j < dim):
                 raise ValueError(f"{path}: index ({k},{j}) out of range for dim {dim}")
             entries[k, j] = entries[j, k] = v

@@ -7,6 +7,7 @@ path calls them.
   MadelungFields, madelung_fields - hydrodynamic fields of a register
   coupling_to_triplet_csv - writes a coupling as the triplet CSV that
       `problems.coupling_from_triplet_csv` reads
+  radial_kernel - an analytic kernel at given distances, from its fields
   dense_hartree - the Hartree coupling filled pair by pair as a dense array
   convergence_ratios - step-halving ratios of the split-step reference
   fake_cpus - a CPU count for the trajectory writer, recording its forks
@@ -148,6 +149,17 @@ def squared_separations(points: tuple[int, ...]) -> np.ndarray:
     return sep
 
 
+def radial_kernel(kernel: KernelSpec, r: np.ndarray) -> np.ndarray:
+    """The constant or Gaussian kernel at distances r, written out from the
+    spec's fields: c, or amplitude * exp(-r**2 / (2 sigma**2)). The
+    arithmetic is the program's, so the couplings compare bit for bit."""
+    if kernel.form == "constant":
+        return np.full_like(r, kernel.c)
+    if kernel.form == "gaussian":
+        return kernel.amplitude * np.exp(-(r**2) / (2.0 * kernel.sigma**2))
+    raise ValueError(f"no radial formula for the {kernel.form} kernel")
+
+
 def dense_hartree(kernel: KernelSpec, grid: GridSpec) -> np.ndarray:
     """The Hartree coupling as a dense array, filled pair by pair: Phi at the
     minimal-image distance of the two sites. A tabulated kernel reads its table
@@ -158,7 +170,7 @@ def dense_hartree(kernel: KernelSpec, grid: GridSpec) -> np.ndarray:
         return np.where(sep == 0, kernel.g / grid.cell_volume, 0.0)
     if kernel.form == "tabulated":
         return np.asarray(kernel.samples)[np.sqrt(sep).astype(np.int64)]
-    return kernel.radial(np.sqrt(sep) * grid.dx)
+    return radial_kernel(kernel, np.sqrt(sep) * grid.dx)
 
 
 def convergence_ratios(

@@ -64,7 +64,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 # --- shared Hartree benchmark configuration (6 qubits, 64 sites) -----------
 
 HARTREE_GRID = GridSpec(points=(64,), dx=0.25, x0=-8.0)
-HARTREE_KERNEL = KernelSpec.gaussian(1.0, 2.0)
+HARTREE_KERNEL = KernelSpec("gaussian", sigma=1.0, amplitude=2.0)
 HARTREE_CT = 1.0
 HARTREE_T = 1.6
 
@@ -233,7 +233,7 @@ class TestCriterion5:
     def test_contact_limit_and_frozen_density(self):
         grid = GridSpec(points=(64,), dx=0.25, x0=-8.0)
         g = 1.3
-        via_kernel = hartree_coupling(KernelSpec.contact(g), grid)
+        via_kernel = hartree_coupling(KernelSpec("contact", g=g), grid)
         direct = gross_pitaevskii_coupling(g, grid)
         identical = np.array_equal(via_kernel.dense, direct.dense)
 
@@ -313,7 +313,7 @@ class TestCriterion8:
         phi0 = FieldState.from_samples(
             gaussian_packet(grid, center=-1.0, sigma=1.2, kappa=0.8), grid
         )
-        rule = kernel_potential(KernelSpec.gaussian(1.0, 3.0), grid)
+        rule = kernel_potential(KernelSpec("gaussian", sigma=1.0, amplitude=3.0), grid)
         rr = convergence_ratios(phi0, rule, c_T=1.0, t=0.5,
                                 dts=[0.02, 0.01, 0.005, 0.0025])
         second_order = all(3.4 <= r <= 4.6 for r in rr)

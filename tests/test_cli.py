@@ -244,6 +244,50 @@ class TestSimulate:
         cfg_path = self.write_config(tmp_path, payload)
         assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path)]) == 0
 
+    def test_mode_override_is_echoed(self, tmp_path):
+        cfg_path = self.write_config(tmp_path, hartree_config_dict(t=0.2))
+        argv = ["simulate", "--config", cfg_path, "--out", str(tmp_path), "--mode", "compiled"]
+        assert cli.main(argv) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["config"]["mode"] == "compiled"
+        assert summary["tally"]["total"]["nonlinear"] > 0
+
+    def test_plane_wave_on_a_2d_grid(self, tmp_path):
+        payload = hartree_config_dict(grid={"points": [8, 4], "dx": 0.5}, t=0.0,
+                                      initial_state={"preset": "plane-wave", "mode": 1})
+        cfg_path = self.write_config(tmp_path, payload)
+        assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "trajectory.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        amps = np.array([complex(float(r["re"]), float(r["im"])) for r in rows]).reshape(8, 4)
+        assert np.max(np.abs(np.abs(amps) - 1 / np.sqrt(32))) < 1e-15
+        # the phase varies along axis 0 only
+        assert np.array_equal(amps, np.repeat(amps[:, :1], 4, axis=1))
+        assert len(set(amps[:, 0].tolist())) == 8
+
+    @pytest.mark.parametrize("kind", ["coupling", "field"])
+    def test_blank_lines_are_skipped(self, tmp_path, kind):
+        from nlqsim.problems import navier_stokes_coupling
+
+        grid = GridSpec(points=(8,), dx=0.5)
+        support.coupling_to_triplet_csv(navier_stokes_coupling(1.0, grid), tmp_path / "f.csv")
+        field = "x,re,im\n" + "".join(f"{x},{1 + x},{-x}\n" for x in range(8))
+        (tmp_path / "state.csv").write_text(field)
+        name = "f.csv" if kind == "coupling" else "state.csv"
+        text = (tmp_path / name).read_text()
+        (tmp_path / ("blank-" + name)).write_text(text.replace("\n", "\n\n"))
+        trajectories = []
+        for prefix in ("", "blank-"):
+            names = {"coupling": "f.csv", "field": "state.csv", kind: prefix + name}
+            payload = {"problem": "custom-f", "grid": {"points": [8], "dx": 0.5},
+                       "coupling_csv": names["coupling"], "t": 0.2, "eps": 0.05,
+                       "initial_state": {"preset": "file", "path": names["field"]}}
+            out = tmp_path / f"out-{prefix}"
+            cfg_path = self.write_config(tmp_path, payload)
+            assert cli.main(["simulate", "--config", cfg_path, "--out", str(out)]) == 0
+            trajectories.append((out / "trajectory.csv").read_bytes())
+        assert trajectories[0] == trajectories[1]
+
 
 def stencil_config_dict(points, steps):
     eps = 0.002
@@ -849,6 +893,56 @@ class TestBadPhysics:
         err = capsys.readouterr().err.splitlines()
         assert rc == 2
         assert err == ["config error: eps must be finite, got nan"]
+
+
+class TestBadInputFile:
+    """A malformed coupling or field file exits 2 with one line that names
+    the file, and the line of a malformed row."""
+
+    FILES = {
+        "f.csv": ("custom-f", {"coupling_csv": "f.csv"}),
+        "state.csv": ("hartree", {"initial_state": {"preset": "file", "path": "state.csv"}}),
+    }
+
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("f.csv", "k,j,f\n0,0,1.0\n3,99,0.5\n", "index (3,99) out of range for dim 16"),
+            ("f.csv", "k,j,f\n0,0,1.0\n0,x,0.5\n",
+             "line 3: invalid literal for int() with base 10: 'x'"),
+            ("f.csv", "k,j,f\n0,0,1.0\n1,2,nan\n", "line 3: f must be finite, got nan"),
+            ("f.csv", "k,j,f\n1,2,-inf\n", "line 2: f must be finite, got -inf"),
+            ("state.csv", "", "empty field file"),
+            ("state.csv", "x,re,im\n0,a,0\n", "line 2: could not convert string to float: 'a'"),
+            ("state.csv", "x,re,im\n0,1,0\n\n1,0,nan\n",
+             "line 4: sample must be finite, got re 0.0, im nan"),
+        ],
+        ids=["triplet-index", "triplet-int", "triplet-nan", "triplet-inf",
+             "field-empty", "field-float", "field-nan"],
+    )
+    def test_exit_2_naming_file_and_line(self, tmp_path, capsys, name, text, message):
+        (tmp_path / name).write_text(text)
+        problem, section = self.FILES[name]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(hartree_config_dict(problem=problem, **section)))
+        rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert one_error_line(capsys) == f"config error: {tmp_path / name}: {message}"
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"initial_state": {"preset": "file"}}, "file preset needs a path"),
+            ({"kernel": {"form": "tabulated", "samples": []}}, "tabulated kernel needs samples"),
+        ],
+        ids=["file-preset-without-path", "empty-kernel-table"],
+    )
+    def test_missing_input_exit_2(self, tmp_path, capsys, payload, message):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(hartree_config_dict(**payload)))
+        rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert one_error_line(capsys) == f"config error: {message}"
 
 
 class TestBec:

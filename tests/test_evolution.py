@@ -198,7 +198,7 @@ class TestPerAxisRoute:
         monkeypatch.setattr(statevec, "dft_principal", lambda r, **kw: calls.append("dft") or r)
         monkeypatch.setattr(statevec, "apply_principal_axes", lambda r, m: calls.append("axes") or r)
         spec = KineticSpec(1.0, GridSpec(points=points, dx=0.1))
-        apply_kinetic(statevec.uniform_state(spec.grid.n_qubits), spec, 0.01)
+        apply_kinetic(statevec.uniform_state(spec.grid.size.bit_length() - 1), spec, 0.01)
         assert calls == (["axes"] if route == "axes" else ["dft", "dft"])
 
     @pytest.mark.parametrize("points", POINTS)
@@ -263,7 +263,7 @@ class TestPerAxisRoute:
     def test_non_finite_phase_is_a_simulation_error(self, rng, points):
         # eps * c_T * p^2 overflows to inf on either route
         spec = KineticSpec(1e308, GridSpec(points=points, dx=0.5))
-        r = random_register(rng, spec.grid.n_qubits)
+        r = random_register(rng, spec.grid.size.bit_length() - 1)
         message = r"^non-finite kinetic phase for step size eps = 0\.1; lower c_T or eps$"
         with np.errstate(all="ignore"), pytest.raises(SimulationError, match=message):
             apply_kinetic(r, spec, 0.1)
@@ -440,7 +440,7 @@ class TestEvolve:
     def test_norm_conservation_long_run(self, rng):
         grid = GridSpec(points=(64,), dx=0.25, x0=-8.0)
         spec = KineticSpec(1.0, grid)
-        f = hartree_coupling(KernelSpec.gaussian(1.0, 2.0), grid)
+        f = hartree_coupling(KernelSpec("gaussian", sigma=1.0, amplitude=2.0), grid)
         r0 = init_from_amplitudes(gaussian_packet(grid, 0.0, 1.0, 0.5))
         result = evolve(r0, f, spec, n_steps_for(100.0, 0.01), 0.01)
         assert result.tally.n_steps == 10**4
@@ -478,7 +478,7 @@ class TestFirstOrderAccuracy:
         """State error against a converged reference is first order in eps."""
         grid = GridSpec(points=(32,), dx=0.5, x0=-8.0)
         spec = KineticSpec(1.0, grid)
-        kernel = KernelSpec.gaussian(1.0, 2.0)
+        kernel = KernelSpec("gaussian", sigma=1.0, amplitude=2.0)
         f = hartree_coupling(kernel, grid)
         a0 = gaussian_packet(grid, center=-1.0, sigma=1.0, kappa=0.6)
         r0 = init_from_amplitudes(a0)
@@ -501,7 +501,7 @@ class TestFirstOrderAccuracy:
     def test_energy_drift_shrinks_with_eps(self, c_T):
         grid = GridSpec(points=(32,), dx=0.5, x0=-8.0)
         spec = KineticSpec(c_T, grid)
-        f = hartree_coupling(KernelSpec.gaussian(1.0, 2.0), grid)
+        f = hartree_coupling(KernelSpec("gaussian", sigma=1.0, amplitude=2.0), grid)
         r0 = init_from_amplitudes(gaussian_packet(grid, -1.0, 1.0, 0.6))
         e0 = observables(r0, spec, f).energy
         drifts = []

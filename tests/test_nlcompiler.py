@@ -139,7 +139,7 @@ class TestGammas:
 
 class TestCompile:
     def test_zero_coupling_empty(self):
-        assert len(compile_w(CouplingMatrix.zeros(2), 0.1)) == 0
+        assert len(compile_w(CouplingMatrix.zeros(2), 0.1).ops) == 0
 
     def test_dense_two_state_counts(self, rng):
         f = CouplingMatrix.from_dense(np.array([[0.3, 0.2], [0.2, -0.1]]))

@@ -29,7 +29,7 @@ from nlqsim.problems import (
     navier_stokes_coupling,
 )
 
-from support import convergence_ratios
+from support import convergence_ratios, radial_kernel, squared_separations
 
 
 @pytest.fixture(scope="module")
@@ -126,13 +126,13 @@ class TestSplitStep:
     def test_contact_uniform_density_frozen(self, grid):
         """Uniform state under a contact kernel only picks up a global phase."""
         phi0 = FieldState.from_samples(np.ones(grid.size), grid)
-        rule = kernel_potential(KernelSpec.contact(2.0), grid)
+        rule = kernel_potential(KernelSpec("contact", g=2.0), grid)
         out = split_step_solve(phi0, rule, c_T=1.0, t=0.5, dt=0.005)
         assert np.max(np.abs(np.abs(out.values) - np.abs(phi0.values))) < 1e-12
 
     def test_second_order_convergence(self, grid):
         phi0 = gaussian_field(grid, center=-1.0, sigma=1.2, kappa=0.8)
-        rule = kernel_potential(KernelSpec.gaussian(1.0, 3.0), grid)
+        rule = kernel_potential(KernelSpec("gaussian", sigma=1.0, amplitude=3.0), grid)
         ratios = convergence_ratios(
             phi0, rule, c_T=1.0, t=0.5, dts=[0.02, 0.01, 0.005, 0.0025]
         )
@@ -142,7 +142,7 @@ class TestSplitStep:
     def test_fourth_order_convergence(self, grid):
         # the field of test_second_order_convergence; measured 16.23, 16.06
         phi0 = gaussian_field(grid, center=-1.0, sigma=1.2, kappa=0.8)
-        rule = kernel_potential(KernelSpec.gaussian(1.0, 3.0), grid)
+        rule = kernel_potential(KernelSpec("gaussian", sigma=1.0, amplitude=3.0), grid)
         ratios = convergence_ratios(
             phi0, rule, c_T=1.0, t=0.5, dts=[0.1, 0.05, 0.025, 0.0125], row=BLANES_MOAN4
         )
@@ -150,7 +150,7 @@ class TestSplitStep:
             assert 12 <= ratio <= 20
 
     def test_kernel_and_coupling_rules_agree(self, grid):
-        kernel = KernelSpec.gaussian(1.5, 2.0)
+        kernel = KernelSpec("gaussian", sigma=1.5, amplitude=2.0)
         k_rule = kernel_potential(kernel, grid)
         f = hartree_coupling(kernel, grid)
         dens = gaussian_field(grid).density()
@@ -158,7 +158,7 @@ class TestSplitStep:
         assert np.max(np.abs(k_rule(dens) - f.dense @ weights)) < 1e-12
 
     def test_contact_kernel_rule_is_g_rho(self, grid):
-        rule = kernel_potential(KernelSpec.contact(1.3), grid)
+        rule = kernel_potential(KernelSpec("contact", g=1.3), grid)
         dens = gaussian_field(grid).density()
         assert np.max(np.abs(rule(dens) - 1.3 * dens)) < 1e-12
 
@@ -247,11 +247,8 @@ def merged_strang_solve(phi0, rule, c_T, t, n):
 
 def complex_fft_convolution(kernel, grid, dens):
     """dV * (Phi circularly convolved with rho), by complex n-d FFTs."""
-    if grid.dims == 1:
-        w = kernel.grid_samples(grid)
-    else:
-        d0, d1 = (np.minimum(d, m - d) for m in grid.points for d in [np.arange(m)])
-        w = kernel.radial(np.sqrt((d0**2)[:, None] + (d1**2)[None, :]) * grid.dx)
+    r = np.sqrt(squared_separations(grid.points)[0].reshape(grid.points)) * grid.dx
+    w = radial_kernel(kernel, r)
     conv = np.fft.ifftn(np.fft.fftn(w) * np.fft.fftn(dens)).real
     return conv * grid.cell_volume
 
@@ -261,7 +258,7 @@ class TestFusedStepper:
     @pytest.mark.parametrize("n", [1, 49, 50, 51])
     def test_matches_unfused_steps(self, grid, n):
         phi0 = packet_field(grid)
-        rule = kernel_potential(KernelSpec.gaussian(1.0, 2.0), grid)
+        rule = kernel_potential(KernelSpec("gaussian", sigma=1.0, amplitude=2.0), grid)
         t = 0.4
         fused = split_step_solve(phi0, rule, 1.0, t, t / n).values
         assert np.max(np.abs(fused - unfused_solve(phi0, rule, 1.0, t, n))) <= 1e-12
@@ -270,7 +267,7 @@ class TestFusedStepper:
     @pytest.mark.parametrize("n", [1, 2, 51])
     def test_row_matches_unfused_composition(self, grid, n):
         phi0 = packet_field(grid)
-        rule = kernel_potential(KernelSpec.gaussian(1.0, 2.0), grid)
+        rule = kernel_potential(KernelSpec("gaussian", sigma=1.0, amplitude=2.0), grid)
         t = 0.4
         fused = split_step_solve(phi0, rule, 0.7, t, t / n, row=BLANES_MOAN4).values
         unfused = unfused_solve(phi0, rule, 0.7, t, n, BLANES_MOAN4)
@@ -280,14 +277,15 @@ class TestFusedStepper:
     @pytest.mark.parametrize("n", [1, 2, 51])
     def test_strang_row_is_bit_identical_to_the_merged_strang_loop(self, grid, n):
         phi0 = packet_field(grid)
-        for rule in (kernel_potential(KernelSpec.gaussian(1.0, 2.0), grid),
+        for rule in (kernel_potential(KernelSpec("gaussian", sigma=1.0, amplitude=2.0), grid),
                      laplacian_potential(1.0, grid)):
             fused = split_step_solve(phi0, rule, 0.7, 0.4, 0.4 / n).values
             assert np.array_equal(fused, merged_strang_solve(phi0, rule, 0.7, 0.4, n))
 
     @pytest.mark.parametrize("grid", GRIDS, ids=["1d", "2d-two-point-axis"])
     @pytest.mark.parametrize(
-        "kernel", [KernelSpec.gaussian(1.0, 2.0), KernelSpec.constant(0.7)],
+        "kernel",
+        [KernelSpec("gaussian", sigma=1.0, amplitude=2.0), KernelSpec("constant", c=0.7)],
         ids=["gaussian", "constant"],
     )
     def test_real_fft_kernel_rule_matches_complex_convolution(self, grid, kernel):
@@ -373,7 +371,7 @@ class TestPhysicsRoutes:
     def test_contact_rule_matches_gross_pitaevskii_coupling(self, points):
         grid = GridSpec(points=points, dx=0.4)
         dens = random_density(grid, 5)
-        got = kernel_potential(KernelSpec.contact(1.7), grid)(dens)
+        got = kernel_potential(KernelSpec("contact", g=1.7), grid)(dens)
         weights = dens.reshape(-1) * grid.cell_volume
         want = (gross_pitaevskii_coupling(1.7, grid).dense @ weights).reshape(grid.points)
         assert np.max(np.abs(got - want)) <= 1e-12

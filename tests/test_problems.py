@@ -22,7 +22,13 @@ from nlqsim.problems import (
     uniform_amplitudes,
 )
 
-from support import coupling_to_triplet_csv, dense_hartree, fidelity, madelung_fields
+from support import (
+    coupling_to_triplet_csv,
+    dense_hartree,
+    fidelity,
+    madelung_fields,
+    radial_kernel,
+)
 
 
 @pytest.fixture
@@ -39,13 +45,11 @@ class TestGridSpec:
     def test_basic_properties(self, grid16):
         assert grid16.dims == 1
         assert grid16.size == 16
-        assert grid16.n_qubits == 4
         assert grid16.coords(0)[0] == -4.0
 
     def test_2d(self, grid8x8):
         assert grid8x8.dims == 2
         assert grid8x8.size == 64
-        assert grid8x8.n_qubits == 6
         assert grid8x8.cell_volume == 0.25
 
     def test_rejects_non_power_of_two(self):
@@ -63,9 +67,11 @@ class TestGridSpec:
     def test_wrapped_deltas(self):
         # a table indexed by separation reads back the minimal-image separation
         # of every site from site 0
-        d = KernelSpec.tabulated([0.0, 1.0, 2.0]).grid_samples(GridSpec(points=(4,), dx=1.0))
+        table = KernelSpec("tabulated", samples=[0.0, 1.0, 2.0])
+        d = table.grid_samples(GridSpec(points=(4,), dx=1.0))
         assert d.tolist() == [0.0, 1.0, 2.0, 1.0]  # site 3 is 1 away, not 3
-        r = KernelSpec.gaussian(1.0, 1.0).grid_samples(GridSpec(points=(4, 2), dx=1.0))
+        gaussian = KernelSpec("gaussian", sigma=1.0, amplitude=1.0)
+        r = gaussian.grid_samples(GridSpec(points=(4, 2), dx=1.0))
         assert r.shape == (4, 2)
         assert r[1, 0] == r[3, 0] == r[0, 1]
         assert r[3, 1] == r[1, 1] < r[1, 0]
@@ -73,32 +79,32 @@ class TestGridSpec:
 
 class TestKernelSpec:
     def test_constant(self, grid16):
-        f = hartree_coupling(KernelSpec.constant(2.0), grid16)
+        f = hartree_coupling(KernelSpec("constant", c=2.0), grid16)
         assert np.all(f.dense == 2.0)
 
     def test_gaussian_even_by_distance(self, grid16):
-        f = hartree_coupling(KernelSpec.gaussian(1.0, 3.0), grid16).dense
+        f = hartree_coupling(KernelSpec("gaussian", sigma=1.0, amplitude=3.0), grid16).dense
         assert f[0, 1] == f[1, 0]
         assert f[0, 1] == f[0, 15]  # wrap
         assert f[0, 0] == 3.0
 
     def test_tabulated_lookup(self, grid16):
         samples = [5.0, 3.0, 2.0, 1.0, 0.5, 0.25, 0.1, 0.05, 0.01]
-        f = hartree_coupling(KernelSpec.tabulated(samples), grid16).dense
+        f = hartree_coupling(KernelSpec("tabulated", samples=samples), grid16).dense
         assert f[0, 0] == 5.0
         assert f[0, 3] == 1.0
         assert f[0, 15] == 3.0  # separation 1 via wrap
 
     def test_tabulated_too_short(self, grid16):
         with pytest.raises(ValueError, match="covers separations"):
-            hartree_coupling(KernelSpec.tabulated([1.0, 0.5]), grid16)
+            hartree_coupling(KernelSpec("tabulated", samples=[1.0, 0.5]), grid16)
 
     def test_signed_table_not_even(self):
         with pytest.raises(ValueError, match="kernel not even"):
-            KernelSpec.tabulated_signed([1.0, 2.0, 3.0, 2.5, 1.0])
+            KernelSpec("tabulated", samples_signed=[1.0, 2.0, 3.0, 2.5, 1.0])
 
     def test_signed_table_folds(self):
-        k = KernelSpec.tabulated_signed([1.0, 2.0, 3.0, 2.0, 1.0])
+        k = KernelSpec("tabulated", samples_signed=[1.0, 2.0, 3.0, 2.0, 1.0])
         assert k.samples == (3.0, 2.0, 1.0)
 
     @staticmethod
@@ -110,10 +116,10 @@ class TestKernelSpec:
     def test_json_round_trip(self):
         base = self.kernel_config({"form": "contact", "g": 0.0})
         for k in (
-            KernelSpec.constant(1.5),
-            KernelSpec.gaussian(0.7, -2.0),
-            KernelSpec.contact(3.0),
-            KernelSpec.tabulated([1.0, 0.5, 0.25]),
+            KernelSpec("constant", c=1.5),
+            KernelSpec("gaussian", sigma=0.7, amplitude=-2.0),
+            KernelSpec("contact", g=3.0),
+            KernelSpec("tabulated", samples=[1.0, 0.5, 0.25]),
         ):
             echo = json.loads(json.dumps(config_to_dict(replace(base, kernel=k))))
             assert self.kernel_config(echo["kernel"]).kernel == k
@@ -151,23 +157,24 @@ class TestKernelSpec:
             self.kernel_config(payload)
 
     def test_json_integers_accepted(self):
-        assert self.kernel_config({"form": "constant", "c": 2}).kernel == KernelSpec.constant(2.0)
+        kernel = self.kernel_config({"form": "constant", "c": 2}).kernel
+        assert kernel == KernelSpec("constant", c=2.0)
 
 
 class TestHartreeCoupling:
     def test_symmetric_bitwise(self, grid16):
-        f = hartree_coupling(KernelSpec.gaussian(1.3, 0.8), grid16).dense
+        f = hartree_coupling(KernelSpec("gaussian", sigma=1.3, amplitude=0.8), grid16).dense
         assert np.array_equal(f, f.T)
 
     def test_contact_equals_gp_bitwise(self, grid16):
-        via_kernel = hartree_coupling(KernelSpec.contact(1.7), grid16)
+        via_kernel = hartree_coupling(KernelSpec("contact", g=1.7), grid16)
         direct = gross_pitaevskii_coupling(1.7, grid16)
         assert np.array_equal(via_kernel.dense, direct.dense)
 
     def test_convolution_consistency(self, grid16):
         """Matrix route equals FFT circular convolution of the kernel."""
         rng = np.random.default_rng(5)
-        kernel = KernelSpec.gaussian(1.0, 2.0)
+        kernel = KernelSpec("gaussian", sigma=1.0, amplitude=2.0)
         f = hartree_coupling(kernel, grid16).dense
         a = rng.normal(size=16) + 1j * rng.normal(size=16)
         a /= np.linalg.norm(a)
@@ -176,12 +183,12 @@ class TestHartreeCoupling:
 
         m = grid16.points[0]
         d = np.arange(m)
-        w = kernel.radial(np.minimum(d, m - d) * grid16.dx)
+        w = radial_kernel(kernel, np.minimum(d, m - d) * grid16.dx)
         via_fft = np.fft.ifft(np.fft.fft(w) * np.fft.fft(weights)).real
         assert np.max(np.abs(via_matrix - via_fft)) < 1e-12
 
     def test_2d_radial(self, grid8x8):
-        f = hartree_coupling(KernelSpec.gaussian(1.0, 1.0), grid8x8).dense
+        f = hartree_coupling(KernelSpec("gaussian", sigma=1.0, amplitude=1.0), grid8x8).dense
         assert np.array_equal(f, f.T)
         # neighbor along either axis sits at the same distance
         k = 0
@@ -191,7 +198,7 @@ class TestHartreeCoupling:
 
     def test_2d_tabulated_rejected(self, grid8x8):
         with pytest.raises(ValueError, match="1-d"):
-            hartree_coupling(KernelSpec.tabulated([1.0] * 10), grid8x8)
+            hartree_coupling(KernelSpec("tabulated", samples=[1.0] * 10), grid8x8)
 
 
 class TestGrossPitaevskii:
@@ -317,9 +324,9 @@ class TestTripletBuilders:
             self.assert_entries_of(gross_pitaevskii_coupling(g, grid),
                                    dense_gross_pitaevskii(g, grid))
 
-    KERNELS = [KernelSpec.constant(1.5), KernelSpec.gaussian(1.0, 2.0),
-               KernelSpec.contact(1.3), KernelSpec.contact(0.0),
-               KernelSpec.tabulated([1.0 / (1 + d) for d in range(9)])]
+    KERNELS = [KernelSpec("constant", c=1.5), KernelSpec("gaussian", sigma=1.0, amplitude=2.0),
+               KernelSpec("contact", g=1.3), KernelSpec("contact", g=0.0),
+               KernelSpec("tabulated", samples=[1.0 / (1 + d) for d in range(9)])]
 
     @pytest.mark.parametrize("points", GRIDS)
     @pytest.mark.parametrize("kernel", KERNELS,
@@ -441,7 +448,7 @@ class TestTripletCsv:
 
     def test_writes_what_the_dense_loop_wrote(self, tmp_path, grid16):
         for f in (navier_stokes_coupling(0.7, GridSpec((2, 8), 0.5)),
-                  hartree_coupling(KernelSpec.gaussian(1.0, 3.0), grid16)):
+                  hartree_coupling(KernelSpec("gaussian", sigma=1.0, amplitude=3.0), grid16)):
             path = tmp_path / "f.csv"
             coupling_to_triplet_csv(f, path)
             want = tmp_path / "want.csv"
