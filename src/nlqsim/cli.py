@@ -307,8 +307,7 @@ def build_coupling(cfg: ExperimentConfig) -> CouplingMatrix:
         return problems.gross_pitaevskii_coupling(cfg.g, cfg.grid)
     if cfg.problem == "navier-stokes":
         return problems.navier_stokes_coupling(cfg.rho0, cfg.grid)
-    path = cfg.coupling_csv
-    return problems.coupling_from_triplet_csv(path, cfg.grid.size)
+    return problems.coupling_from_triplet_csv(cfg.coupling_csv, cfg.grid.size)
 
 
 def build_problem(cfg: ExperimentConfig) -> tuple[CouplingMatrix, statevec.Register]:

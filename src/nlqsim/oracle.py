@@ -5,18 +5,19 @@ machinery: fields live in physical normalization (sum |phi|^2 dV = 1), and
 the potentials are built from the physics, never through a coupling matrix:
 the nonlocal potential by circular convolution of the kernel with the density
 on real-input FFTs, the contact potential as g*rho pointwise and the
-Navier-Stokes potential from a Laplacian of rolled density grids, and a
-coupling that has no other definition (custom-f) from the oracle's own read
-of its triplet file. Time stepping is a splitting row of alternating
-kinetic and potential substeps, with the last kinetic factor of each step
-merged into the first of the next. One such loop (`_split_step`) steps
-every real-time solve: one field for `split_step_solve`, the two stacked
-modes for `gpe2_solve`. The default row is Strang splitting (half kinetic,
-full potential, half kinetic), second order in dt; `gpe2_solve` steps by
-it, and `split_step_solve` unless given another row. `compare` steps its
-reference by the fourth-order `BLANES_MOAN4` row at the step of the run
-under test, where its own error is negligible against that run's
-first-order error.
+Navier-Stokes potential from a Laplacian of rolled density grids. The one
+exception is a coupling with no other definition (custom-f): its file is the
+problem, so its cells come from `problems.triplet_cells`, the reader the gate
+path uses, and only the potential is accumulated here. Time stepping is a
+splitting row of alternating kinetic and potential substeps, with the last
+kinetic factor of each step merged into the first of the next. One such loop
+(`_split_step`) steps every real-time solve: one field for
+`split_step_solve`, the two stacked modes for `gpe2_solve`. The default row
+is Strang splitting (half kinetic, full potential, half kinetic), second
+order in dt; `gpe2_solve` steps by it, and `split_step_solve` unless given
+another row. `compare` steps its reference by the fourth-order `BLANES_MOAN4`
+row at the step of the run under test, where its own error is negligible
+against that run's first-order error.
 
 Also here: the ground state of a trap, the lowest eigenvector of the dense
 kinetic-plus-trap matrix, and the two-component condensate check that a
@@ -29,7 +30,6 @@ the deviation, which shrinks with coupling strength and time.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .evolution import SimulationError
-from .problems import GridSpec, KernelSpec
+from .problems import GridSpec, KernelSpec, read_csv, triplet_cells
 
 #: physical-normalization tolerance for field states
 FIELD_NORM_TOL = 1e-10
@@ -155,30 +155,10 @@ def laplacian_potential(rho0: float, grid: GridSpec) -> PotentialRule:
 
 def coupling_potential(path, grid: GridSpec) -> PotentialRule:
     """V_k = sum_j f_kj * |a_j|^2 with |a_j|^2 = rho_j * dV, for f given as a
-    triplet CSV (header k,j,f).
-
-    The file is read here, not through the gate path's coupling: each row
-    (k, j, v) sets f_kj = f_jk = v, so for a repeated position the last row
-    wins, and V is accumulated entry by entry with np.add.at.
-    """
-    cells: dict[tuple[int, int], float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["k", "j", "f"]:
-            raise ValueError(f"{path}: expected header k,j,f")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < 3:
-                raise ValueError(f"{path}: line {reader.line_num} needs k,j,f, got {row!r}")
-            k, j = int(row[0]), int(row[1])
-            if not (0 <= k < grid.size and 0 <= j < grid.size):
-                raise ValueError(f"{path}: index ({k},{j}) out of range for {grid.size} sites")
-            cells[k, j] = cells[j, k] = float(row[2])
-    rows = np.array([k for k, _ in cells], dtype=np.intp)
-    cols = np.array([j for _, j in cells], dtype=np.intp)
-    vals = np.array(list(cells.values()), dtype=np.float64)
+    triplet CSV (header k,j,f). The file is the problem, so its cells come
+    from the shared reader (`problems.triplet_cells`), never from the gate
+    path's coupling; V is accumulated here entry by entry with np.add.at."""
+    rows, cols, vals = triplet_cells(path, grid.size)
 
     def rule(density: np.ndarray) -> np.ndarray:
         weights = density.reshape(-1) * grid.cell_volume
@@ -462,29 +442,24 @@ def field_from_csv(path, grid: GridSpec) -> FieldState:
     """Read a field file: a header row (``x,re,im`` in 1-d, ``x0,x1,re,im``
     in 2-d), then one row per grid point in row-major order (the last axis
     fastest), holding the point's coordinates and the real and imaginary
-    parts of its sample. Only the last two columns are read; the values are
-    normalized on load."""
-    values = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty field file")
-        ncoord = len(header) - 2
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}: line {reader.line_num}"
+    parts of its sample. Only the last two columns are read, so the file
+    needs at least two; the values are normalized on load."""
+
+    def sample_parser(header: list[str]):
+        if len(header) < 2:
+            raise ValueError(f"needs at least 2 columns (re,im last), header has {len(header)}")
+
+        def sample(row: list[str]) -> complex:
             if len(row) != len(header):
-                raise ValueError(f"{where} has {len(row)} fields, header has {len(header)}")
-            try:
-                value = complex(float(row[ncoord]), float(row[ncoord + 1]))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from exc
+                raise ValueError(f"row has {len(row)} fields, header has {len(header)}")
+            value = complex(float(row[-2]), float(row[-1]))
             if not np.isfinite(value):
-                raise ValueError(f"{where}: sample must be finite, got re {value.real}, "
-                                 f"im {value.imag}")
-            values.append(value)
+                raise ValueError(f"sample must be finite, got re {value.real}, im {value.imag}")
+            return value
+
+        return sample
+
+    values = read_csv(path, "field", sample_parser)
     if len(values) != grid.size:
         raise ValueError(f"{path}: expected {grid.size} samples, got {len(values)}")
     return FieldState.from_samples(np.array(values), grid)

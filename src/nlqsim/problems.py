@@ -19,6 +19,9 @@ offset j - k: a builder samples the row of site 0, shaped like the grid
 computes the entries f[k, j] = row[(j - k) mod points] from that definition:
 each site's columns are the site plus the row's nonzero offsets, wrapped and
 sorted, and each value is read back from the row at column minus site.
+
+Data files are read here too: `read_csv` is the one CSV reader, and
+`triplet_cells` reads a custom-f coupling for the gate path and the reference.
 """
 
 from __future__ import annotations
@@ -309,34 +312,56 @@ def plane_wave_amplitudes(grid: GridSpec, mode: int) -> np.ndarray:
     return (np.ones(grid.points, dtype=np.complex128) * prof[:, None]).reshape(-1)
 
 
-def coupling_from_triplet_csv(path, dim: int) -> CouplingMatrix:
-    """Read a triplet CSV (header k,j,f); symmetric completion is applied.
-
-    Each row sets both f_kj and f_jk, so for a repeated position the last row
-    wins; positions left at zero (explicit zeros included) store no entry.
-    """
-    entries: dict[tuple[int, int], float] = {}
+def read_csv(path, what: str, row_parser) -> list:
+    """The parsed data rows of a CSV file, in file order, blank rows skipped:
+    ``row_parser(header)`` checks the header and returns the row parser. An
+    empty file, a refused header and a row that does not parse or holds a
+    non-finite value raise one ValueError naming the file and the line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["k", "j", "f"]:
-            raise ValueError(f"{path}: expected header k,j,f")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}: line {reader.line_num}"
-            if len(row) < 3:
-                raise ValueError(f"{where} needs k,j,f, got {row!r}")
-            try:
-                k, j, v = int(row[0]), int(row[1]), float(row[2])
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from exc
-            if not math.isfinite(v):
-                raise ValueError(f"{where}: f must be finite, got {v}")
-            if not (0 <= k < dim and 0 <= j < dim):
-                raise ValueError(f"{path}: index ({k},{j}) out of range for dim {dim}")
-            entries[k, j] = entries[j, k] = v
-    cells = sorted(cell for cell, v in entries.items() if v != 0.0)
-    rows = np.array([k for k, _ in cells], dtype=np.intp)
-    cols = np.array([j for _, j in cells], dtype=np.intp)
-    return CouplingMatrix(dim, rows, cols, np.array([entries[c] for c in cells], dtype=float))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"empty {what} file")
+            parse = row_parser(header)
+            return [parse(row) for row in reader if row]
+        except (ValueError, csv.Error) as exc:
+            line = f" line {reader.line_num}:" if reader.line_num else ""
+            raise ValueError(f"{path}:{line} {exc}") from exc
+
+
+def _triplet_row(row: list[str]) -> tuple[int, int, float]:
+    if len(row) < 3:
+        raise ValueError(f"needs k,j,f, got {row!r}")
+    k, j, v = int(row[0]), int(row[1]), float(row[2])
+    if not math.isfinite(v):
+        raise ValueError(f"f must be finite, got {v}")
+    return k, j, v
+
+
+def _triplet_header(header: list[str]):
+    if [h.strip() for h in header[:3]] != ["k", "j", "f"]:
+        raise ValueError("expected header k,j,f")
+    return _triplet_row
+
+
+def triplet_cells(path, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of a triplet CSV's cells (header k,j,f), in
+    the order they first appear: each row (k, j, v) sets f_kj = f_jk = v, so
+    for a repeated position the last row wins. Explicit zeros are kept."""
+    cells: dict[tuple[int, int], float] = {}
+    for k, j, v in read_csv(path, "triplet", _triplet_header):
+        if not (0 <= k < dim and 0 <= j < dim):
+            raise ValueError(f"{path}: index ({k},{j}) out of range for dim {dim}")
+        cells[k, j] = cells[j, k] = v
+    rows, cols = np.array(list(cells), dtype=np.intp).reshape(-1, 2).T
+    return rows, cols, np.array(list(cells.values()), dtype=np.float64)
+
+
+def coupling_from_triplet_csv(path, dim: int) -> CouplingMatrix:
+    """The coupling of a triplet CSV (`triplet_cells`), sorted by row, then
+    column; positions left at zero (explicit zeros included) store no entry."""
+    rows, cols, vals = triplet_cells(path, dim)
+    keep = np.flatnonzero(vals)
+    order = keep[np.lexsort((cols[keep], rows[keep]))]
+    return CouplingMatrix(dim, rows[order], cols[order], vals[order])

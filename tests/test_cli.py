@@ -904,30 +904,51 @@ class TestBadInputFile:
         "state.csv": ("hartree", {"initial_state": {"preset": "file", "path": "state.csv"}}),
     }
 
-    @pytest.mark.parametrize(
-        "name, text, message",
-        [
-            ("f.csv", "k,j,f\n0,0,1.0\n3,99,0.5\n", "index (3,99) out of range for dim 16"),
-            ("f.csv", "k,j,f\n0,0,1.0\n0,x,0.5\n",
-             "line 3: invalid literal for int() with base 10: 'x'"),
-            ("f.csv", "k,j,f\n0,0,1.0\n1,2,nan\n", "line 3: f must be finite, got nan"),
-            ("f.csv", "k,j,f\n1,2,-inf\n", "line 2: f must be finite, got -inf"),
-            ("state.csv", "", "empty field file"),
-            ("state.csv", "x,re,im\n0,a,0\n", "line 2: could not convert string to float: 'a'"),
-            ("state.csv", "x,re,im\n0,1,0\n\n1,0,nan\n",
-             "line 4: sample must be finite, got re 0.0, im nan"),
-        ],
-        ids=["triplet-index", "triplet-int", "triplet-nan", "triplet-inf",
-             "field-empty", "field-float", "field-nan"],
-    )
+    # name: (file, text, message after "config error: <file>: ")
+    CASES = {
+        "triplet-index": ("f.csv", "k,j,f\n0,0,1.0\n3,99,0.5\n",
+                          "index (3,99) out of range for dim 16"),
+        "triplet-int": ("f.csv", "k,j,f\n0,0,1.0\n0,x,0.5\n",
+                        "line 3: invalid literal for int() with base 10: 'x'"),
+        "triplet-nan": ("f.csv", "k,j,f\n0,0,1.0\n1,2,nan\n", "line 3: f must be finite, got nan"),
+        "triplet-inf": ("f.csv", "k,j,f\n1,2,-inf\n", "line 2: f must be finite, got -inf"),
+        # the csv module's own error is named like a parse error
+        "triplet-long-field": ("f.csv", "k,j,f\n0,0,1" + "0" * csv.field_size_limit() + "\n",
+                               f"line 2: field larger than field limit ({csv.field_size_limit()})"),
+        "field-empty": ("state.csv", "", "empty field file"),
+        "field-float": ("state.csv", "x,re,im\n0,a,0\n",
+                        "line 2: could not convert string to float: 'a'"),
+        "field-nan": ("state.csv", "x,re,im\n0,1,0\n\n1,0,nan\n",
+                      "line 4: sample must be finite, got re 0.0, im nan"),
+        # a single column is not read as both re and im
+        "field-one-column": ("state.csv", "re\n" + "".join(f"{i}\n" for i in range(1, 17)),
+                             "line 1: needs at least 2 columns (re,im last), header has 1"),
+    }
+
+    @pytest.mark.parametrize("name, text, message", CASES.values(), ids=list(CASES))
     def test_exit_2_naming_file_and_line(self, tmp_path, capsys, name, text, message):
         (tmp_path / name).write_text(text)
         problem, section = self.FILES[name]
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(hartree_config_dict(problem=problem, **section)))
-        rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-        assert rc == 2
-        assert one_error_line(capsys) == f"config error: {tmp_path / name}: {message}"
+        for command in ("simulate", "compare"):
+            rc = cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / command)])
+            assert rc == 2
+            assert one_error_line(capsys) == f"config error: {tmp_path / name}: {message}"
+
+    @pytest.mark.parametrize("case", [case for case in CASES if case.startswith("triplet")])
+    def test_reference_refuses_triplets_alike(self, tmp_path, case):
+        """The custom-f reference reads its file through the same reader as
+        the gate path, so it refuses each bad file with the same text."""
+        name, text, message = self.CASES[case]
+        path = tmp_path / name
+        path.write_text(text)
+        grid = GridSpec(points=(16,), dx=0.5)
+        with pytest.raises(ValueError) as gate:
+            problems.coupling_from_triplet_csv(path, grid.size)
+        with pytest.raises(ValueError) as reference:
+            oracle.coupling_potential(path, grid)
+        assert str(reference.value) == str(gate.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize(
         "payload, message",

@@ -7,11 +7,20 @@ workload, on the config that ``benchmarks/workloads.make(name, S)`` draws
 (the workload definitions are only read); then calls on fixed configs that
 reach every coupling builder (an 8x8 Gaussian Hartree run in both modes and
 ``compare --halvings 1``, a 1-d Gross-Pitaevskii run, a contact-kernel
-Hartree run and a 2x8 Navier-Stokes run); then a default ``bec`` and
-``resources --n-min 1 --n-max 6 --steps 100 --instrument``. Each call runs
-in a fresh process on the nlqsim package under ``--src`` (default: this
-checkout's ``src``). One line is printed per output file, ``sha256  call/file``,
-so two checkouts produce the same outputs exactly when the printouts of
+Hartree run and a 2x8 Navier-Stokes run) and both data-file readers (a
+16-site ``custom-f`` triplet file with a repeated position, an explicit zero
+and a blank line, run in both modes and by ``compare --halvings 1``, and
+``file``-preset runs on a 1-d ``x,re,im`` and a 2-d ``x0,x1,re,im`` field
+file); then a default ``bec`` and
+``resources --n-min 1 --n-max 6 --steps 100 --instrument``. The data files
+are written into the tool's work directory. A config echoes their resolved
+paths, so that directory's path is replaced by ``<work>`` in every output
+before it is hashed.
+
+Each call runs in a fresh process on the nlqsim package under ``--src``
+(default: this checkout's ``src``). One line is printed per output file,
+``sha256  call/file``, so two checkouts produce the same outputs exactly
+when the printouts of
 
     python3 tools/output_digests.py --seed S --src OLD/src > old.txt
     python3 tools/output_digests.py --seed S --src NEW/src > new.txt
@@ -44,6 +53,23 @@ def _config(problem: str, points: list[int], **fields) -> dict:
             "initial_state": PACKET, "t": 0.4, "eps": 0.1, **fields}
 
 
+#: data files the fixed configs read, written into the work directory
+DATA_FILES = {
+    # a ring: diagonal 1.5 and neighbours -0.5, with (0,1) set again (the last
+    # row wins) and (2,3) cleared by an explicit zero after a blank line
+    "ring-16.csv": "\n".join(
+        ["k,j,f"] + [f"{k},{k},1.5" for k in range(16)]
+        + [f"{k},{(k + 1) % 16},-0.5" for k in range(16)] + ["", "1,0,0.75", "3,2,0"]
+    ) + "\n",
+    "field-1d.csv": "x,re,im\n" + "".join(
+        f"{-2.0 + 0.5 * k},{1 + k % 5},{k % 3 - 1}\n" for k in range(16)
+    ),
+    "field-2d.csv": "x0,x1,re,im\n" + "".join(
+        f"{-2.0 + 0.5 * a},{-2.0 + 0.5 * b},{1 + (a + 2 * b) % 5},{(a - b) % 3 - 1}\n"
+        for a in range(4) for b in range(4)
+    ),
+}
+
 #: fixed configs, each with its calls by role, made after the workloads
 FIXED_CALLS = {
     "hartree-8x8": (
@@ -57,6 +83,22 @@ FIXED_CALLS = {
         _config("hartree", [16], kernel={"form": "contact", "g": 1.3}), {"full": ("simulate",)},
     ),
     "stencil-2x8": (_config("navier-stokes", [2, 8], rho0=1.0), {"full": ("simulate",)}),
+    "custom-f-16": (
+        _config("custom-f", [16], coupling_csv="ring-16.csv"),
+        {"compiled": ("simulate", "--mode", "compiled"),
+         "direct": ("simulate", "--mode", "direct"),
+         "halvings": ("compare", "--halvings", "1")},
+    ),
+    "field-file-1d": (
+        _config("gross-pitaevskii", [16], g=1.3,
+                initial_state={"preset": "file", "path": "field-1d.csv"}),
+        {"full": ("simulate",)},
+    ),
+    "field-file-2d": (
+        _config("hartree", [4, 4], kernel={"form": "gaussian", "sigma": 1.0, "amplitude": 2.0},
+                initial_state={"preset": "file", "path": "field-2d.csv"}),
+        {"full": ("simulate",)},
+    ),
 }
 
 #: calls made without a config, after the fixed configs
@@ -78,6 +120,8 @@ def calls(seed: int, work: Path) -> list[tuple[str, tuple[str, ...]]]:
         roles = {"full": load.full, "setup": load.setup, **load.checks}
         for role, call in roles.items():
             out.append((f"{name}.{role}", (*call.argv, "--config", str(config))))
+    for name, text in DATA_FILES.items():
+        (work / name).write_text(text)
     for name, (data, roles) in FIXED_CALLS.items():
         config = work / f"{name}.json"
         config.write_text(json.dumps(data))
@@ -105,7 +149,10 @@ def main() -> int:
                 sys.stderr.write(f"{label} exited {proc.returncode}:\n{proc.stderr}")
                 return 1
             for path in sorted(out.iterdir()):
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                # a config echoes its data files' resolved paths, which name
+                # this run's work directory
+                data = path.read_bytes().replace(str(work).encode(), b"<work>")
+                digest = hashlib.sha256(data).hexdigest()
                 print(f"{digest}  {label}/{path.name}")
     return 0
 
