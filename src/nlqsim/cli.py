@@ -13,8 +13,12 @@ Subcommands:
 Configs are read and checked in one place, config_from_dict: every section
 accepts only its dataclass's fields (KernelSpec then refuses the keys of
 other kernel forms), reals must be finite JSON numbers and integers JSON
-integers within their bounds. config_to_dict echoes those fields, and the
---eps/--steps/--mode overrides re-enter config_from_dict.
+integers within their bounds. config_to_dict echoes those fields, data-file
+paths as written, and the --eps/--steps/--mode overrides re-enter
+config_from_dict. The directory the data files are read against, the config
+file's, is the field ExperimentConfig.base_dir, which no config may name
+and no echo holds, so the outputs of a fixed config do not depend on where
+it lies.
 
 Every run is capped at MAX_STEPS steps: the gate-path steps of a
 simulate/compare config (checked by config_from_dict), and for a compare run
@@ -126,6 +130,8 @@ class ExperimentConfig:
     oracle_dt: float | None = None
     record_stride: int = 0
     basic_c: int = 1
+    #: directory the data-file paths are read against; not a config key
+    base_dir: str = "."
 
     @property
     def kinetic_prefactor(self) -> float:
@@ -140,10 +146,18 @@ class ExperimentConfig:
         continued from each row's final time to the next."""
         return eps if self.oracle_dt is None else self.oracle_dt
 
+    def data_path(self, ref: str) -> str:
+        """A data-file path as written in the config, read against base_dir
+        (an absolute path stays as it is)."""
+        return os.path.join(self.base_dir, ref)
+
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """The JSON object that config_from_dict reads back to cfg (None fields left out)."""
-    return asdict(cfg, dict_factory=lambda kv: {k: v for k, v in kv if v is not None})
+    """The JSON object that config_from_dict reads back to cfg, given the same
+    base_dir (None fields left out; data-file paths as written)."""
+    d = asdict(cfg, dict_factory=lambda kv: {k: v for k, v in kv if v is not None})
+    del d["base_dir"]
+    return d
 
 
 def _real(key: str, value) -> float:
@@ -192,6 +206,12 @@ def _string(key: str, value, choices: tuple[str, ...] | None = None) -> str:
     return value
 
 
+def _not_a_key(key: str, value):
+    """The parser of a field that config_from_dict sets itself."""
+    raise ConfigError(f"{key} is not a config key: data files are read against "
+                      "the config file's directory")
+
+
 def _parse(name: str, d, cls, parsers: dict):
     """The cls built from the config object d, each key checked by its parser."""
     if not isinstance(d, dict):
@@ -223,6 +243,7 @@ _CONFIG = {
     "kernel": partial(_parse, cls=KernelSpec, parsers=_KERNEL),
     "coupling_csv": _string, "mode": partial(_string, choices=evolution.MODES),
     "record_stride": partial(_integer, lower=0), "basic_c": partial(_integer, lower=1),
+    "base_dir": _not_a_key,
     **dict.fromkeys(("t", "eps", "g", "rho0", "c_T", "oracle_dt"), _real),
 }
 
@@ -231,7 +252,8 @@ def config_from_dict(d: dict, base_dir: str = ".") -> ExperimentConfig:
     """The one reader of a simulate/compare config. Unknown keys, wrong JSON
     types, non-finite reals and out-of-range values raise ConfigError.
     Top-level reals become floats; initial-state values are kept as given.
-    Referenced files are resolved against base_dir and must exist."""
+    Data-file paths are kept as written; read against base_dir, they must
+    name files that exist."""
     try:
         cfg = _parse("config", d, ExperimentConfig, _CONFIG)
     except ConfigError:
@@ -251,19 +273,11 @@ def config_from_dict(d: dict, base_dir: str = ".") -> ExperimentConfig:
         raise ConfigError("file preset needs a path")
     _check_step_counts(cfg, cfg.eps)
     _check_step_cap(evolution.n_steps_for(cfg.t, cfg.eps), "the gate path at eps")
-
-    # referenced files are resolved against the config location and must
-    # exist at load time
-    def resolve(ref):
-        if ref is None:
-            return None
-        path = os.path.join(base_dir, ref)  # an absolute ref stays as it is
-        if not os.path.exists(path):
+    cfg = replace(cfg, base_dir=base_dir)
+    for ref in (cfg.coupling_csv, cfg.initial_state.path):
+        if ref is not None and not os.path.exists(cfg.data_path(ref)):
             raise ConfigError(f"referenced file does not exist: {ref}")
-        return path
-
-    state = replace(cfg.initial_state, path=resolve(cfg.initial_state.path))
-    return replace(cfg, coupling_csv=resolve(cfg.coupling_csv), initial_state=state)
+    return cfg
 
 
 def _check_step_counts(cfg: ExperimentConfig, eps: float, name: str = "eps") -> None:
@@ -307,7 +321,7 @@ def build_coupling(cfg: ExperimentConfig) -> CouplingMatrix:
         return problems.gross_pitaevskii_coupling(cfg.g, cfg.grid)
     if cfg.problem == "navier-stokes":
         return problems.navier_stokes_coupling(cfg.rho0, cfg.grid)
-    return problems.coupling_from_triplet_csv(cfg.coupling_csv, cfg.grid.size)
+    return problems.coupling_from_triplet_csv(cfg.data_path(cfg.coupling_csv), cfg.grid.size)
 
 
 def build_problem(cfg: ExperimentConfig) -> tuple[CouplingMatrix, statevec.Register]:
@@ -342,7 +356,7 @@ def build_initial_amplitudes(cfg: ExperimentConfig) -> np.ndarray:
         return problems.plane_wave_amplitudes(grid, spec.mode)
     from . import oracle
 
-    state = oracle.field_from_csv(spec.path, grid)
+    state = oracle.field_from_csv(cfg.data_path(spec.path), grid)
     return state.to_amplitudes()
 
 
@@ -359,7 +373,7 @@ def build_oracle_potential(cfg: ExperimentConfig):
         return oracle.kernel_potential(KernelSpec("contact", g=cfg.g), cfg.grid)
     if cfg.problem == "navier-stokes":
         return oracle.laplacian_potential(cfg.rho0, cfg.grid)
-    return oracle.coupling_potential(cfg.coupling_csv, cfg.grid)
+    return oracle.coupling_potential(cfg.data_path(cfg.coupling_csv), cfg.grid)
 
 
 def _check_out_dir(path: str) -> None:
@@ -652,8 +666,8 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         updates["t"] = args.steps * updates.get("eps", cfg.eps)
     if args.mode is not None:
         updates["mode"] = args.mode
-    # overrides re-enter the one config boundary
-    return config_from_dict({**config_to_dict(cfg), **updates}) if updates else cfg
+    # overrides re-enter the one config boundary, against the same directory
+    return config_from_dict({**config_to_dict(cfg), **updates}, cfg.base_dir) if updates else cfg
 
 
 class _Parser(argparse.ArgumentParser):

@@ -23,9 +23,10 @@ step are tallied exactly and must match the closed-form estimate.
 
 `write_trajectory_csv` exports the recorded snapshots; its time goes to
 float repr. A trajectory of at least PARALLEL_MIN_ROWS rows is formatted by
-two processes when this one may run on two CPUs: a forked child writes the
-header and the first half of the snapshots while the caller formats the
-second half and appends it. The bytes are those of the one-process write.
+two processes when this one may run on two CPUs: a forked child only
+formats the first half of the snapshots and sends the text down a pipe
+while the caller formats the second half; the caller alone writes the
+file. The bytes are those of the one-process write.
 """
 
 from __future__ import annotations
@@ -282,17 +283,18 @@ def write_trajectory_csv(path, snapshots: list[Snapshot]):
 
     The bytes are those of a default ``csv.writer`` with every float written
     as its repr: comma-separated, CRLF-terminated, no quoting (no field can
-    contain a comma, quote or line break). Each snapshot is one write.
+    contain a comma, quote or line break).
 
-    Formatting is bound by float repr, so a long trajectory is split over
+    Formatting is bound by float repr, so a long trajectory is formatted by
     two processes: with at least PARALLEL_MIN_ROWS rows, two or more
     snapshots, `os.fork` and two CPUs this process may run on, a forked
-    child writes the header and the first half of the snapshots into `path`
-    while this process formats the second half, reaps the child and appends
-    its half. The bytes are the same either way. No process outlives the
-    call; a failure in the child is raised here as an OSError with the
-    child's errno, text and filename. If no process can be forked, the
-    trajectory is written here alone.
+    child formats the first half of the snapshots and sends the text down a
+    pipe while this process formats the second half. The child opens no
+    file and reports nothing but its text and exit status; when it cannot
+    be forked or does not exit 0, this process formats the first half too.
+    Either way this process alone opens `path` and writes it, so the bytes
+    are the same, an open or write error is raised where it happens, and no
+    process outlives the call.
     """
     rows = sum(snap.amps.size for snap in snapshots)
     if rows < PARALLEL_MIN_ROWS or len(snapshots) < 2 or not _two_cpus():
@@ -303,30 +305,33 @@ def write_trajectory_csv(path, snapshots: list[Snapshot]):
     try:
         pid = os.fork()
     except OSError:  # no process to spare
-        os.close(read_fd)
-        os.close(write_fd)
-        _write_snapshots(path, snapshots)
-        return
+        pid = None
     if pid == 0:
-        _child_write(path, snapshots[:half], read_fd, write_fd)
+        # the child takes no lock, starts no thread, calls no BLAS and leaves
+        # by os._exit, so it never flushes this process's stdio buffers, runs
+        # exit handlers or returns into the caller; it formats its whole half
+        # before the first write, so a full pipe never stalls the formatting
+        code = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write("".join(map(_snapshot_rows, snapshots[:half])).encode())
+            code = 0
+        finally:
+            os._exit(code)
     os.close(write_fd)
     try:
         tail = [_snapshot_rows(snap) for snap in snapshots[half:]]
     finally:
-        with os.fdopen(read_fd, "rb") as pipe:
-            report = pipe.read()
-        _, status = os.waitpid(pid, 0)
-    if report:
-        code, filename, text = report.decode("utf-8", "surrogateescape").split("\0", 2)
-        if code:
-            raise OSError(int(code), text, filename)
-        raise OSError(text)
-    if status != 0:
-        raise OSError(
-            f"the process writing {os.fsdecode(path)} ended with code "
-            f"{os.waitstatus_to_exitcode(status)}"
-        )
-    with open(path, "a", newline="") as fh:
+        try:
+            with os.fdopen(read_fd, "rb") as pipe:
+                head = pipe.read() if pid else b""
+        finally:
+            status = os.waitpid(pid, 0)[1] if pid else 1
+    head = head.decode() if status == 0 else "".join(map(_snapshot_rows, snapshots[:half]))
+    with open(path, "w", newline="") as fh:
+        fh.write("step,time,k,re,im\r\n")
+        fh.write(head)
         fh.writelines(tail)
 
 
@@ -342,30 +347,6 @@ def _write_snapshots(path, snapshots: list[Snapshot]):
         fh.write("step,time,k,re,im\r\n")
         for snap in snapshots:
             fh.write(_snapshot_rows(snap))
-
-
-def _child_write(path, snapshots: list[Snapshot], read_fd: int, write_fd: int):
-    """Body of the forked writer: `_write_snapshots`, with a failure sent
-    down `write_fd` as errno, filename and text separated by NULs.
-
-    It takes no lock, starts no thread and calls no BLAS; it leaves by
-    `os._exit` on every path, so it never flushes the parent's stdio
-    buffers, runs exit handlers or returns into the caller.
-    """
-    code = 1
-    try:
-        os.close(read_fd)
-        _write_snapshots(path, snapshots)
-        code = 0
-    except BaseException as exc:
-        if isinstance(exc, OSError) and exc.errno is not None:
-            fields = (str(exc.errno), os.fsdecode(exc.filename or path),
-                      exc.strerror or str(exc))
-        else:
-            fields = ("", "", f"writing {os.fsdecode(path)} failed: {exc!r}")
-        os.write(write_fd, "\0".join(fields).encode("utf-8", "surrogateescape"))
-    finally:
-        os._exit(code)
 
 
 def _snapshot_rows(snap: Snapshot) -> str:

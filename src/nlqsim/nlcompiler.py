@@ -120,11 +120,6 @@ class CouplingMatrix:
         f.__dict__["dense"] = mat
         return f
 
-    @classmethod
-    def zeros(cls, dim: int) -> "CouplingMatrix":
-        empty = np.empty(0)
-        return cls(dim, empty, empty, empty)
-
     @property
     def n_qubits(self) -> int:
         return int(self.dim.bit_length() - 1)

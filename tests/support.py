@@ -11,6 +11,8 @@ path calls them.
   dense_hartree - the Hartree coupling filled pair by pair as a dense array
   convergence_ratios - step-halving ratios of the split-step reference
   fake_cpus - a CPU count for the trajectory writer, recording its forks
+  leak_norm - a kinetic step that also scales the register, so norm drifts
+  zero_coupling - the coupling with no entries
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from nlqsim import statevec
+from nlqsim import evolution, statevec
 from nlqsim.nlcompiler import CouplingMatrix
 from nlqsim.oracle import STRANG, FieldState, PotentialRule, Row, split_step_solve
 from nlqsim.problems import GridSpec, KernelSpec
@@ -212,3 +214,21 @@ def fake_cpus(monkeypatch, count: int) -> list[int]:
 
     monkeypatch.setattr(os, "fork", recording)
     return calls
+
+
+def leak_norm(monkeypatch, factor: float = 1 + 1e-9) -> None:
+    """Make every kinetic step of `evolution` also scale the register by factor."""
+    kinetic = evolution.apply_kinetic
+
+    def leaky(r, spec, eps):
+        kinetic(r, spec, eps)
+        r.amps *= factor
+        return r
+
+    monkeypatch.setattr(evolution, "apply_kinetic", leaky)
+
+
+def zero_coupling(dim: int) -> CouplingMatrix:
+    """The dim x dim coupling with no entries."""
+    empty = np.empty(0)
+    return CouplingMatrix(dim, empty, empty, empty)

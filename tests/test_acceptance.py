@@ -53,6 +53,7 @@ from support import (
     global_phase_aligned,
     madelung_fields,
     tensor_square,
+    zero_coupling,
 )
 
 
@@ -266,7 +267,7 @@ class TestCriterion6:
         r0 = init_from_amplitudes(uniform_amplitudes(grid))
         n_steps = evolution.n_steps_for(10.0, 0.05)
         with_coupling = evolve(r0, f, spec, n_steps, 0.05, mode="compiled")
-        without = evolve(r0, CouplingMatrix.zeros(64), spec, n_steps, 0.05, mode="compiled")
+        without = evolve(r0, zero_coupling(64), spec, n_steps, 0.05, mode="compiled")
         fid = fidelity(with_coupling.final, without.final)
 
         mode = 2

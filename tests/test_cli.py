@@ -164,6 +164,13 @@ class TestSimulate:
         traj = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert traj[0] == "step,time,k,re,im"
 
+    def test_norm_drift_exit_1(self, tmp_path, capsys, monkeypatch):
+        support.leak_norm(monkeypatch)
+        cfg_path = self.write_config(tmp_path, hartree_config_dict())
+        rc = cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert one_error_line(capsys).startswith("numerical failure: norm drifted by ")
+
     @pytest.mark.parametrize(
         "steps, stride, recorded", [(0, 0, [0]), (0, 2, [0]), (3, 0, [0, 3])]
     )
@@ -338,6 +345,48 @@ class TestSplitTrajectory:
         assert line.endswith("trajectory.csv'")
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+class TestDataFilePaths:
+    """Data-file paths are echoed as written and read against the config
+    file's directory, so a fixed config gives the same bytes anywhere."""
+
+    @staticmethod
+    def write_run(where, *extra):
+        """A custom-f config on a field file, both beside it in where; the
+        argv of a simulate run on it."""
+        where.mkdir()
+        (where / "data").mkdir()
+        (where / "data" / "f.csv").write_text("k,j,f\n0,0,1.5\n0,1,-0.5\n3,3,2.0\n")
+        (where / "data" / "state.csv").write_text(
+            "x,re,im\n" + "".join(f"{0.5 * k},{1 + k % 3},{k % 2}\n" for k in range(16))
+        )
+        payload = gp_config_dict(problem="custom-f", coupling_csv="data/f.csv",
+                                 initial_state={"preset": "file", "path": "data/state.csv"})
+        (where / "config.json").write_text(json.dumps(payload))
+        return ["simulate", "--config", str(where / "config.json"),
+                "--out", str(where / "out"), *extra]
+
+    @pytest.mark.parametrize("extra", [(), ("--eps", "0.05")], ids=["as-given", "override"])
+    def test_same_bytes_in_two_directories(self, tmp_path, monkeypatch, extra):
+        # run from a third directory, so no path is read against the cwd
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        outputs = []
+        for name in ("one", "two"):
+            assert cli.main(self.write_run(tmp_path / name, *extra)) == 0
+            outputs.append((tmp_path / name / "out" / "summary.json").read_bytes())
+        assert outputs[0] == outputs[1]
+        echo = json.loads(outputs[0])["config"]
+        assert echo["coupling_csv"] == "data/f.csv"
+        assert echo["initial_state"]["path"] == "data/state.csv"
+
+    def test_base_dir_is_not_a_config_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(gp_config_dict(base_dir=str(tmp_path))))
+        rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert one_error_line(capsys).startswith("config error: base_dir is not a config key")
 
 
 class TestSparseCouplings:

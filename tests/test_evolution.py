@@ -30,7 +30,7 @@ from nlqsim.problems import (
 from nlqsim.statevec import init_from_amplitudes
 
 from conftest import random_coupling, random_register
-from support import basis_state, fake_cpus, fidelity
+from support import basis_state, fake_cpus, fidelity, leak_norm, zero_coupling
 
 
 @pytest.fixture
@@ -114,14 +114,14 @@ class TestKineticPropagator:
     def test_built_once_per_run(self, grid, spec, rng, monkeypatch):
         # the 16-site grid takes the per-axis route: one matrix for its axis
         calls = count_axis_builds(monkeypatch)
-        evolve(random_register(rng, 4), CouplingMatrix.zeros(16), spec, n_steps_for(1.0, 0.1), 0.1)
+        evolve(random_register(rng, 4), zero_coupling(16), spec, n_steps_for(1.0, 0.1), 0.1)
         assert [args[1:] for args in calls] == [(1.0, 0.1)]
         assert np.array_equal(calls[0][0], spec.momentum_sq())
 
     def test_built_once_per_axis_2d(self, rng, monkeypatch):
         calls = count_axis_builds(monkeypatch)
         spec = KineticSpec(0.5, GridSpec(points=(4, 8), dx=0.5))
-        evolve(random_register(rng, 5), CouplingMatrix.zeros(32), spec, n_steps_for(1.0, 0.1), 0.1)
+        evolve(random_register(rng, 5), zero_coupling(32), spec, n_steps_for(1.0, 0.1), 0.1)
         assert [(args[0].size,) + args[1:] for args in calls] == [(4, 0.5, 0.1), (8, 0.5, 0.1)]
 
     def test_keeps_the_latest_step_size(self, spec, monkeypatch):
@@ -156,7 +156,7 @@ class TestKineticPropagator:
             return phases(*args)
 
         monkeypatch.setattr(evolution, "kinetic_phases", counting)
-        evolve(random_register(rng, 9), CouplingMatrix.zeros(512), fft_spec,
+        evolve(random_register(rng, 9), zero_coupling(512), fft_spec,
                n_steps_for(0.3, 0.1), 0.1)
         assert calls == [(fft_spec, 0.1)]
 
@@ -322,7 +322,7 @@ class TestTracerSeams:
     def test_fft_side_grid_transforms_twice_per_step(self, fft_spec, rng, monkeypatch):
         counts = self.count_seams(monkeypatch)
         steps = 3
-        evolve(random_register(rng, 9), CouplingMatrix.zeros(512), fft_spec,
+        evolve(random_register(rng, 9), zero_coupling(512), fft_spec,
                n_steps_for(steps * 0.05, 0.05), 0.05, mode="direct")
         assert counts == {
             "nlcompiler.apply_w_direct": steps,
@@ -342,7 +342,7 @@ class TestTrotterStep:
         kappa = 2 * np.pi * mode / (16 * 0.5)
         a = np.exp(-1j * kappa * grid.coords(0))
         r = init_from_amplitudes(a)
-        f = CouplingMatrix.zeros(16)
+        f = zero_coupling(16)
         for _ in range(5):
             trotter_step(r, f, spec, 0.05)
         expected = init_from_amplitudes(a * np.exp(-1j * 0.25 * kappa**2))
@@ -379,7 +379,7 @@ class TestTrotterStep:
 class TestEvolve:
     def test_zero_time_identity(self, grid, spec, rng):
         r0 = random_register(rng, 4)
-        result = evolve(r0, CouplingMatrix.zeros(16), spec, n_steps_for(0.0, 0.1), 0.1)
+        result = evolve(r0, zero_coupling(16), spec, n_steps_for(0.0, 0.1), 0.1)
         assert np.array_equal(result.final.amps, r0.amps)
         assert result.tally.n_steps == 0
         assert result.tally.nonlinear_count == 0
@@ -448,7 +448,7 @@ class TestEvolve:
 
     def test_snapshots(self, grid, spec, rng):
         r0 = random_register(rng, 4)
-        result = evolve(r0, CouplingMatrix.zeros(16), spec,
+        result = evolve(r0, zero_coupling(16), spec,
                         n_steps_for(1.0, 0.1), 0.1, record_stride=4)
         steps = [s.step for s in result.snapshots]
         assert steps == [0, 4, 8, 10]
@@ -456,7 +456,7 @@ class TestEvolve:
 
     def test_plan_validation(self, spec, rng):
         r0 = random_register(rng, 4)
-        f = CouplingMatrix.zeros(16)
+        f = zero_coupling(16)
         with pytest.raises(ValueError, match="step size"):
             evolve(r0, f, spec, n_steps_for(0.5, -0.1), -0.1)
         with pytest.raises(ValueError, match="time"):
@@ -465,6 +465,12 @@ class TestEvolve:
         for t in (0.5, 0.0):
             with pytest.raises(ValueError, match="mode"):
                 evolve(r0, f, spec, n_steps_for(t, 0.1), 0.1, mode="magic")
+
+    def test_norm_drift_is_a_simulation_error(self, spec, rng, monkeypatch):
+        leak_norm(monkeypatch)
+        with pytest.raises(SimulationError, match=r"^norm drifted by 4\.\d+e-09 after 4 steps$"):
+            evolve(random_register(rng, 4), random_coupling(rng, 4), spec,
+                   n_steps_for(0.4, 0.1), 0.1)
 
     def test_non_finite_angle_is_a_simulation_error(self, spec, rng):
         # each entry is finite, but eps * f overflows
@@ -529,7 +535,7 @@ class TestTwoDimensional:
         spec = KineticSpec(0.5, grid)
         a0 = gaussian_packet(grid, center=0.0, sigma=1.0)
         r0 = init_from_amplitudes(a0)
-        result = evolve(r0, nlcompiler.CouplingMatrix.zeros(64), spec,
+        result = evolve(r0, zero_coupling(64), spec,
                         n_steps_for(2.0, 0.05), 0.05)
         dens = result.final.principal_probabilities().reshape(8, 8)
         assert np.allclose(dens, dens.T, atol=1e-12)  # axis symmetry preserved
@@ -538,7 +544,7 @@ class TestTwoDimensional:
 class TestObservables:
     def test_uniform_zero_momentum_state(self, spec):
         r = statevec.uniform_state(4)
-        obs = observables(r, spec, CouplingMatrix.zeros(16))
+        obs = observables(r, spec, zero_coupling(16))
         assert obs.energy == pytest.approx(0.0, abs=1e-14)
         assert obs.momentum_density[0] == pytest.approx(1.0)
 
@@ -556,11 +562,11 @@ class TestObservables:
     def test_plane_wave_energy_is_c_T_kappa_squared(self, grid, c_T):
         # mode 2 on 16 sites of 0.5: kappa = 2*pi*2/8, kappa**2 = 2.4674
         r = init_from_amplitudes(plane_wave_amplitudes(grid, 2))
-        obs = observables(r, KineticSpec(c_T, grid), CouplingMatrix.zeros(16))
+        obs = observables(r, KineticSpec(c_T, grid), zero_coupling(16))
         assert obs.energy == pytest.approx(c_T * (np.pi / 2) ** 2, rel=1e-12)
 
     def test_density_sums_to_one(self, spec, rng):
-        obs = observables(random_register(rng, 4), spec, CouplingMatrix.zeros(16))
+        obs = observables(random_register(rng, 4), spec, zero_coupling(16))
         assert np.sum(obs.density) == pytest.approx(1.0)
         assert np.sum(obs.momentum_density) == pytest.approx(1.0)
 
@@ -568,7 +574,7 @@ class TestObservables:
 class TestTrajectoryExport:
     def test_csv_columns(self, tmp_path, grid, spec, rng):
         r0 = random_register(rng, 4)
-        result = evolve(r0, CouplingMatrix.zeros(16), spec,
+        result = evolve(r0, zero_coupling(16), spec,
                         n_steps_for(0.3, 0.1), 0.1, record_stride=1)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, result.snapshots)
@@ -613,10 +619,10 @@ class TestTrajectoryExport:
 
 
 class TestSplitWriter:
-    """A trajectory of at least PARALLEL_MIN_ROWS rows is written by a forked
-    child (header and first half) and this process (second half): the
-    bytes stay those of the csv.writer reference, and no child outlives the
-    call."""
+    """A trajectory of at least PARALLEL_MIN_ROWS rows is formatted by a
+    forked child (first half) and this process (second half), which alone
+    writes the file: the bytes stay those of the csv.writer reference, and
+    no child outlives the call."""
 
     SPECIAL = np.array([-0.0, 0.0, 1e-300, -2.5e-310, 1.7e150, -3.3e-5, 1.0, 123456.789])
 
@@ -706,24 +712,44 @@ class TestSplitWriter:
         assert info.value.filename == str(tmp_path)
         self.assert_no_child()
 
-    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
-    def test_child_exception_raised_here(self, tmp_path, rng, forks, monkeypatch, error):
-        """Any exception in the child, not only an OSError, ends it by
-        os._exit and is reported here."""
+    @staticmethod
+    def in_child(monkeypatch, action):
+        """Make `_snapshot_rows` call action() in a forked child."""
         parent = os.getpid()
         rows = evolution._snapshot_rows
 
         def child_fails(snap):
             if os.getpid() != parent:
-                raise error("formatting broke")
+                action()
             return rows(snap)
 
         monkeypatch.setattr(evolution, "_snapshot_rows", child_fails)
-        path = tmp_path / "got.csv"
-        with pytest.raises(OSError, match=f"{error.__name__}.*formatting broke") as info:
-            write_trajectory_csv(path, self.trajectory(rng, 3))
-        assert str(path) in str(info.value)
+
+    def assert_formatted_here(self, tmp_path, rng, forks):
+        snapshots = self.trajectory(rng, 3)
+        got = tmp_path / "got.csv"
+        write_trajectory_csv(got, snapshots)
+        assert forks == [os.getpid()]
+        assert got.read_bytes() == self.reference_bytes(tmp_path / "want.csv", snapshots)
         self.assert_no_child()
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_child_exception_raised_here(self, tmp_path, rng, forks, monkeypatch, error):
+        """Any exception in the child, not only an OSError, ends it by
+        os._exit with a nonzero status; this process then formats the
+        child's half itself, and the bytes do not change."""
+
+        def fail():
+            raise error("formatting broke")
+
+        self.in_child(monkeypatch, fail)
+        self.assert_formatted_here(tmp_path, rng, forks)
+
+    def test_child_exit_status_formats_here(self, tmp_path, rng, forks, monkeypatch):
+        """A child that leaves mid-format with a nonzero status sent part of
+        its half at most; this process formats that half again."""
+        self.in_child(monkeypatch, lambda: os._exit(3))
+        self.assert_formatted_here(tmp_path, rng, forks)
 
     def test_parent_failure_leaves_no_child(self, tmp_path, rng, forks, monkeypatch):
         parent = os.getpid()
@@ -735,11 +761,16 @@ class TestSplitWriter:
             return rows(snap)
 
         monkeypatch.setattr(evolution, "_snapshot_rows", parent_fails)
-        snapshots = self.trajectory(rng, 5)
         got = tmp_path / "got.csv"
         with pytest.raises(RuntimeError, match="formatting broke"):
-            write_trajectory_csv(got, snapshots)
+            write_trajectory_csv(got, self.trajectory(rng, 5))
         self.assert_no_child()
-        # the child was reaped after it had written all of its half
-        monkeypatch.undo()
-        assert got.read_bytes() == self.reference_bytes(tmp_path / "want.csv", snapshots[:2])
+        # the file is opened only once both halves are formatted
+        assert not got.exists()
+
+
+class TestGuards:
+    @pytest.mark.parametrize("c_T", [np.inf, -np.inf, np.nan])
+    def test_refuses_non_finite_kinetic_prefactor(self, grid, c_T):
+        with pytest.raises(ValueError, match="kinetic prefactor must be finite"):
+            KineticSpec(c_T, grid)

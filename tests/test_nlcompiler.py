@@ -23,7 +23,7 @@ from nlqsim.problems import GridSpec, gross_pitaevskii_coupling, navier_stokes_c
 from nlqsim.statevec import init_from_amplitudes
 
 from conftest import random_coupling, random_register
-from support import basis_state, fidelity, global_phase_aligned, tensor_square
+from support import basis_state, fidelity, global_phase_aligned, tensor_square, zero_coupling
 
 
 class TestCouplingMatrix:
@@ -110,7 +110,7 @@ class TestGammas:
                 assert np.array_equal(sch.gamma_kl, [g for _, _, g in pairs])
 
     def test_zero_coupling(self):
-        sch = gammas_from_coupling(CouplingMatrix.zeros(4), 0.1)
+        sch = gammas_from_coupling(zero_coupling(4), 0.1)
         assert np.all(sch.gamma_k == 0.0)
         assert sch.pair_k.size == sch.pair_l.size == sch.gamma_kl.size == 0
 
@@ -139,7 +139,7 @@ class TestGammas:
 
 class TestCompile:
     def test_zero_coupling_empty(self):
-        assert len(compile_w(CouplingMatrix.zeros(2), 0.1).ops) == 0
+        assert len(compile_w(zero_coupling(2), 0.1).ops) == 0
 
     def test_dense_two_state_counts(self, rng):
         f = CouplingMatrix.from_dense(np.array([[0.3, 0.2], [0.2, -0.1]]))
@@ -251,14 +251,14 @@ class TestOracleEquivalence:
     def test_w_direct_zero_coupling(self, rng):
         r = random_register(rng, 2)
         before = r.amps.copy()
-        apply_w_direct(r, CouplingMatrix.zeros(4), 0.3)
+        apply_w_direct(r, zero_coupling(4), 0.3)
         assert np.array_equal(r.amps, before)
 
     def test_w_direct_requires_clean_ancilla(self, rng):
         r = random_register(rng, 2)
         statevec.apply_mcx_k(r, 1)
         with pytest.raises(ValueError, match="ancilla not clean"):
-            apply_w_direct(r, CouplingMatrix.zeros(4), 0.1)
+            apply_w_direct(r, zero_coupling(4), 0.1)
 
     def test_compiled_matches_direct_100_random_cases(self, rng):
         """Compiled block sequence reproduces the diagonal to 1e-12."""
@@ -523,3 +523,25 @@ class TestGateSequence:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown gate kind 'FOO'"):
             GateSequence(1, (("MCX", 0), ("FOO", 1.0)))
+
+
+class TestGuards:
+    # name: (call, fragment of its ValueError)
+    CASES = {
+        "entry-shapes": (lambda: CouplingMatrix(4, [0, 1], [0, 1], [1.0]),
+                         "rows, cols and vals must be 1-d arrays of one length"),
+        "dense-not-square": (lambda: CouplingMatrix.from_dense(np.ones((2, 4))),
+                             r"must be square, got \(2, 4\)"),
+        "execute-other-n": (lambda: execute(compile_w(zero_coupling(4), 0.1), basis_state(3, 0)),
+                            "sequence is for n=2, register has n=3"),
+        "direct-other-dim": (lambda: apply_w_direct(basis_state(3, 0), zero_coupling(4), 0.1),
+                             "coupling is 4-dimensional, register has 8"),
+        "resources-no-qubit": (lambda: estimate_resources(0, 1), "need n >= 1"),
+        "resources-negative-steps": (lambda: estimate_resources(1, -1), "need n_steps >= 0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refuses(self, case):
+        call, message = self.CASES[case]
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -555,3 +555,34 @@ class TestTwoModes:
         i4 = float(np.sum(ground.state.density() ** 2) * grid.dx)
         expected = 0.05 * i4 * (1.0 - 0.4) * (w1 - (1 - w1))
         assert check.predicted_relative == pytest.approx(expected, rel=1e-12)
+
+
+GUARD_GRID = GridSpec(points=(16,), dx=0.5, x0=-4.0)
+FLAT = FieldState.from_samples(np.ones(16), GUARD_GRID)
+
+
+class TestGuards:
+    # name: (call, fragment of its ValueError)
+    CASES = {
+        "zero-samples": (lambda: FieldState.from_samples(np.zeros(16), GUARD_GRID),
+                         "unnormalizable"),
+        "negative-time": (lambda: split_step_solve(FLAT, np.sqrt, 1.0, -0.1, 0.01),
+                          r"time must be >= 0, got -0\.1"),
+        "zero-dt": (lambda: split_step_solve(FLAT, np.sqrt, 1.0, 0.1, 0.0),
+                    r"dt must be positive, got 0\.0"),
+        "negative-dt": (lambda: split_step_solve(FLAT, np.sqrt, 1.0, 0.1, -0.01),
+                        r"dt must be positive, got -0\.01"),
+        "modes-on-two-grids": (
+            lambda: TwoModeState(FLAT, FieldState.from_samples(np.ones(16), GridSpec((16,), 0.25)),
+                                 1.0, 0.0, 1.0, 1.0, 0.5, np.zeros(16)),
+            "both modes must share one grid"),
+        "non-finite-potential": (
+            lambda: ground_state(np.where(np.arange(16) == 3, np.inf, 0.0), GUARD_GRID),
+            "potential must be finite"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refuses(self, case):
+        call, message = self.CASES[case]
+        with pytest.raises(ValueError, match=message):
+            call()

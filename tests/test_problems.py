@@ -483,3 +483,24 @@ class TestInitialStates:
     def test_basis_out_of_range(self, grid16):
         with pytest.raises(ValueError):
             basis_amplitudes(grid16, 99)
+
+
+class TestGuards:
+    # name: (keys of a KernelSpec built directly, fragment of its ValueError)
+    CASES = {
+        "table-inf": ({"form": "tabulated", "samples": (1.0, math.inf)},
+                      "tabulated kernel samples must be finite"),
+        "table-nan": ({"form": "tabulated", "samples": (math.nan, 0.5)},
+                      "tabulated kernel samples must be finite"),
+        "constant-inf": ({"form": "constant", "c": math.inf}, "kernel c must be finite, got inf"),
+        "gaussian-sigma-nan": ({"form": "gaussian", "sigma": math.nan, "amplitude": 1.0},
+                               "kernel sigma must be finite, got nan"),
+        "contact-g-inf": ({"form": "contact", "g": -math.inf},
+                          "kernel g must be finite, got -inf"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_kernel_refuses(self, case):
+        keys, message = self.CASES[case]
+        with pytest.raises(ValueError, match=message):
+            KernelSpec(**keys)

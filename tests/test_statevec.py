@@ -516,3 +516,18 @@ class TestNormPreservation:
         apply_ancilla_phase(r, -1.1)
         apply_principal_diagonal(r, np.linspace(0, 1, 8))
         assert np.max(np.abs(np.abs(r.amps) - mags)) < 1e-14
+
+
+class TestGuards:
+    # name: (call, fragment of its ValueError)
+    CASES = {
+        "no-principal-qubit": (lambda: Register(0, np.zeros(2)), "at least one principal qubit"),
+        "wrong-length": (lambda: Register(2, np.zeros(4)),
+                         r"must have length 8, got \(4,\)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refuses(self, case):
+        call, message = self.CASES[case]
+        with pytest.raises(ValueError, match=message):
+            call()

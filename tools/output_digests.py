@@ -13,9 +13,9 @@ and a blank line, run in both modes and by ``compare --halvings 1``, and
 ``file``-preset runs on a 1-d ``x,re,im`` and a 2-d ``x0,x1,re,im`` field
 file); then a default ``bec`` and
 ``resources --n-min 1 --n-max 6 --steps 100 --instrument``. The data files
-are written into the tool's work directory. A config echoes their resolved
-paths, so that directory's path is replaced by ``<work>`` in every output
-before it is hashed.
+are written into the tool's work directory, beside the configs that name
+them; a config echoes their paths as written, so no output names that
+directory.
 
 Each call runs in a fresh process on the nlqsim package under ``--src``
 (default: this checkout's ``src``). One line is printed per output file,
@@ -149,10 +149,7 @@ def main() -> int:
                 sys.stderr.write(f"{label} exited {proc.returncode}:\n{proc.stderr}")
                 return 1
             for path in sorted(out.iterdir()):
-                # a config echoes its data files' resolved paths, which name
-                # this run's work directory
-                data = path.read_bytes().replace(str(work).encode(), b"<work>")
-                digest = hashlib.sha256(data).hexdigest()
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 print(f"{digest}  {label}/{path.name}")
     return 0
 
