@@ -22,18 +22,13 @@ state error against a converged reference. Gate counts for the potential
 step are tallied exactly and must match the closed-form estimate.
 
 `write_trajectory_csv` exports the recorded snapshots; its time goes to
-float repr. A trajectory of at least PARALLEL_MIN_ROWS rows is formatted by
-two processes when this one may run on two CPUs: a forked child only
-formats the first half of the snapshots and sends the text down a pipe
-while the caller formats the second half; the caller alone writes the
-file. The bytes are those of the one-process write.
+float repr.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,11 +48,6 @@ MODES = ("compiled", "direct")
 #: costs of two transforms (sweep in BENCH_12.json), and the matrices take at
 #: most 1 MiB
 KINETIC_MATRIX_MAX_POINTS = 256
-
-#: trajectories of at least this many rows are formatted by two processes
-#: (when two CPUs are available): below it the fork and reap of the second
-#: process cost more than half the formatting saves (sweep in BENCH_24.json)
-PARALLEL_MIN_ROWS = 8192
 
 
 class SimulationError(RuntimeError):
@@ -283,66 +273,10 @@ def write_trajectory_csv(path, snapshots: list[Snapshot]):
 
     The bytes are those of a default ``csv.writer`` with every float written
     as its repr: comma-separated, CRLF-terminated, no quoting (no field can
-    contain a comma, quote or line break).
-
-    Formatting is bound by float repr, so a long trajectory is formatted by
-    two processes: with at least PARALLEL_MIN_ROWS rows, two or more
-    snapshots, `os.fork` and two CPUs this process may run on, a forked
-    child formats the first half of the snapshots and sends the text down a
-    pipe while this process formats the second half. The child opens no
-    file and reports nothing but its text and exit status; when it cannot
-    be forked or does not exit 0, this process formats the first half too.
-    Either way this process alone opens `path` and writes it, so the bytes
-    are the same, an open or write error is raised where it happens, and no
-    process outlives the call.
+    contain a comma, quote or line break). `path` is opened once and the
+    rows are streamed snapshot by snapshot, so at most one snapshot's text
+    is held at a time.
     """
-    rows = sum(snap.amps.size for snap in snapshots)
-    if rows < PARALLEL_MIN_ROWS or len(snapshots) < 2 or not _two_cpus():
-        _write_snapshots(path, snapshots)
-        return
-    half = len(snapshots) // 2
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare
-        pid = None
-    if pid == 0:
-        # the child takes no lock, starts no thread, calls no BLAS and leaves
-        # by os._exit, so it never flushes this process's stdio buffers, runs
-        # exit handlers or returns into the caller; it formats its whole half
-        # before the first write, so a full pipe never stalls the formatting
-        code = 1
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write("".join(map(_snapshot_rows, snapshots[:half])).encode())
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    try:
-        tail = [_snapshot_rows(snap) for snap in snapshots[half:]]
-    finally:
-        try:
-            with os.fdopen(read_fd, "rb") as pipe:
-                head = pipe.read() if pid else b""
-        finally:
-            status = os.waitpid(pid, 0)[1] if pid else 1
-    head = head.decode() if status == 0 else "".join(map(_snapshot_rows, snapshots[:half]))
-    with open(path, "w", newline="") as fh:
-        fh.write("step,time,k,re,im\r\n")
-        fh.write(head)
-        fh.writelines(tail)
-
-
-def _two_cpus() -> bool:
-    """A forked child can run beside this process on a CPU of its own."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
-
-
-def _write_snapshots(path, snapshots: list[Snapshot]):
-    """The header and the rows of `snapshots` into a new file at `path`."""
     with open(path, "w", newline="") as fh:
         fh.write("step,time,k,re,im\r\n")
         for snap in snapshots:

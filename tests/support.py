@@ -10,7 +10,7 @@ path calls them.
   radial_kernel - an analytic kernel at given distances, from its fields
   dense_hartree - the Hartree coupling filled pair by pair as a dense array
   convergence_ratios - step-halving ratios of the split-step reference
-  fake_cpus - a CPU count for the trajectory writer, recording its forks
+  stencil_config_dict - a navier-stokes config on a 2-d grid, as a dict
   leak_norm - a kinetic step that also scales the register, so norm drifts
   zero_coupling - the coupling with no entries
 """
@@ -18,7 +18,6 @@ path calls them.
 from __future__ import annotations
 
 import csv
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -201,19 +200,19 @@ def convergence_ratios(
     return [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
 
 
-def fake_cpus(monkeypatch, count: int) -> list[int]:
-    """Make `os.sched_getaffinity` report `count` CPUs and wrap `os.fork`;
-    the returned list gets the pid of every process that forks."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-    calls = []
-    fork = os.fork
-
-    def recording():
-        calls.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", recording)
-    return calls
+def stencil_config_dict(points, steps: int) -> dict:
+    """A navier-stokes config dict on a 2-d grid: a Gaussian packet run for
+    `steps` steps of 0.002, recording the first and last states."""
+    eps = 0.002
+    return {
+        "problem": "navier-stokes",
+        "grid": {"points": list(points), "dx": 0.5, "x0": -8.0},
+        "initial_state": {"preset": "gaussian", "center": [0.0, 0.0], "sigma": 2.0,
+                          "kappa": [0.5, 0.0]},
+        "t": steps * eps,
+        "eps": eps,
+        "record_stride": 0,
+    }
 
 
 def leak_norm(monkeypatch, factor: float = 1 + 1e-9) -> None:

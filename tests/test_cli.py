@@ -296,57 +296,6 @@ class TestSimulate:
         assert trajectories[0] == trajectories[1]
 
 
-def stencil_config_dict(points, steps):
-    eps = 0.002
-    return {
-        "problem": "navier-stokes",
-        "grid": {"points": list(points), "dx": 0.5, "x0": -8.0},
-        "initial_state": {"preset": "gaussian", "center": [0.0, 0.0], "sigma": 2.0,
-                          "kappa": [0.5, 0.0]},
-        "t": steps * eps,
-        "eps": eps,
-        "record_stride": 0,
-    }
-
-
-class TestSplitTrajectory:
-    """A 32x32 stencil run recording at least PARALLEL_MIN_ROWS rows formats
-    its trajectory in two processes when two CPUs are available."""
-
-    @staticmethod
-    def config_path(tmp_path):
-        steps = -(-evolution.PARALLEL_MIN_ROWS // 1024)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({**stencil_config_dict((32, 32), steps), "record_stride": 1}))
-        return str(path)
-
-    def test_same_bytes_as_one_cpu(self, tmp_path, capsys, monkeypatch):
-        cfg_path = self.config_path(tmp_path)
-        forks = support.fake_cpus(monkeypatch, 2)
-        assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "two")]) == 0
-        assert capsys.readouterr().err == ""
-        assert forks == [os.getpid()]
-        forks = support.fake_cpus(monkeypatch, 1)
-        assert cli.main(["simulate", "--config", cfg_path, "--out", str(tmp_path / "one")]) == 0
-        assert forks == []
-        split = (tmp_path / "two" / "trajectory.csv").read_bytes()
-        assert split.count(b"\r\n") >= 1 + evolution.PARALLEL_MIN_ROWS
-        assert split == (tmp_path / "one" / "trajectory.csv").read_bytes()
-
-    def test_child_write_failure_is_one_line(self, tmp_path, capsys, monkeypatch):
-        out = tmp_path / "out"
-        (out / "trajectory.csv").mkdir(parents=True)
-        forks = support.fake_cpus(monkeypatch, 2)
-        rc = cli.main(["simulate", "--config", self.config_path(tmp_path), "--out", str(out)])
-        line = one_error_line(capsys)
-        assert rc == 1
-        assert forks == [os.getpid()]
-        assert line.startswith("cannot write outputs: [Errno 21] Is a directory")
-        assert line.endswith("trajectory.csv'")
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-
 class TestDataFilePaths:
     """Data-file paths are echoed as written and read against the config
     file's directory, so a fixed config gives the same bytes anywhere."""
@@ -395,7 +344,7 @@ class TestSparseCouplings:
             raise AssertionError("the dense N x N coupling was built")
 
         monkeypatch.setattr(CouplingMatrix, "dense", property(no_dense))
-        cfg = config_from_dict(stencil_config_dict((32, 32), 5))
+        cfg = config_from_dict(support.stencil_config_dict((32, 32), 5))
         cli.run_simulate(cfg, str(tmp_path / "simulate"))
         cli.run_compare(cfg, str(tmp_path / "compare"))
 
@@ -406,7 +355,7 @@ class TestSparseCouplings:
         peak is VmHWM: ru_maxrss would also count the RSS of this test
         process, which a spawned child inherits until it execs."""
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(stencil_config_dict((128, 128), 10)))
+        cfg_path.write_text(json.dumps(support.stencil_config_dict((128, 128), 10)))
         child = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"

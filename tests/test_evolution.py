@@ -1,11 +1,13 @@
 import csv
 import errno
+import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nlqsim import evolution, nlcompiler, oracle, statevec
+from nlqsim import cli, evolution, nlcompiler, oracle, statevec
 from nlqsim.evolution import (
     KineticSpec,
     SimulationError,
@@ -30,7 +32,7 @@ from nlqsim.problems import (
 from nlqsim.statevec import init_from_amplitudes
 
 from conftest import random_coupling, random_register
-from support import basis_state, fake_cpus, fidelity, leak_norm, zero_coupling
+from support import basis_state, fidelity, leak_norm, stencil_config_dict, zero_coupling
 
 
 @pytest.fixture
@@ -572,6 +574,9 @@ class TestObservables:
 
 
 class TestTrajectoryExport:
+    SPECIAL = np.array([-0.0, 0.0, 1e-300, -2.5e-310, 1.7e150, -3.3e-5, 1.0, 123456.789])
+    LONG_ROWS = 8192
+
     def test_csv_columns(self, tmp_path, grid, spec, rng):
         r0 = random_register(rng, 4)
         result = evolve(r0, zero_coupling(16), spec,
@@ -603,9 +608,12 @@ class TestTrajectoryExport:
                     row = [repr(float(a.real)), repr(float(a.imag))]
                     writer.writerow([snap.step, repr(snap.time), k, *row])
 
+    def reference_bytes(self, path, snapshots):
+        self.csv_writer_reference(path, snapshots)
+        return path.read_bytes()
+
     def test_bytes_match_csv_writer(self, tmp_path, rng):
-        special = np.array([-0.0, 0.0, 1e-300, -2.5e-310, 1.7e150, -3.3e-5, 1.0, 123456.789])
-        amps = special + 1j * special[::-1]
+        amps = self.SPECIAL + 1j * self.SPECIAL[::-1]
         snapshots = [
             Snapshot(0, 0.0, amps),
             Snapshot(3, 3 * 0.1, rng.normal(size=8) + 1j * rng.normal(size=8)),
@@ -617,37 +625,10 @@ class TestTrajectoryExport:
         assert got.read_bytes() == want.read_bytes()
         assert b"\r\n" in got.read_bytes()
 
-
-class TestSplitWriter:
-    """A trajectory of at least PARALLEL_MIN_ROWS rows is formatted by a
-    forked child (first half) and this process (second half), which alone
-    writes the file: the bytes stay those of the csv.writer reference, and
-    no child outlives the call."""
-
-    SPECIAL = np.array([-0.0, 0.0, 1e-300, -2.5e-310, 1.7e150, -3.3e-5, 1.0, 123456.789])
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """Two CPUs for this process, and the pid of every os.fork caller."""
-        return fake_cpus(monkeypatch, 2)
-
-    @staticmethod
-    def no_fork(monkeypatch):
-        def refuse():
-            raise AssertionError("a writer process was forked")
-
-        monkeypatch.setattr(os, "fork", refuse)
-
-    @staticmethod
-    def assert_no_child():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def trajectory(self, rng, count, rows=None):
-        """count snapshots of at least `rows` rows in all (default
-        PARALLEL_MIN_ROWS); the first and the last hold the special values,
-        so each half of a split has them."""
-        m = -(-(rows or evolution.PARALLEL_MIN_ROWS) // count)
+    def trajectory(self, rng, count, rows=LONG_ROWS):
+        """count snapshots of at least `rows` rows in all; the first and the
+        last hold the special values."""
+        m = -(-rows // count)
         special = np.resize(self.SPECIAL, m)
         snapshots = [
             Snapshot(5 * s, 5 * s * 0.1, rng.normal(size=m) + 1j * rng.normal(size=m))
@@ -658,20 +639,14 @@ class TestSplitWriter:
                                  special[::-1] + 1j * special)
         return snapshots
 
-    def reference_bytes(self, path, snapshots):
-        TestTrajectoryExport.csv_writer_reference(path, snapshots)
-        return path.read_bytes()
-
     @pytest.mark.parametrize("count", [2, 3, 8, 9])
-    def test_bytes_match_csv_writer(self, tmp_path, rng, forks, count):
+    def test_long_bytes_match_csv_writer(self, tmp_path, rng, count):
         snapshots = self.trajectory(rng, count)
         got = tmp_path / "got.csv"
         write_trajectory_csv(got, snapshots)
-        assert forks == [os.getpid()]
         assert got.read_bytes() == self.reference_bytes(tmp_path / "want.csv", snapshots)
-        self.assert_no_child()
 
-    def test_replaces_a_longer_file(self, tmp_path, rng, forks):
+    def test_replaces_a_longer_file(self, tmp_path, rng):
         snapshots = self.trajectory(rng, 4)
         want = self.reference_bytes(tmp_path / "want.csv", snapshots)
         got = tmp_path / "got.csv"
@@ -679,94 +654,55 @@ class TestSplitWriter:
         write_trajectory_csv(got, snapshots)
         assert got.read_bytes() == want
 
-    @pytest.mark.parametrize("case", ["one-cpu", "few-rows", "one-snapshot"])
-    def test_serial_without_fork(self, tmp_path, rng, monkeypatch, case):
-        fake_cpus(monkeypatch, 1 if case == "one-cpu" else 2)
-        self.no_fork(monkeypatch)
-        if case == "few-rows":
-            snapshots = self.trajectory(rng, 4, rows=evolution.PARALLEL_MIN_ROWS - 4)
-            assert sum(s.amps.size for s in snapshots) < evolution.PARALLEL_MIN_ROWS
-        else:
-            snapshots = self.trajectory(rng, 1 if case == "one-snapshot" else 8)
-        got = tmp_path / "got.csv"
-        write_trajectory_csv(got, snapshots)
-        assert got.read_bytes() == self.reference_bytes(tmp_path / "want.csv", snapshots)
-
-    def test_fork_failure_writes_serially(self, tmp_path, rng, monkeypatch):
-        fake_cpus(monkeypatch, 2)
-
-        def no_process():
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", no_process)
-        snapshots = self.trajectory(rng, 3)
-        got = tmp_path / "got.csv"
-        write_trajectory_csv(got, snapshots)
-        assert got.read_bytes() == self.reference_bytes(tmp_path / "want.csv", snapshots)
-
-    def test_child_failure_raised_here(self, tmp_path, rng, forks):
+    def test_directory_path_raises(self, tmp_path, rng):
         with pytest.raises(OSError) as info:
             write_trajectory_csv(tmp_path, self.trajectory(rng, 3))
-        assert forks == [os.getpid()]
         assert info.value.errno == errno.EISDIR
         assert info.value.filename == str(tmp_path)
-        self.assert_no_child()
 
-    @staticmethod
-    def in_child(monkeypatch, action):
-        """Make `_snapshot_rows` call action() in a forked child."""
-        parent = os.getpid()
-        rows = evolution._snapshot_rows
+    def test_write_failure_is_one_line(self, tmp_path, capsys):
+        """A simulate run whose trajectory.csv is a directory exits 1 with
+        one line naming the file."""
+        steps = -(-self.LONG_ROWS // 1024)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**stencil_config_dict((32, 32), steps), "record_stride": 1}))
+        out = tmp_path / "out"
+        (out / "trajectory.csv").mkdir(parents=True)
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "Traceback" not in captured.err + captured.out
+        [line] = captured.err.splitlines()
+        assert line.startswith("cannot write outputs: [Errno 21] Is a directory")
+        assert line.endswith("trajectory.csv'")
 
-        def child_fails(snap):
-            if os.getpid() != parent:
-                action()
-            return rows(snap)
+    def test_never_forks(self, tmp_path, rng, monkeypatch):
+        """One process writes every trajectory, however long, and on as
+        many CPUs as it may run on."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
-        monkeypatch.setattr(evolution, "_snapshot_rows", child_fails)
+        def refuse():
+            raise AssertionError("a writer process was forked")
 
-    def assert_formatted_here(self, tmp_path, rng, forks):
-        snapshots = self.trajectory(rng, 3)
+        monkeypatch.setattr(os, "fork", refuse)
+        snapshots = self.trajectory(rng, 9, rows=9 * 1024)
         got = tmp_path / "got.csv"
         write_trajectory_csv(got, snapshots)
-        assert forks == [os.getpid()]
         assert got.read_bytes() == self.reference_bytes(tmp_path / "want.csv", snapshots)
-        self.assert_no_child()
 
-    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
-    def test_child_exception_raised_here(self, tmp_path, rng, forks, monkeypatch, error):
-        """Any exception in the child, not only an OSError, ends it by
-        os._exit with a nonzero status; this process then formats the
-        child's half itself, and the bytes do not change."""
-
-        def fail():
-            raise error("formatting broke")
-
-        self.in_child(monkeypatch, fail)
-        self.assert_formatted_here(tmp_path, rng, forks)
-
-    def test_child_exit_status_formats_here(self, tmp_path, rng, forks, monkeypatch):
-        """A child that leaves mid-format with a nonzero status sent part of
-        its half at most; this process formats that half again."""
-        self.in_child(monkeypatch, lambda: os._exit(3))
-        self.assert_formatted_here(tmp_path, rng, forks)
-
-    def test_parent_failure_leaves_no_child(self, tmp_path, rng, forks, monkeypatch):
-        parent = os.getpid()
-        rows = evolution._snapshot_rows
-
-        def parent_fails(snap):
-            if os.getpid() == parent:
-                raise RuntimeError("formatting broke")
-            return rows(snap)
-
-        monkeypatch.setattr(evolution, "_snapshot_rows", parent_fails)
+    def test_streams_snapshots(self, tmp_path, rng):
+        """The rows go to the file snapshot by snapshot: the traced
+        allocation peak of writing 16 snapshots stays below a quarter of
+        the file's size."""
+        snapshots = self.trajectory(rng, 16, rows=16 * 1024)
         got = tmp_path / "got.csv"
-        with pytest.raises(RuntimeError, match="formatting broke"):
-            write_trajectory_csv(got, self.trajectory(rng, 5))
-        self.assert_no_child()
-        # the file is opened only once both halves are formatted
-        assert not got.exists()
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(got, snapshots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < got.stat().st_size / 4
 
 
 class TestGuards:

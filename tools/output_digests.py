@@ -7,14 +7,15 @@ workload, on the config that ``benchmarks/workloads.make(name, S)`` draws
 (the workload definitions are only read); then calls on fixed configs that
 reach every coupling builder (an 8x8 Gaussian Hartree run in both modes and
 ``compare --halvings 1``, a 1-d Gross-Pitaevskii run, a contact-kernel
-Hartree run and a 2x8 Navier-Stokes run) and both data-file readers (a
-16-site ``custom-f`` triplet file with a repeated position, an explicit zero
-and a blank line, run in both modes and by ``compare --halvings 1``, and
-``file``-preset runs on a 1-d ``x,re,im`` and a 2-d ``x0,x1,re,im`` field
-file); then a default ``bec`` and
-``resources --n-min 1 --n-max 6 --steps 100 --instrument``. The data files
-are written into the tool's work directory, beside the configs that name
-them; a config echoes their paths as written, so no output names that
+Hartree run, a 2x8 Navier-Stokes run and a 64-site Hartree run recording
+every one of its 160 steps, a trajectory of 10,304 rows in 161 small
+snapshots) and both data-file readers (a 16-site ``custom-f`` triplet file
+with a repeated position, an explicit zero and a blank line, run in both
+modes and by ``compare --halvings 1``, and ``file``-preset runs on a 1-d
+``x,re,im`` and a 2-d ``x0,x1,re,im`` field file); then a default ``bec``
+and ``resources --n-min 1 --n-max 6 --steps 100 --instrument``. The data
+files are written into the tool's work directory, beside the configs that
+name them; a config echoes their paths as written, so no output names that
 directory.
 
 Each call runs in a fresh process on the nlqsim package under ``--src``
@@ -83,6 +84,11 @@ FIXED_CALLS = {
         _config("hartree", [16], kernel={"form": "contact", "g": 1.3}), {"full": ("simulate",)},
     ),
     "stencil-2x8": (_config("navier-stokes", [2, 8], rho0=1.0), {"full": ("simulate",)}),
+    "hartree-64-stride1": (
+        _config("hartree", [64], kernel={"form": "gaussian", "sigma": 1.0, "amplitude": 2.0},
+                t=16.0, record_stride=1),
+        {"full": ("simulate",)},
+    ),
     "custom-f-16": (
         _config("custom-f", [16], coupling_csv="ring-16.csv"),
         {"compiled": ("simulate", "--mode", "compiled"),
