@@ -4,7 +4,7 @@ reference solvers used to cross-check every result.
 
 Modules, each imported on its own (``from nlqsim import evolution``);
 importing the package loads none of them:
-  statevec   - amplitude vector and the primitive gate set
+  statevec   - principal vector, the interpreter's register and its gates
   nlcompiler - coupling-matrix compilation into ancilla gate blocks, counts
   evolution  - alternating potential/kinetic stepping and observables
   problems   - grids, interaction kernels, coupling builders

@@ -324,23 +324,27 @@ def build_coupling(cfg: ExperimentConfig) -> CouplingMatrix:
     return problems.coupling_from_triplet_csv(cfg.data_path(cfg.coupling_csv), cfg.grid.size)
 
 
-def build_problem(cfg: ExperimentConfig) -> tuple[CouplingMatrix, statevec.Register]:
-    """Coupling and initial register of a config.
+def build_problem(cfg: ExperimentConfig) -> tuple[CouplingMatrix, np.ndarray]:
+    """Coupling and initial principal vector of a config.
 
     The builders validate the physics and the referenced files (a kernel
     table shorter than the grid, a non-positive rho0, non-finite couplings,
     a state file of the wrong size or unreadable), so their ValueError or
     OSError is a config error like any other, and so is arithmetic that
-    overflows or a grid too large to allocate.
+    overflows or a grid too large to allocate. An initial state that cannot
+    be normalized is named by its preset.
     """
     try:
         f = build_coupling(cfg)
-        r0 = statevec.init_from_amplitudes(build_initial_amplitudes(cfg))
+        amps = build_initial_amplitudes(cfg)
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
     except (ArithmeticError, MemoryError) as exc:
         raise ConfigError(f"cannot build the problem: {type(exc).__name__}: {exc}") from exc
-    return f, r0
+    try:
+        return f, statevec.init_from_amplitudes(amps)
+    except ValueError as exc:
+        raise ConfigError(f"initial_state preset {cfg.initial_state.preset!r} is {exc}") from exc
 
 
 def build_initial_amplitudes(cfg: ExperimentConfig) -> np.ndarray:
@@ -404,12 +408,12 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: str) -> dict:
-    f, r0 = build_problem(cfg)
+    f, psi0 = build_problem(cfg)
     spec = KineticSpec(cfg.kinetic_prefactor, cfg.grid)
     n_steps = evolution.n_steps_for(cfg.t, cfg.eps)
     # stride 0 writes the first and last states: one stride covering the run
     result = evolution.evolve(
-        r0, f, spec, n_steps, cfg.eps, mode=cfg.mode,
+        psi0, f, spec, n_steps, cfg.eps, mode=cfg.mode,
         record_stride=cfg.record_stride or max(n_steps, 1), basic_c=cfg.basic_c,
     )
     os.makedirs(out_dir, exist_ok=True)
@@ -451,10 +455,10 @@ def run_compare(cfg: ExperimentConfig, out_dir: str, halvings: int = 0) -> dict:
         oracle.step_count(end - start, ref_dt) for end, start in starts.items()
     )
     _check_step_cap(total, f"compare (gate path and reference, all {len(row_eps)} row(s))")
-    f, r0 = build_problem(cfg)
+    f, psi0 = build_problem(cfg)
     spec = KineticSpec(cfg.kinetic_prefactor, cfg.grid)
     rule = build_oracle_potential(cfg)
-    references = {0.0: oracle.FieldState.from_amplitudes(r0.ancilla0.copy(), cfg.grid)}
+    references = {0.0: oracle.FieldState.from_amplitudes(psi0, cfg.grid)}
 
     def reference(t_run: float) -> oracle.FieldState:
         # solved when a row first needs it, after that row's gate path
@@ -467,9 +471,9 @@ def run_compare(cfg: ExperimentConfig, out_dir: str, halvings: int = 0) -> dict:
         return references[t_run]
 
     def one_comparison(eps: float, n_steps: int, t_run: float) -> dict:
-        result = evolution.evolve(r0, f, spec, n_steps, eps, mode=cfg.mode)
+        result = evolution.evolve(psi0, f, spec, n_steps, eps, mode=cfg.mode)
         ref_amps = reference(t_run).to_amplitudes()
-        quantum = result.final.ancilla0.copy()
+        quantum = result.final
         ov = np.vdot(ref_amps, quantum)
         fid = float(abs(ov))
         l2 = float(np.linalg.norm(quantum * np.exp(-1j * np.angle(ov)) - ref_amps))
@@ -570,7 +574,8 @@ def run_resources(
         dim = 2**n
         mat = rng.normal(size=(dim, dim))
         f = CouplingMatrix.from_dense((mat + mat.T) / 2.0)
-        counts = instrumented_counts(nlcompiler.compile_w(f, 0.1), statevec.uniform_state(n))
+        r = statevec.clean_register(statevec.init_from_amplitudes(np.ones(dim)))
+        counts = instrumented_counts(nlcompiler.compile_w(f, 0.1), r)
         expected = nlcompiler.estimate_resources(n, 1, basic_c=basic_c).per_step
         report["instrumented"] = {
             "n": n,

@@ -1,8 +1,11 @@
-"""Alternating-step time evolution on the register.
+"""Alternating-step time evolution of the principal vector.
 
-One step of size eps applies the density-feedback potential diagonal first
-(compiled gate blocks or the direct diagonal, selectable) and then the
-kinetic propagator, diagonalized by the principal-index Fourier transform:
+The run state is the normalized principal vector (`statevec`). The ancilla
+exists only in compiled mode, in the register the gate interpreter runs on,
+whose ancilla-|0> branch is the vector. One step of size eps applies the
+density-feedback potential diagonal first (compiled gate blocks or the
+direct diagonal, selectable) and then the kinetic propagator, diagonalized
+by the principal-index Fourier transform:
 
     U_eps = DFT^-1 . exp(-i*eps*c_T*p^2) . DFT
 
@@ -36,7 +39,6 @@ import numpy as np
 from . import nlcompiler, statevec
 from .nlcompiler import CouplingMatrix, GateSequence, ResourceTally
 from .problems import GridSpec
-from .statevec import Register
 
 #: final norm of an evolved state must stay this close to 1
 NORM_DRIFT_TOL = 1e-10
@@ -104,7 +106,7 @@ class KineticSpec:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Principal amplitudes (the clean ancilla-|0> branch) after a step."""
+    """A copy of the principal vector after a step."""
 
     step: int
     time: float
@@ -113,7 +115,7 @@ class Snapshot:
 
 @dataclass
 class EvolutionResult:
-    final: Register
+    final: np.ndarray
     tally: ResourceTally
     snapshots: list[Snapshot] = field(default_factory=list)
     norm_drift: float = 0.0
@@ -169,43 +171,46 @@ def axis_unitary(p_sq: np.ndarray, c_T: float, eps: float) -> np.ndarray:
     return u
 
 
-def apply_kinetic(r: Register, spec: KineticSpec, eps: float) -> Register:
-    """Kinetic propagator exp(-i*eps*c_T*p^2), in the form `spec.operator`
-    built for the grid: per-axis unitaries multiply along their axes; flat
-    factors multiply between a transform and its inverse.
+def apply_kinetic(psi: np.ndarray, spec: KineticSpec, eps: float) -> np.ndarray:
+    """Kinetic propagator exp(-i*eps*c_T*p^2), in place on the principal
+    vector psi, in the form `spec.operator` built for the grid: per-axis
+    unitaries multiply along their axes; flat factors multiply between a
+    transform and its inverse.
     """
     op = spec.operator(eps)
     if isinstance(op, tuple):
-        return statevec.apply_principal_axes(r, op)
+        return statevec.apply_principal_axes(psi, op)
     shape = spec.grid.points
-    statevec.dft_principal(r, inverse=False, axes_shape=shape)
-    statevec.apply_principal_factors(r, op)
-    statevec.dft_principal(r, inverse=True, axes_shape=shape)
-    return r
+    statevec.dft_principal(psi, inverse=False, axes_shape=shape)
+    statevec.apply_principal_factors(psi, op)
+    statevec.dft_principal(psi, inverse=True, axes_shape=shape)
+    return psi
 
 
 def trotter_step(
-    r: Register,
+    psi: np.ndarray,
     f: CouplingMatrix,
     spec: KineticSpec,
     eps: float,
     sequence: GateSequence | None = None,
-) -> Register:
-    """One step: potential diagonal, then kinetic.
+    register: statevec.Register | None = None,
+) -> np.ndarray:
+    """One step on the principal vector psi, in place: potential diagonal,
+    then kinetic.
 
-    The potential step executes the compiled sequence when one is given (it
-    must match (f, eps)) and applies the direct diagonal otherwise. The
-    ancilla is clean again after the step.
+    The potential step applies the direct diagonal, or, given a compiled
+    sequence (it must match (f, eps)), executes it gate by gate on
+    `register`, whose ancilla-|0> branch must be psi.
     """
     if sequence is None:
-        nlcompiler.apply_w_direct(r, f, eps)
+        nlcompiler.apply_w_direct(psi, f, eps)
     else:
-        nlcompiler.execute(sequence, r)
-    return apply_kinetic(r, spec, eps)
+        nlcompiler.execute(sequence, register)
+    return apply_kinetic(psi, spec, eps)
 
 
 def evolve(
-    r0: Register,
+    psi0: np.ndarray,
     f: CouplingMatrix,
     spec: KineticSpec,
     n_steps: int,
@@ -214,55 +219,64 @@ def evolve(
     record_stride: int = 0,
     basic_c: int = 1,
 ) -> EvolutionResult:
-    """Run n_steps steps of size eps from r0; r0 itself is left untouched.
+    """Run n_steps steps of size eps from the principal vector psi0, which
+    is left untouched.
 
     With record_stride > 0, snapshots are taken at step 0, every
     record_stride steps, and at the end (a stride of at least n_steps
     records the first and last states only); record_stride = 0 records
     none. The tally is the closed form on the schedule's nonzero angles,
     the gates a compiled step executes; direct mode counts them without
-    building the gate list.
+    building the gate list. Compiled mode keeps the vector as the
+    ancilla-|0> branch of the register the gates run on, so weight a block
+    leaves in the ancilla-|1> branch is missing from the vector's final
+    norm.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    r = r0.copy()
     try:
         sparsity = nlcompiler.gammas_from_coupling(f, eps).sparsity()
     except ValueError as exc:  # eps * f overflows: a non-finite rotation angle
         raise SimulationError(str(exc)) from exc
-    tally = nlcompiler.estimate_resources(r.n, n_steps, *sparsity, basic_c=basic_c)
-    sequence = nlcompiler.compile_w(f, eps) if mode == "compiled" else None
+    tally = nlcompiler.estimate_resources(f.n_qubits, n_steps, *sparsity, basic_c=basic_c)
+    if mode == "compiled":
+        sequence = nlcompiler.compile_w(f, eps)
+        register = statevec.clean_register(psi0)
+        psi = register.ancilla0
+    else:
+        sequence = register = None
+        psi = np.array(psi0, dtype=np.complex128)
     snapshots: list[Snapshot] = []
 
     def record(step: int):
-        snapshots.append(Snapshot(step, step * eps, r.ancilla0.copy()))
+        snapshots.append(Snapshot(step, step * eps, psi.copy()))
 
     if record_stride > 0:
         record(0)
     for step in range(1, n_steps + 1):
-        trotter_step(r, f, spec, eps, sequence)
+        trotter_step(psi, f, spec, eps, sequence, register)
         if record_stride > 0 and (step % record_stride == 0 or step == n_steps):
             record(step)
-    drift = abs(r.norm() - 1.0)
+    drift = abs(float(np.linalg.norm(psi)) - 1.0)
     if not np.isfinite(drift) or drift > NORM_DRIFT_TOL:
         raise SimulationError(
             f"norm drifted by {drift:.3e} after {n_steps} steps"
         )
-    return EvolutionResult(final=r, tally=tally, snapshots=snapshots, norm_drift=drift)
+    return EvolutionResult(final=psi, tally=tally, snapshots=snapshots, norm_drift=drift)
 
 
-def observables(r: Register, spec: KineticSpec, f: CouplingMatrix) -> Observables:
-    """Density, momentum density and the conserved energy functional.
+def observables(psi: np.ndarray, spec: KineticSpec, f: CouplingMatrix) -> Observables:
+    """Density, momentum density and the conserved energy functional of the
+    principal vector psi.
 
     energy = sum_m c_T*p_m^2*|a~_m|^2 + (1/2)*sum_kj f_kj*|a_k|^2*|a_j|^2;
     the 1/2 makes the quadratic-potential energy the conserved quantity of
     the density-feedback flow. Exact conservation holds for the continuous
     dynamics; the stepped evolution drifts proportionally to eps.
     """
-    dens = r.principal_probabilities()
-    work = r.copy()
-    statevec.dft_principal(work, inverse=False, axes_shape=spec.grid.points)
-    mom_dens = work.principal_probabilities()
+    dens = np.abs(psi) ** 2
+    momentum = statevec.dft_principal(psi.copy(), inverse=False, axes_shape=spec.grid.points)
+    mom_dens = np.abs(momentum) ** 2
     kinetic = spec.c_T * float(np.sum(spec.momentum_sq() * mom_dens))
     interaction = 0.5 * float(dens @ f.potential(dens))
     return Observables(density=dens, momentum_density=mom_dens, energy=kinetic + interaction)

@@ -315,23 +315,21 @@ def execute(seq: GateSequence, r: Register) -> Register:
     return r
 
 
-def apply_w_direct(r: Register, f: CouplingMatrix, eps: float) -> Register:
+def apply_w_direct(psi: np.ndarray, f: CouplingMatrix, eps: float) -> np.ndarray:
     """Apply the nonlinear-potential diagonal directly from the densities.
 
-    Reads the current probability weights |a_k|^2 off the clean ancilla-|0>
-    branch and multiplies its amplitude a_k by exp(-i*eps*sum_j f_kj*|a_j|^2).
-    This is the in-process oracle the compiled sequence is checked against. The sum
-    is `CouplingMatrix.potential`: O(nnz) from the nonzero entries of a
-    sparse coupling such as a stencil, the dense O(N^2) product otherwise.
+    Multiplies each amplitude a_k of the principal vector psi, in place, by
+    exp(-i*eps*sum_j f_kj*|a_j|^2): the diagonal a compiled sequence
+    realizes on a register's ancilla-|0> branch, and the in-process oracle
+    it is checked against. The sum is `CouplingMatrix.potential`: O(nnz)
+    from the nonzero entries of a sparse coupling such as a stencil, the
+    dense O(N^2) product otherwise.
     """
-    if f.dim != r.num_states:
-        raise ValueError(f"coupling is {f.dim}-dimensional, register has {r.num_states}")
-    if not r.ancilla_is_clean():
-        raise ValueError("ancilla not clean")
-    a0 = r.ancilla0
-    dens = np.abs(a0) ** 2
-    a0 *= np.exp(-1j * eps * f.potential(dens))
-    return r
+    if f.dim != psi.size:
+        raise ValueError(f"coupling is {f.dim}-dimensional, the state has {psi.size} amplitudes")
+    dens = np.abs(psi) ** 2
+    psi *= np.exp(-1j * eps * f.potential(dens))
+    return psi
 
 
 def dense_sparsity(n: int) -> tuple[int, int]:

@@ -1,30 +1,33 @@
-"""State vector for n principal qubits plus one phase-feedback ancilla.
+"""The principal vector, and the register the gate interpreter runs on.
 
-Index layout: with N = 2**n, ``amps[b*N + k]`` holds principal basis state
+A run's state is the principal vector: a normalized complex vector of length
+N = 2**n, one amplitude per principal basis state |k>
+(`init_from_amplitudes`). The principal-index maps act on it in place: a
+diagonal phase (as phases or as precomputed unit factors), the unitary DFT,
+and one matrix per grid axis (``apply_principal_axes``, for the kinetic
+unitary on small grids). Each writes only through the array it is given.
+
+A `Register` is the gate interpreter's state (`nlcompiler.execute`): n
+principal qubits and the phase-feedback ancilla, ``amps[b*N + k]`` holding
 |k> with ancilla bit b. The ancilla is the most significant bit, so the
 branches are the contiguous halves ``amps[:N]`` (`ancilla0`) and ``amps[N:]``
-(`ancilla1`), the two rows of ``amps.reshape(2, N)``. Only this module knows
-the layout; everything else goes through the branch views. A `Register`
-builds both views once, at construction, and its attributes are frozen, so
-``amps`` cannot be rebound behind them; the gates act on the views in place.
+(`ancilla1`). Only this module knows the layout. A `Register` builds both
+views once, and its attributes are frozen, so ``amps`` cannot be rebound
+behind them; the gates act on the views in place. The ancilla is entangled
+only inside a compiled block and is back in |0> after each, so a run keeps
+no |1> half: `clean_register` puts a principal vector in the |0> branch.
 
-Every gate implemented here is either phase-only or an amplitude swap, so the
-2-norm is preserved to machine precision. Both branch weights come from one
-function, `branch_weights`: one ``np.add.reduce`` over the rows of the squared
-magnitudes, numpy's pairwise summation of each row, which is deterministic
-for a fixed length; the feedback phases of the nonlinear gate are therefore
-bit-reproducible. The squared magnitudes go into one float64 buffer per
-register, allocated by the first weight computation, so a compiled step
-allocates no array per gate and a register that never needs the weights never
-holds the buffer.
-
-The gate set is deliberately small: the ancilla-flip on a single principal
-index, the branch-probability phase gate, an ancilla-conditioned phase, a
-diagonal phase over the principal index (given as phases or as precomputed
-unit factors), the unitary DFT, and one matrix per axis of the principal index
-(``apply_principal_axes``, which applies a precomputed kinetic unitary on
-small grids). Nothing else is needed to realize the diagonal
-nonlinear-potential step and the kinetic step.
+The register's gates are the ancilla flip on one principal index, the
+branch-probability phase gate and an ancilla-conditioned phase; with the
+principal-index maps they realize the potential and kinetic steps. Each is
+phase-only or an amplitude swap, so the 2-norm is preserved to machine
+precision. Both branch weights come from one function, `branch_weights`: one
+``np.add.reduce`` over the rows of the squared magnitudes, numpy's pairwise
+summation of each row, which is deterministic for a fixed length; the
+feedback phases of the nonlinear gate are therefore bit-reproducible. The
+squared magnitudes go into one float64 buffer per register, allocated by the
+first weight computation, so a compiled step allocates no array per gate and
+a register that never needs the weights never holds the buffer.
 """
 
 from __future__ import annotations
@@ -83,20 +86,8 @@ class Register:
         # copies and pickles rebuild the views on the new amplitudes
         return Register, (self.n, self.amps)
 
-    @property
-    def num_states(self) -> int:
-        """Number of principal basis states, 2**n."""
-        return 2**self.n
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def copy(self) -> "Register":
         return Register(self.n, self.amps.copy())
-
-    def principal_probabilities(self) -> np.ndarray:
-        """|amplitude|^2 per principal index, summed over the ancilla bit."""
-        return np.abs(self.ancilla0) ** 2 + np.abs(self.ancilla1) ** 2
 
     def ancilla_is_clean(self) -> bool:
         """True when the ancilla-|1> branch holds at most NORM_TOL of weight."""
@@ -104,27 +95,30 @@ class Register:
         return float(np.vdot(a1, a1).real) <= NORM_TOL
 
 
-def init_from_amplitudes(a: np.ndarray) -> Register:
-    """Build a register from principal amplitudes, ancilla set to |0>.
+def init_from_amplitudes(a: np.ndarray) -> np.ndarray:
+    """The principal vector of amplitudes a, normalized.
 
-    The input is normalized; its length must be a power of two >= 2.
+    The length must be a power of two >= 2, and the norm finite and nonzero.
     """
     a = np.asarray(a, dtype=np.complex128).ravel()
     size = a.shape[0]
     if size < 2 or size & (size - 1) != 0:
         raise ValueError(f"length must be a power of two >= 2, got {size}")
     nrm = np.linalg.norm(a)
-    if not np.isfinite(nrm) or nrm == 0.0:
-        raise ValueError("unnormalizable")
-    n = int(size.bit_length() - 1)
+    if nrm == 0.0:
+        raise ValueError("unnormalizable: the norm is 0")
+    if not np.isfinite(nrm):
+        raise ValueError("unnormalizable: the norm is not finite")
+    return a / nrm
+
+
+def clean_register(psi: np.ndarray) -> Register:
+    """A register whose ancilla-|0> branch is a copy of the principal vector
+    psi and whose ancilla-|1> branch is zero, as at every block boundary."""
+    size = psi.shape[0]
     amps = np.zeros(2 * size, dtype=np.complex128)
-    amps[:size] = a / nrm
-    return Register(n, amps)
-
-
-def uniform_state(n: int) -> Register:
-    """Uniform superposition over all principal states, clean ancilla."""
-    return init_from_amplitudes(np.ones(2**n, dtype=np.complex128))
+    amps[:size] = psi
+    return Register(size.bit_length() - 1, amps)
 
 
 def branch_weights(r: Register) -> list[float]:
@@ -179,37 +173,28 @@ def apply_ancilla_phase(r: Register, lam: float) -> Register:
     return r
 
 
-def apply_principal_diagonal(r: Register, phases: np.ndarray) -> Register:
-    """Apply exp(i*phases[k]) to principal index k on both ancilla branches."""
+def apply_principal_diagonal(psi: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """Multiply principal index k by exp(i*phases[k]), in place."""
     phases = np.asarray(phases, dtype=np.float64).ravel()
-    return apply_principal_factors(r, np.exp(1j * phases))
+    return apply_principal_factors(psi, np.exp(1j * phases))
 
 
-def apply_principal_factors(r: Register, factors: np.ndarray) -> Register:
-    """Multiply principal index k by factors[k] on both ancilla branches.
+def apply_principal_factors(psi: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Multiply principal index k by factors[k], in place.
 
     The factors are taken as given (unit modulus keeps the norm), so a
     diagonal applied every step can be exponentiated once by the caller.
     """
-    if factors.shape != (r.num_states,):
-        raise ValueError(f"need {r.num_states} factors, got shape {factors.shape}")
-    branches = r.amps.reshape(2, -1)
-    branches *= factors
-    return r
-
-
-def _live_branches(r: Register) -> tuple[np.ndarray, ...]:
-    """The contiguous branch views a linear map over the principal index must
-    update in place: the ancilla-|0> branch, and the ancilla-|1> branch unless
-    it is exactly zero (a linear map leaves a zero branch zero)."""
-    a0, a1 = r.ancilla0, r.ancilla1
-    return (a0, a1) if a1.any() else (a0,)
+    if factors.shape != psi.shape:
+        raise ValueError(f"need {psi.size} factors, got shape {factors.shape}")
+    psi *= factors
+    return psi
 
 
 def dft_principal(
-    r: Register, inverse: bool = False, axes_shape: tuple[int, ...] | None = None
-) -> Register:
-    """Unitary DFT over the principal index; the ancilla is untouched.
+    psi: np.ndarray, inverse: bool = False, axes_shape: tuple[int, ...] | None = None
+) -> np.ndarray:
+    """Unitary DFT over the principal index, in place.
 
     ``axes_shape`` optionally factors the principal index into a row-major
     multi-axis grid (e.g. (8, 8) for a 2-d field) and transforms each axis,
@@ -217,40 +202,31 @@ def dft_principal(
     default is the full one-dimensional transform. Forward uses the
     exp(-2*pi*i*k*m/M) kernel; inverse undoes it exactly (round trip is
     identity to machine precision).
-
-    Each branch is transformed as its own contiguous block, bit-identical
-    to one transform of the stacked branches. The ancilla-|1> branch is
-    skipped when it is exactly zero, as at every step boundary. The
-    ancilla-|0> branch is always transformed: it is practically never zero,
-    and a zero one transforms to zero, so testing it would only cost time.
     """
     if axes_shape is None:
-        axes_shape = (r.num_states,)
-    if math.prod(axes_shape) != r.num_states:
-        raise ValueError(f"axes shape {axes_shape} does not cover 2**{r.n} states")
+        axes_shape = psi.shape
+    if math.prod(axes_shape) != psi.size:
+        raise ValueError(f"axes shape {axes_shape} does not cover {psi.size} states")
     transform = np.fft.ifftn if inverse else np.fft.fftn
-    for branch in _live_branches(r):
-        branch[:] = transform(branch.reshape(axes_shape), norm="ortho").reshape(-1)
-    return r
+    psi[:] = transform(psi.reshape(axes_shape), norm="ortho").reshape(-1)
+    return psi
 
 
-def apply_principal_axes(r: Register, matrices: tuple[np.ndarray, ...]) -> Register:
-    """Multiply the principal index by one square matrix per grid axis; the
-    ancilla is untouched.
+def apply_principal_axes(psi: np.ndarray, matrices: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Multiply the principal index by one square matrix per grid axis, in
+    place.
 
     The principal index is factored row-major into one axis per matrix (one
     matrix: the whole index; two: rows and columns of a 2-d field), and
-    ``matrices[a]`` acts on axis a. Each branch is multiplied as its own
-    contiguous block and written back, skipped as in `dft_principal`.
+    ``matrices[a]`` acts on axis a.
     """
     if not 1 <= len(matrices) <= 2:
         raise ValueError(f"need one or two axis matrices, got {len(matrices)}")
     shape = tuple(m.shape[0] for m in matrices)
-    if math.prod(shape) != r.num_states:
-        raise ValueError(f"axis matrices {shape} do not cover 2**{r.n} states")
-    for branch in _live_branches(r):
-        block = matrices[0] @ branch.reshape(shape)
-        if len(matrices) == 2:
-            block = block @ matrices[1].T
-        branch[:] = block.reshape(-1)
-    return r
+    if math.prod(shape) != psi.size:
+        raise ValueError(f"axis matrices {shape} do not cover {psi.size} states")
+    block = matrices[0] @ psi.reshape(shape)
+    if len(matrices) == 2:
+        block = block @ matrices[1].T
+    psi[:] = block.reshape(-1)
+    return psi

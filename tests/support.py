@@ -2,16 +2,16 @@
 built on the nlqsim modules, kept out of the package because no program
 path calls them.
 
-  basis_state, overlap, fidelity, global_phase_aligned - registers
-  tensor_square - the doubled register of products a_j * a_k
-  MadelungFields, madelung_fields - hydrodynamic fields of a register
+  basis_state, overlap, fidelity, global_phase_aligned - state vectors
+  tensor_square - the doubled principal vector of products a_j * a_k
+  MadelungFields, madelung_fields - hydrodynamic fields of a principal vector
   coupling_to_triplet_csv - writes a coupling as the triplet CSV that
       `problems.coupling_from_triplet_csv` reads
   radial_kernel - an analytic kernel at given distances, from its fields
   dense_hartree - the Hartree coupling filled pair by pair as a dense array
   convergence_ratios - step-halving ratios of the split-step reference
   stencil_config_dict - a navier-stokes config on a 2-d grid, as a dict
-  leak_norm - a kinetic step that also scales the register, so norm drifts
+  leak_norm - a kinetic step that also scales the state, so norm drifts
   zero_coupling - the coupling with no entries
 """
 
@@ -23,63 +23,59 @@ from functools import lru_cache
 
 import numpy as np
 
-from nlqsim import evolution, statevec
+from nlqsim import evolution
 from nlqsim.nlcompiler import CouplingMatrix
 from nlqsim.oracle import STRANG, FieldState, PotentialRule, Row, split_step_solve
 from nlqsim.problems import GridSpec, KernelSpec
-from nlqsim.statevec import Register, init_from_amplitudes
+from nlqsim.statevec import init_from_amplitudes
 
 
-def basis_state(n: int, k: int) -> Register:
-    """Register prepared in principal basis state |k> with clean ancilla."""
+def basis_state(n: int, k: int) -> np.ndarray:
+    """The principal vector of basis state |k> on n qubits."""
     a = np.zeros(2**n, dtype=np.complex128)
     a[k] = 1.0
     return init_from_amplitudes(a)
 
 
-def overlap(r1: Register, r2: Register) -> complex:
-    """Inner product <r1|r2> over the full (n+1)-qubit amplitude vectors."""
-    if r1.n != r2.n:
-        raise ValueError(f"size mismatch: {r1.n} vs {r2.n} principal qubits")
-    return complex(np.vdot(r1.amps, r2.amps))
+def overlap(a: np.ndarray, b: np.ndarray) -> complex:
+    """Inner product <a|b> of two amplitude vectors of one length."""
+    if a.shape != b.shape:
+        raise ValueError(f"size mismatch: {a.size} vs {b.size} amplitudes")
+    return complex(np.vdot(a, b))
 
 
-def fidelity(r1: Register, r2: Register) -> float:
-    """|<r1|r2>|, which is 1 exactly when the states agree up to global phase."""
-    return abs(overlap(r1, r2))
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """|<a|b>|, which is 1 exactly when the states agree up to global phase."""
+    return abs(overlap(a, b))
 
 
-def global_phase_aligned(reference: Register, r: Register) -> np.ndarray:
-    """Copy of r's amplitudes rotated to best match the reference's phase.
+def global_phase_aligned(reference: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Copy of the amplitudes a rotated to best match the reference's phase.
 
-    Returns r.amps * exp(i*chi) with chi chosen to maximize the real part of
+    Returns a * exp(i*chi) with chi chosen to maximize the real part of
     the overlap with the reference, so amplitude-wise comparisons ignore the
     (physically meaningless) global phase.
     """
-    ov = overlap(reference, r)
+    ov = overlap(reference, a)
     if ov == 0:
-        return r.amps.copy()
-    return r.amps * (abs(ov) / ov)
+        return a.copy()
+    return a * (abs(ov) / ov)
 
 
-def tensor_square(r: Register, max_result_qubits: int = 24) -> Register:
-    """Register whose principal amplitudes are all products a_j * a_k.
+def tensor_square(psi: np.ndarray, max_result_qubits: int = 24) -> np.ndarray:
+    """Principal vector of all products a_j * a_k of the amplitudes of psi.
 
     The output principal index is (j, k) row-major over two copies of the
     input index, so a single application of the potential step on the doubled
-    register produces phases containing |a_j|^2 * |a_k|^2 terms (one route to
-    higher-than-quadratic density dependence). Requires a clean ancilla.
+    vector produces phases containing |a_j|^2 * |a_k|^2 terms (one route to
+    higher-than-quadratic density dependence).
     """
-    if not r.ancilla_is_clean():
-        raise ValueError("ancilla not clean")
-    n2 = 2 * r.n
+    n2 = 2 * (psi.size.bit_length() - 1)
     if n2 + 1 > max_result_qubits:
         raise ValueError(
             f"result would need {n2 + 1} qubits, above the bound {max_result_qubits}"
         )
-    a = r.ancilla0
-    doubled = np.outer(a, a).reshape(-1)
-    return statevec.init_from_amplitudes(doubled)
+    return init_from_amplitudes(np.outer(psi, psi).reshape(-1))
 
 
 @dataclass(frozen=True)
@@ -96,8 +92,8 @@ class MadelungFields:
     defined: np.ndarray
 
 
-def madelung_fields(r: Register, grid: GridSpec) -> MadelungFields:
-    """Density and velocity fields of a clean-ancilla register.
+def madelung_fields(psi: np.ndarray, grid: GridSpec) -> MadelungFields:
+    """Density and velocity fields of a principal vector.
 
     The velocity is computed from the discrete probability current divided by
     the density (central differences, periodic), which avoids phase
@@ -108,11 +104,9 @@ def madelung_fields(r: Register, grid: GridSpec) -> MadelungFields:
     Sites with physical density below 1e-8 / dx**dims get u = NaN and are
     flagged as undefined rather than raising.
     """
-    if grid.size != r.num_states:
-        raise ValueError(f"grid has {grid.size} sites, register {r.num_states} states")
-    if not r.ancilla_is_clean():
-        raise ValueError("ancilla not clean")
-    a = r.ancilla0.reshape(grid.points)
+    if grid.size != psi.size:
+        raise ValueError(f"grid has {grid.size} sites, the state {psi.size} amplitudes")
+    a = psi.reshape(grid.points)
     mags = np.abs(a) ** 2
     rho = mags / grid.cell_volume
     floor = 1e-8 / grid.cell_volume
@@ -216,13 +210,13 @@ def stencil_config_dict(points, steps: int) -> dict:
 
 
 def leak_norm(monkeypatch, factor: float = 1 + 1e-9) -> None:
-    """Make every kinetic step of `evolution` also scale the register by factor."""
+    """Make every kinetic step of `evolution` also scale the state by factor."""
     kinetic = evolution.apply_kinetic
 
-    def leaky(r, spec, eps):
-        kinetic(r, spec, eps)
-        r.amps *= factor
-        return r
+    def leaky(psi, spec, eps):
+        kinetic(psi, spec, eps)
+        psi *= factor
+        return psi
 
     monkeypatch.setattr(evolution, "apply_kinetic", leaky)
 

@@ -44,9 +44,9 @@ from nlqsim.problems import (
     plane_wave_amplitudes,
     uniform_amplitudes,
 )
-from nlqsim.statevec import init_from_amplitudes
+from nlqsim.statevec import clean_register, init_from_amplitudes
 
-from conftest import random_coupling, random_register
+from conftest import random_coupling, random_register, random_state
 from support import (
     convergence_ratios,
     fidelity,
@@ -70,7 +70,7 @@ HARTREE_CT = 1.0
 HARTREE_T = 1.6
 
 
-def hartree_initial_register():
+def hartree_initial_state():
     a0 = gaussian_packet(HARTREE_GRID, center=-2.0, sigma=1.0, kappa=-1.0)
     return init_from_amplitudes(a0)
 
@@ -80,8 +80,8 @@ def hartree_errors(eps_list):
     both integrated to the same final time, reference at dt = eps/20."""
     f = hartree_coupling(HARTREE_KERNEL, HARTREE_GRID)
     spec = KineticSpec(HARTREE_CT, HARTREE_GRID)
-    r0 = hartree_initial_register()
-    phi0 = FieldState.from_amplitudes(r0.ancilla0.copy(), HARTREE_GRID)
+    r0 = hartree_initial_state()
+    phi0 = FieldState.from_amplitudes(r0, HARTREE_GRID)
     rule = kernel_potential(HARTREE_KERNEL, HARTREE_GRID)
     rows = []
     for eps in eps_list:
@@ -90,7 +90,7 @@ def hartree_errors(eps_list):
         result = evolve(r0, f, spec, n_steps, eps, mode="direct")
         ref = split_step_solve(phi0, rule, HARTREE_CT, t_run, eps / 20.0)
         ref_amps = ref.to_amplitudes()
-        out = result.final.ancilla0
+        out = result.final
         ov = np.vdot(ref_amps, out)
         infid = 1.0 - abs(ov)
         l2 = float(np.linalg.norm(out * np.exp(-1j * np.angle(ov)) - ref_amps))
@@ -111,12 +111,12 @@ class TestCriterion1:
         worst = 1.0
         for case in range(100):
             n = int(rng.integers(1, 6))
-            r = random_register(rng, n)
+            psi = random_state(rng, n)
             f = random_coupling(rng, n)
             eps = float(rng.uniform(1e-3, 0.3))
-            direct = apply_w_direct(r.copy(), f, eps)
-            compiled = execute(compile_w(f, eps), r.copy())
-            worst = min(worst, fidelity(direct, compiled))
+            direct = apply_w_direct(psi.copy(), f, eps)
+            compiled = execute(compile_w(f, eps), clean_register(psi))
+            worst = min(worst, fidelity(direct, compiled.ancilla0))
         elapsed = time.monotonic() - start
         report(
             "C1 compiler-oracle equivalence",
@@ -168,7 +168,7 @@ class TestCriterion3:
         f = hartree_coupling(HARTREE_KERNEL, HARTREE_GRID)
         spec = KineticSpec(HARTREE_CT, HARTREE_GRID)
         n_steps = evolution.n_steps_for(100.0, 0.01)
-        result = evolve(hartree_initial_register(), f, spec, n_steps, 0.01)
+        result = evolve(hartree_initial_state(), f, spec, n_steps, 0.01)
         ok = result.tally.n_steps == 10**4 and result.norm_drift < 1e-10
         report(
             "C3 norm conservation",
@@ -241,7 +241,7 @@ class TestCriterion5:
         spec = KineticSpec(0.5, grid)
         r0 = init_from_amplitudes(uniform_amplitudes(grid))
         result = evolve(r0, direct, spec, evolution.n_steps_for(100.0, 0.1), 0.1, mode="compiled")
-        dens = np.abs(result.final.ancilla0) ** 2
+        dens = np.abs(result.final) ** 2
         dev = float(np.max(np.abs(dens - 1.0 / 64.0)))
         ok = identical and result.tally.n_steps == 1000 and dev < 1e-10
         report(
@@ -347,13 +347,12 @@ class TestCriterion9:
         rng = np.random.default_rng(909)
         a = rng.normal(size=4) + 1j * rng.normal(size=4)
         a /= np.linalg.norm(a)
-        r = init_from_amplitudes(a)
-        doubled = tensor_square(r)
+        doubled = tensor_square(init_from_amplitudes(a))
 
         mat = rng.normal(size=(16, 16))
         big_f = CouplingMatrix.from_dense((mat + mat.T) / 2.0)
         eps = 0.21
-        compiled = execute(compile_w(big_f, eps), doubled.copy())
+        compiled = execute(compile_w(big_f, eps), clean_register(doubled)).ancilla0
 
         # independent computation straight from the original amplitudes
         w = np.abs(a) ** 2
@@ -363,7 +362,7 @@ class TestCriterion9:
         expected = init_from_amplitudes(expected_amps)
 
         aligned = global_phase_aligned(expected, compiled)
-        max_err = float(np.max(np.abs(aligned - expected.amps)))
+        max_err = float(np.max(np.abs(aligned - expected)))
         ok = max_err < 1e-12 and fidelity(expected, compiled) >= 1 - 1e-12
         report(
             "C9 multi-copy quartic phases",

@@ -488,9 +488,9 @@ class TestCompare:
         calls = []
         evolve = evolution.evolve
 
-        def recording(r0, f, spec, n_steps, eps, **kwargs):
+        def recording(psi0, f, spec, n_steps, eps, **kwargs):
             calls.append((n_steps, eps))
-            return evolve(r0, f, spec, n_steps, eps, **kwargs)
+            return evolve(psi0, f, spec, n_steps, eps, **kwargs)
 
         monkeypatch.setattr(evolution, "evolve", recording)
         cfg = config_from_dict(hartree_config_dict(t=1.0, eps=0.3))
@@ -622,7 +622,7 @@ class TestCompare:
         cfg = config_from_dict(payload)
         cli.run_compare(cfg, str(tmp_path))
         (used,) = solves
-        phi0 = FieldState.from_amplitudes(cli.build_problem(cfg)[1].ancilla0.copy(), cfg.grid)
+        phi0 = FieldState.from_amplitudes(cli.build_problem(cfg)[1], cfg.grid)
         rule = cli.build_oracle_potential(cfg)
         c_T = cfg.kinetic_prefactor
         fine = solve(phi0, rule, c_T, cfg.t, cfg.eps / 32, row=oracle.BLANES_MOAN4)
@@ -1149,6 +1149,29 @@ class TestConfigBoundary:
         assert rc == code
         assert line.startswith("config error: " if code == 2 else "numerical failure: ")
         assert fragment in line
+
+    @pytest.mark.parametrize("initial_state, grid, cause", [
+        # the packet underflows to zero at every site
+        ({"center": 1e300}, {}, "0"),
+        # (x - c) / sigma overflows
+        ({"sigma": 1e-300}, {}, "not finite"),
+        # the coordinates overflow, and the packet underflows to zero
+        ({}, {"x0": 1e308}, "0"),
+    ])
+    def test_unnormalizable_initial_state_names_its_cause(
+        self, tmp_path, capsys, initial_state, grid, cause
+    ):
+        payload = gp_config_dict(
+            grid={"points": [16], "dx": 0.5, "x0": -4.0, **grid},
+            initial_state={"preset": "gaussian", **initial_state},
+        )
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(payload))
+        rc = cli.main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert one_error_line(capsys) == (
+            f"config error: initial_state preset 'gaussian' is unnormalizable: the norm is {cause}"
+        )
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     @pytest.mark.parametrize("points", [[16], [4, 4]])

@@ -20,7 +20,7 @@ from nlqsim.evolution import (
     trotter_step,
     write_trajectory_csv,
 )
-from nlqsim.nlcompiler import CouplingMatrix, compile_w, estimate_resources
+from nlqsim.nlcompiler import CouplingMatrix, GateSequence, compile_w, estimate_resources
 from nlqsim.problems import (
     GridSpec,
     KernelSpec,
@@ -29,9 +29,9 @@ from nlqsim.problems import (
     navier_stokes_coupling,
     plane_wave_amplitudes,
 )
-from nlqsim.statevec import init_from_amplitudes
+from nlqsim.statevec import clean_register, init_from_amplitudes
 
-from conftest import random_coupling, random_register
+from conftest import random_coupling, random_register, random_state
 from support import basis_state, fidelity, leak_norm, stencil_config_dict, zero_coupling
 
 
@@ -84,11 +84,11 @@ class TestKineticPhases:
         mode = 3
         kappa = 2 * np.pi * mode / (16 * 0.5)
         a = np.exp(2j * np.pi * mode * np.arange(16) / 16)
-        r = init_from_amplitudes(a)
+        psi = init_from_amplitudes(a)
         eps = 0.07
-        apply_kinetic(r, spec, eps)
+        apply_kinetic(psi, spec, eps)
         expected = init_from_amplitudes(a * np.exp(-1j * eps * kappa**2))
-        assert np.max(np.abs(r.amps - expected.amps)) < 1e-12
+        assert np.max(np.abs(psi - expected)) < 1e-12
 
     def test_2d_ladder_adds(self):
         grid = GridSpec(points=(4, 4), dx=1.0)
@@ -116,14 +116,14 @@ class TestKineticPropagator:
     def test_built_once_per_run(self, grid, spec, rng, monkeypatch):
         # the 16-site grid takes the per-axis route: one matrix for its axis
         calls = count_axis_builds(monkeypatch)
-        evolve(random_register(rng, 4), zero_coupling(16), spec, n_steps_for(1.0, 0.1), 0.1)
+        evolve(random_state(rng, 4), zero_coupling(16), spec, n_steps_for(1.0, 0.1), 0.1)
         assert [args[1:] for args in calls] == [(1.0, 0.1)]
         assert np.array_equal(calls[0][0], spec.momentum_sq())
 
     def test_built_once_per_axis_2d(self, rng, monkeypatch):
         calls = count_axis_builds(monkeypatch)
         spec = KineticSpec(0.5, GridSpec(points=(4, 8), dx=0.5))
-        evolve(random_register(rng, 5), zero_coupling(32), spec, n_steps_for(1.0, 0.1), 0.1)
+        evolve(random_state(rng, 5), zero_coupling(32), spec, n_steps_for(1.0, 0.1), 0.1)
         assert [(args[0].size,) + args[1:] for args in calls] == [(4, 0.5, 0.1), (8, 0.5, 0.1)]
 
     def test_keeps_the_latest_step_size(self, spec, monkeypatch):
@@ -158,20 +158,20 @@ class TestKineticPropagator:
             return phases(*args)
 
         monkeypatch.setattr(evolution, "kinetic_phases", counting)
-        evolve(random_register(rng, 9), zero_coupling(512), fft_spec,
+        evolve(random_state(rng, 9), zero_coupling(512), fft_spec,
                n_steps_for(0.3, 0.1), 0.1)
         assert calls == [(fft_spec, 0.1)]
 
     def test_matches_per_step_phases(self, fft_spec, rng):
         # on a grid past the per-axis threshold, the kinetic step with cached
         # factors equals transform, exp of the phases, inverse transform
-        r = random_register(rng, 9)
-        expected = r.copy()
+        psi = random_state(rng, 9)
+        expected = psi.copy()
         statevec.dft_principal(expected)
         statevec.apply_principal_diagonal(expected, kinetic_phases(fft_spec, 0.05))
         statevec.dft_principal(expected, inverse=True)
-        apply_kinetic(r, fft_spec, 0.05)
-        assert np.array_equal(r.amps, expected.amps)
+        apply_kinetic(psi, fft_spec, 0.05)
+        assert np.array_equal(psi, expected)
 
 
 class TestPerAxisRoute:
@@ -188,7 +188,7 @@ class TestPerAxisRoute:
         r.ancilla0[:] = rng.normal(size=size) + 1j * rng.normal(size=size)
         if live_ancilla:
             r.ancilla1[:] = rng.normal(size=size) + 1j * rng.normal(size=size)
-        r.amps /= r.norm()
+        r.amps /= np.linalg.norm(r.amps)
         return r
 
     @pytest.mark.parametrize(
@@ -200,35 +200,38 @@ class TestPerAxisRoute:
         monkeypatch.setattr(statevec, "dft_principal", lambda r, **kw: calls.append("dft") or r)
         monkeypatch.setattr(statevec, "apply_principal_axes", lambda r, m: calls.append("axes") or r)
         spec = KineticSpec(1.0, GridSpec(points=points, dx=0.1))
-        apply_kinetic(statevec.uniform_state(spec.grid.size.bit_length() - 1), spec, 0.01)
+        apply_kinetic(init_from_amplitudes(np.ones(spec.grid.size)), spec, 0.01)
         assert calls == (["axes"] if route == "axes" else ["dft", "dft"])
 
     @pytest.mark.parametrize("points", POINTS)
     @pytest.mark.parametrize("live_ancilla", [False, True])
     def test_routes_agree_after_100_steps(self, rng, monkeypatch, points, live_ancilla):
+        # each route maps the ancilla-|0> branch view in place, as in a
+        # compiled run, and leaves the other half of the register as it was
         spec = KineticSpec(0.7, GridSpec(points=points, dx=0.3))
         r = self.register(rng, spec.grid.size, live_ancilla)
         expected = r.copy()
         for _ in range(100):
-            apply_kinetic(r, spec, 0.01)
+            apply_kinetic(r.ancilla0, spec, 0.01)
         monkeypatch.setattr(evolution, "KINETIC_MATRIX_MAX_POINTS", 0)
         spec = KineticSpec(spec.c_T, spec.grid)  # the route is picked when the operator is built
         for _ in range(100):
-            apply_kinetic(expected, spec, 0.01)
+            apply_kinetic(expected.ancilla0, spec, 0.01)
         assert np.max(np.abs(r.amps - expected.amps)) <= 1e-12
         assert r.ancilla1.any() == live_ancilla
 
     @pytest.mark.parametrize("points", [(16,), (8, 8)])
     @pytest.mark.parametrize("route", ["axes", "dft"])
     def test_zero_ancilla0_branch_stays_zero(self, rng, monkeypatch, points, route):
-        # the ancilla-|0> branch is always mapped, a zero one to zero
+        # mapping the ancilla-|1> branch view writes nothing into the zero
+        # ancilla-|0> half
         spec = KineticSpec(0.7, GridSpec(points=points, dx=0.3))
         r = self.register(rng, spec.grid.size, live_ancilla=True)
         r.ancilla0[:] = 0.0
         expected = r.ancilla1.copy()
         if route == "dft":
             monkeypatch.setattr(evolution, "KINETIC_MATRIX_MAX_POINTS", 0)
-        apply_kinetic(r, spec, 0.01)
+        apply_kinetic(r.ancilla1, spec, 0.01)
         assert not r.ancilla0.any()
         expected = np.fft.ifftn(
             np.exp(1j * kinetic_phases(spec, 0.01)).reshape(points)
@@ -256,19 +259,19 @@ class TestPerAxisRoute:
     def test_norm_drift_long_run(self):
         grid = GridSpec(points=(64,), dx=0.25, x0=-8.0)
         spec = KineticSpec(1.0, grid)
-        r = init_from_amplitudes(gaussian_packet(grid, 0.0, 1.0, 0.5))
+        psi = init_from_amplitudes(gaussian_packet(grid, 0.0, 1.0, 0.5))
         for _ in range(20000):
-            apply_kinetic(r, spec, 0.01)
-        assert abs(r.norm() - 1.0) <= 1e-10
+            apply_kinetic(psi, spec, 0.01)
+        assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("points", [(16,), (8, 8), (512,)])
     def test_non_finite_phase_is_a_simulation_error(self, rng, points):
         # eps * c_T * p^2 overflows to inf on either route
         spec = KineticSpec(1e308, GridSpec(points=points, dx=0.5))
-        r = random_register(rng, spec.grid.size.bit_length() - 1)
+        psi = random_state(rng, spec.grid.size.bit_length() - 1)
         message = r"^non-finite kinetic phase for step size eps = 0\.1; lower c_T or eps$"
         with np.errstate(all="ignore"), pytest.raises(SimulationError, match=message):
-            apply_kinetic(r, spec, 0.1)
+            apply_kinetic(psi, spec, 0.1)
 
 
 class TestTracerSeams:
@@ -304,7 +307,7 @@ class TestTracerSeams:
     def test_each_seam_called_per_step(self, grid, spec, rng, monkeypatch, mode):
         counts = self.count_seams(monkeypatch)
         steps = 7
-        result = evolve(random_register(rng, 4), random_coupling(rng, 4, scale=0.3), spec,
+        result = evolve(random_state(rng, 4), random_coupling(rng, 4, scale=0.3), spec,
                         n_steps_for(steps * 0.05, 0.05), 0.05, mode=mode)
         # the gate primitives run only in compiled mode, each as often as the tally says
         gates = steps if mode == "compiled" else 0
@@ -324,7 +327,7 @@ class TestTracerSeams:
     def test_fft_side_grid_transforms_twice_per_step(self, fft_spec, rng, monkeypatch):
         counts = self.count_seams(monkeypatch)
         steps = 3
-        evolve(random_register(rng, 9), zero_coupling(512), fft_spec,
+        evolve(random_state(rng, 9), zero_coupling(512), fft_spec,
                n_steps_for(steps * 0.05, 0.05), 0.05, mode="direct")
         assert counts == {
             "nlcompiler.apply_w_direct": steps,
@@ -343,12 +346,12 @@ class TestTrotterStep:
         mode = 2
         kappa = 2 * np.pi * mode / (16 * 0.5)
         a = np.exp(-1j * kappa * grid.coords(0))
-        r = init_from_amplitudes(a)
+        psi = init_from_amplitudes(a)
         f = zero_coupling(16)
         for _ in range(5):
-            trotter_step(r, f, spec, 0.05)
+            trotter_step(psi, f, spec, 0.05)
         expected = init_from_amplitudes(a * np.exp(-1j * 0.25 * kappa**2))
-        assert fidelity(r, expected) > 1 - 1e-12
+        assert fidelity(psi, expected) > 1 - 1e-12
 
     def test_zero_kinetic_diagonal_flow(self, grid, rng):
         """With c_T = 0 and diagonal coupling, each weight is frozen and the
@@ -356,33 +359,36 @@ class TestTrotterStep:
         spec0 = KineticSpec(0.0, grid)
         diag = rng.normal(size=16)
         f = CouplingMatrix.from_dense(np.diag(diag))
-        r = random_register(rng, 4)
-        dens0 = np.abs(r.ancilla0) ** 2
-        r2 = r.copy()
+        psi = random_state(rng, 4)
+        dens0 = np.abs(psi) ** 2
+        psi2 = psi.copy()
         for _ in range(3):
-            trotter_step(r2, f, spec0, 0.1)
-        assert np.abs(np.abs(r2.ancilla0) ** 2 - dens0).max() < 1e-14
-        expected = r.ancilla0 * np.exp(-1j * 3 * 0.1 * diag * dens0)
-        assert np.max(np.abs(r2.ancilla0 - expected)) < 1e-12
+            trotter_step(psi2, f, spec0, 0.1)
+        assert np.abs(np.abs(psi2) ** 2 - dens0).max() < 1e-14
+        expected = psi * np.exp(-1j * 3 * 0.1 * diag * dens0)
+        assert np.max(np.abs(psi2 - expected)) < 1e-12
 
     def test_compiled_matches_direct(self, grid, spec, rng):
         f = random_coupling(rng, 4, scale=0.5)
-        r = random_register(rng, 4)
-        direct = trotter_step(r.copy(), f, spec, 0.08)
-        compiled = trotter_step(r.copy(), f, spec, 0.08, sequence=compile_w(f, 0.08))
+        psi = random_state(rng, 4)
+        direct = trotter_step(psi.copy(), f, spec, 0.08)
+        r = clean_register(psi)
+        compiled = trotter_step(r.ancilla0, f, spec, 0.08, compile_w(f, 0.08), r)
+        assert compiled is r.ancilla0
         assert fidelity(direct, compiled) > 1 - 1e-12
 
     def test_ancilla_clean_after_step(self, grid, spec, rng):
         f = random_coupling(rng, 4)
-        r = trotter_step(random_register(rng, 4), f, spec, 0.05, sequence=compile_w(f, 0.05))
+        r = random_register(rng, 4)
+        trotter_step(r.ancilla0, f, spec, 0.05, compile_w(f, 0.05), r)
         assert r.ancilla_is_clean()
 
 
 class TestEvolve:
     def test_zero_time_identity(self, grid, spec, rng):
-        r0 = random_register(rng, 4)
-        result = evolve(r0, zero_coupling(16), spec, n_steps_for(0.0, 0.1), 0.1)
-        assert np.array_equal(result.final.amps, r0.amps)
+        psi0 = random_state(rng, 4)
+        result = evolve(psi0, zero_coupling(16), spec, n_steps_for(0.0, 0.1), 0.1)
+        assert np.array_equal(result.final, psi0)
         assert result.tally.n_steps == 0
         assert result.tally.nonlinear_count == 0
 
@@ -406,14 +412,16 @@ class TestEvolve:
         assert n_steps_for(2.0**52, 1.0) == 2**52
 
     def test_input_register_untouched(self, grid, spec, rng):
-        r0 = random_register(rng, 4)
-        before = r0.amps.copy()
-        evolve(r0, random_coupling(rng, 4), spec, n_steps_for(0.5, 0.1), 0.1)
-        assert np.array_equal(r0.amps, before)
+        psi0 = random_state(rng, 4)
+        before = psi0.copy()
+        f = random_coupling(rng, 4)
+        for mode in evolution.MODES:
+            evolve(psi0, f, spec, n_steps_for(0.5, 0.1), 0.1, mode=mode)
+            assert np.array_equal(psi0, before)
 
     def test_tally_matches_estimate(self, grid, spec, rng):
         f = random_coupling(rng, 4)
-        result = evolve(random_register(rng, 4), f, spec,
+        result = evolve(random_state(rng, 4), f, spec,
                         n_steps_for(1.0, 0.1), 0.1, mode="compiled")
         singles, pairs = nlcompiler.gammas_from_coupling(f, 0.1).sparsity()
         expected = estimate_resources(4, 10, singles=singles, pairs=pairs)
@@ -427,14 +435,14 @@ class TestEvolve:
 
         monkeypatch.setattr(nlcompiler, "compile_w", no_compile)
         f = random_coupling(rng, 4)
-        result = evolve(random_register(rng, 4), f, spec,
+        result = evolve(random_state(rng, 4), f, spec,
                         n_steps_for(1.0, 0.1), 0.1, mode="direct")
         singles, pairs = nlcompiler.gammas_from_coupling(f, 0.1).sparsity()
         assert result.tally == estimate_resources(4, 10, singles=singles, pairs=pairs)
 
     def test_mode_equivalence(self, grid, spec, rng):
         f = random_coupling(rng, 4, scale=0.3)
-        r0 = random_register(rng, 4)
+        r0 = random_state(rng, 4)
         direct = evolve(r0, f, spec, n_steps_for(2.0, 0.02), 0.02, mode="direct")
         compiled = evolve(r0, f, spec, n_steps_for(2.0, 0.02), 0.02, mode="compiled")
         assert fidelity(direct.final, compiled.final) >= 1 - 1e-9
@@ -449,7 +457,7 @@ class TestEvolve:
         assert result.norm_drift < 1e-10
 
     def test_snapshots(self, grid, spec, rng):
-        r0 = random_register(rng, 4)
+        r0 = random_state(rng, 4)
         result = evolve(r0, zero_coupling(16), spec,
                         n_steps_for(1.0, 0.1), 0.1, record_stride=4)
         steps = [s.step for s in result.snapshots]
@@ -457,7 +465,7 @@ class TestEvolve:
         assert result.snapshots[-1].time == pytest.approx(1.0)
 
     def test_plan_validation(self, spec, rng):
-        r0 = random_register(rng, 4)
+        r0 = random_state(rng, 4)
         f = zero_coupling(16)
         with pytest.raises(ValueError, match="step size"):
             evolve(r0, f, spec, n_steps_for(0.5, -0.1), -0.1)
@@ -471,14 +479,70 @@ class TestEvolve:
     def test_norm_drift_is_a_simulation_error(self, spec, rng, monkeypatch):
         leak_norm(monkeypatch)
         with pytest.raises(SimulationError, match=r"^norm drifted by 4\.\d+e-09 after 4 steps$"):
-            evolve(random_register(rng, 4), random_coupling(rng, 4), spec,
+            evolve(random_state(rng, 4), random_coupling(rng, 4), spec,
                    n_steps_for(0.4, 0.1), 0.1)
 
     def test_non_finite_angle_is_a_simulation_error(self, spec, rng):
         # each entry is finite, but eps * f overflows
         f = CouplingMatrix.from_dense(np.full((16, 16), 1e308))
         with np.errstate(all="ignore"), pytest.raises(SimulationError, match="rotation angle"):
-            evolve(random_register(rng, 4), f, spec, n_steps_for(8.0, 8.0), 8.0)
+            evolve(random_state(rng, 4), f, spec, n_steps_for(8.0, 8.0), 8.0)
+
+
+class TestRunState:
+    """The run state is the principal vector: a direct run builds no
+    register, and in compiled mode the final norm check over the vector
+    catches weight a block leaves in the ancilla-|1> branch."""
+
+    HARTREE_64 = {
+        "problem": "hartree",
+        "grid": {"points": [64], "dx": 0.25, "x0": -8.0},
+        "kernel": {"form": "gaussian", "sigma": 1.0, "amplitude": 2.0},
+        "initial_state": {"preset": "gaussian", "center": 0.0, "sigma": 1.0, "kappa": 0.4},
+        "t": 0.4,
+        "eps": 0.08,
+    }
+    # the 2x256 stencil's axis lengths sum past KINETIC_MATRIX_MAX_POINTS
+    CONFIGS = {
+        "hartree-64": HARTREE_64,
+        "stencil-32x32": stencil_config_dict((32, 32), 5),
+        "transform-2x256": stencil_config_dict((2, 256), 5),
+    }
+
+    @pytest.mark.parametrize("mode", evolution.MODES)
+    def test_final_is_the_principal_vector(self, spec, rng, mode):
+        result = evolve(random_state(rng, 4), random_coupling(rng, 4, scale=0.3), spec,
+                        3, 0.05, mode=mode)
+        assert type(result.final) is np.ndarray
+        assert result.final.shape == (16,) and result.final.dtype == np.complex128
+
+    @pytest.mark.parametrize("case", sorted(CONFIGS))
+    def test_direct_simulate_builds_no_register(self, tmp_path, monkeypatch, case):
+        def refuse(*args):
+            raise AssertionError("a Register was built")
+
+        monkeypatch.setattr(statevec, "Register", refuse)
+        assert (case == "transform-2x256") == (
+            sum(self.CONFIGS[case]["grid"]["points"]) > evolution.KINETIC_MATRIX_MAX_POINTS
+        )
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**self.CONFIGS[case], "mode": "direct"}))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["norm_drift"] < 1e-10
+
+    def test_weight_left_in_the_ancilla_fails_the_norm_check(self, spec, rng, monkeypatch):
+        compile_w = nlcompiler.compile_w
+
+        def drop_last_flip(f, eps):
+            seq = compile_w(f, eps)
+            last = max(i for i, (kind, _) in enumerate(seq.ops) if kind == "MCX")
+            return GateSequence(seq.n, seq.ops[:last] + seq.ops[last + 1:])
+
+        monkeypatch.setattr(nlcompiler, "compile_w", drop_last_flip)
+        with pytest.raises(SimulationError, match=r"^norm drifted by .* after 3 steps$"):
+            evolve(random_state(rng, 4), random_coupling(rng, 4, scale=0.3), spec,
+                   3, 0.05, mode="compiled")
 
 
 class TestFirstOrderAccuracy:
@@ -490,7 +554,7 @@ class TestFirstOrderAccuracy:
         f = hartree_coupling(kernel, grid)
         a0 = gaussian_packet(grid, center=-1.0, sigma=1.0, kappa=0.6)
         r0 = init_from_amplitudes(a0)
-        phi0 = oracle.FieldState.from_amplitudes(r0.ancilla0.copy(), grid)
+        phi0 = oracle.FieldState.from_amplitudes(r0, grid)
         rule = oracle.kernel_potential(kernel, grid)
         t = 1.0
         errs = []
@@ -498,7 +562,7 @@ class TestFirstOrderAccuracy:
             result = evolve(r0, f, spec, n_steps_for(t, eps), eps)
             ref = oracle.split_step_solve(phi0, rule, 1.0, t, eps / 20)
             ref_amps = ref.to_amplitudes()
-            out = result.final.ancilla0
+            out = result.final
             ov = np.vdot(ref_amps, out)
             errs.append(np.linalg.norm(out * np.exp(-1j * np.angle(ov)) - ref_amps))
         ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
@@ -539,14 +603,14 @@ class TestTwoDimensional:
         r0 = init_from_amplitudes(a0)
         result = evolve(r0, zero_coupling(64), spec,
                         n_steps_for(2.0, 0.05), 0.05)
-        dens = result.final.principal_probabilities().reshape(8, 8)
+        dens = (np.abs(result.final) ** 2).reshape(8, 8)
         assert np.allclose(dens, dens.T, atol=1e-12)  # axis symmetry preserved
 
 
 class TestObservables:
     def test_uniform_zero_momentum_state(self, spec):
-        r = statevec.uniform_state(4)
-        obs = observables(r, spec, zero_coupling(16))
+        psi = init_from_amplitudes(np.ones(16))
+        obs = observables(psi, spec, zero_coupling(16))
         assert obs.energy == pytest.approx(0.0, abs=1e-14)
         assert obs.momentum_density[0] == pytest.approx(1.0)
 
@@ -568,7 +632,7 @@ class TestObservables:
         assert obs.energy == pytest.approx(c_T * (np.pi / 2) ** 2, rel=1e-12)
 
     def test_density_sums_to_one(self, spec, rng):
-        obs = observables(random_register(rng, 4), spec, zero_coupling(16))
+        obs = observables(random_state(rng, 4), spec, zero_coupling(16))
         assert np.sum(obs.density) == pytest.approx(1.0)
         assert np.sum(obs.momentum_density) == pytest.approx(1.0)
 
@@ -578,7 +642,7 @@ class TestTrajectoryExport:
     LONG_ROWS = 8192
 
     def test_csv_columns(self, tmp_path, grid, spec, rng):
-        r0 = random_register(rng, 4)
+        r0 = random_state(rng, 4)
         result = evolve(r0, zero_coupling(16), spec,
                         n_steps_for(0.3, 0.1), 0.1, record_stride=1)
         path = tmp_path / "traj.csv"
@@ -589,7 +653,7 @@ class TestTrajectoryExport:
 
     def test_fields_are_plain_numbers(self, tmp_path, grid, spec, rng):
         f = random_coupling(rng, 4)
-        result = evolve(random_register(rng, 4), f, spec,
+        result = evolve(random_state(rng, 4), f, spec,
                         n_steps_for(0.3, 0.1), 0.1, record_stride=1)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, result.snapshots)

@@ -20,9 +20,9 @@ from nlqsim.nlcompiler import (
     schedule_blocks,
 )
 from nlqsim.problems import GridSpec, gross_pitaevskii_coupling, navier_stokes_coupling
-from nlqsim.statevec import init_from_amplitudes
+from nlqsim.statevec import clean_register, init_from_amplitudes
 
-from conftest import random_coupling, random_register
+from conftest import random_coupling, random_register, random_state
 from support import basis_state, fidelity, global_phase_aligned, tensor_square, zero_coupling
 
 
@@ -230,55 +230,48 @@ class TestSparsePotential:
 
     def test_direct_step_on_stencil_matches_dense_diagonal(self, rng):
         f = navier_stokes_coupling(1.0, GridSpec((32, 32), 0.5))
-        r = random_register(rng, 10)
-        dens = np.abs(r.ancilla0) ** 2
-        expected = r.ancilla0 * np.exp(-1j * 0.01 * (f.dense @ dens))
-        apply_w_direct(r, f, 0.01)
-        assert np.max(np.abs(r.ancilla0 - expected)) < 1e-14
-        assert r.ancilla_is_clean()
+        psi = random_state(rng, 10)
+        dens = np.abs(psi) ** 2
+        expected = psi * np.exp(-1j * 0.01 * (f.dense @ dens))
+        apply_w_direct(psi, f, 0.01)
+        assert np.max(np.abs(psi - expected)) < 1e-14
 
 
 class TestOracleEquivalence:
     def test_w_direct_uniform_diagonal_global_phase(self):
         # uniform state and uniform diagonal coupling: pure global phase
-        r = statevec.uniform_state(3)
-        ref = r.copy()
+        psi = init_from_amplitudes(np.ones(8))
+        ref = psi.copy()
         f = CouplingMatrix.from_dense(np.diag(np.full(8, 2.5)))
-        apply_w_direct(r, f, 0.1)
-        assert fidelity(ref, r) == pytest.approx(1.0, abs=1e-14)
-        assert r.ancilla0[0] == pytest.approx(ref.ancilla0[0] * np.exp(-1j * 0.1 * 2.5 / 8))
+        apply_w_direct(psi, f, 0.1)
+        assert fidelity(ref, psi) == pytest.approx(1.0, abs=1e-14)
+        assert psi[0] == pytest.approx(ref[0] * np.exp(-1j * 0.1 * 2.5 / 8))
 
     def test_w_direct_zero_coupling(self, rng):
-        r = random_register(rng, 2)
-        before = r.amps.copy()
-        apply_w_direct(r, zero_coupling(4), 0.3)
-        assert np.array_equal(r.amps, before)
-
-    def test_w_direct_requires_clean_ancilla(self, rng):
-        r = random_register(rng, 2)
-        statevec.apply_mcx_k(r, 1)
-        with pytest.raises(ValueError, match="ancilla not clean"):
-            apply_w_direct(r, zero_coupling(4), 0.1)
+        psi = random_state(rng, 2)
+        before = psi.copy()
+        apply_w_direct(psi, zero_coupling(4), 0.3)
+        assert np.array_equal(psi, before)
 
     def test_compiled_matches_direct_100_random_cases(self, rng):
         """Compiled block sequence reproduces the diagonal to 1e-12."""
         for case in range(100):
             n = int(rng.integers(1, 6))
-            r = random_register(rng, n)
+            psi = random_state(rng, n)
             f = random_coupling(rng, n)
             eps = float(rng.uniform(1e-3, 0.3))
-            direct = apply_w_direct(r.copy(), f, eps)
-            compiled = execute(compile_w(f, eps), r.copy())
+            direct = apply_w_direct(psi.copy(), f, eps)
+            compiled = execute(compile_w(f, eps), clean_register(psi))
             assert compiled.ancilla_is_clean()
-            assert fidelity(direct, compiled) >= 1 - 1e-12
+            assert fidelity(direct, compiled.ancilla0) >= 1 - 1e-12
 
     def test_compiled_amplitudes_match_after_alignment(self, rng):
-        r = random_register(rng, 3)
+        psi = random_state(rng, 3)
         f = random_coupling(rng, 3)
-        direct = apply_w_direct(r.copy(), f, 0.15)
-        compiled = execute(compile_w(f, 0.15), r.copy())
-        aligned = global_phase_aligned(direct, compiled)
-        assert np.max(np.abs(aligned - direct.amps)) < 1e-13
+        direct = apply_w_direct(psi.copy(), f, 0.15)
+        compiled = execute(compile_w(f, 0.15), clean_register(psi))
+        aligned = global_phase_aligned(direct, compiled.ancilla0)
+        assert np.max(np.abs(aligned - direct)) < 1e-13
 
 
 def reference_execute(seq, amps):
@@ -329,14 +322,15 @@ class TestExecuteBits:
         grid = GridSpec(points=(2**n,), dx=0.25)
         spec = evolution.KineticSpec(1.0, grid)
         f = random_coupling(rng, n, scale=0.5)
-        r0 = random_register(rng, n)
-        result = evolution.evolve(r0, f, spec, steps, eps, mode="compiled")
+        psi0 = random_state(rng, n)
+        result = evolution.evolve(psi0, f, spec, steps, eps, mode="compiled")
         seq = compile_w(f, eps)
-        r = r0.copy()
+        r = clean_register(psi0)
         for _ in range(steps):
             r = statevec.Register(n, reference_execute(seq, r.amps))
-            evolution.apply_kinetic(r, spec, eps)
-        assert np.array_equal(result.final.amps, r.amps)
+            evolution.apply_kinetic(r.ancilla0, spec, eps)
+        assert not r.ancilla1.any()
+        assert np.array_equal(result.final, r.ancilla0)
 
 
 class TestExecuteAllocation:
@@ -366,13 +360,18 @@ class TestExecuteAllocation:
         assert peak6 == peak8
         assert peak6 < self.PEAK_MAX_BYTES
 
-    def test_direct_step_and_tensor_square_never_allocate_the_buffer(self, rng):
+    def test_direct_step_and_tensor_square_never_allocate_the_buffer(self, rng, monkeypatch):
+        # neither builds a register at all
+        def refuse(*args):
+            raise AssertionError("a Register was built")
+
         n = 4
         grid = GridSpec(points=(2**n,), dx=0.25)
-        result = evolution.evolve(random_register(rng, n), random_coupling(rng, n),
-                                  evolution.KineticSpec(1.0, grid), 3, 0.05)
-        assert result.final._mags is None
-        assert tensor_square(random_register(rng, 3))._mags is None
+        psi0, f = random_state(rng, n), random_coupling(rng, n)
+        monkeypatch.setattr(statevec, "Register", refuse)
+        result = evolution.evolve(psi0, f, evolution.KineticSpec(1.0, grid), 3, 0.05)
+        assert result.final.shape == (2**n,)
+        assert tensor_square(random_state(rng, 3)).shape == (64,)
 
 
 class TestOrderIndependence:
@@ -394,7 +393,7 @@ class TestOrderIndependence:
             for op in block:
                 _dispatch(out, op)
 
-        aligned = global_phase_aligned(ref, out)
+        aligned = global_phase_aligned(ref.amps, out.amps)
         assert np.max(np.abs(aligned - ref.amps)) < 1e-12
 
 
@@ -495,28 +494,21 @@ class TestResources:
 class TestTensorSquare:
     def test_basis(self):
         doubled = tensor_square(basis_state(2, 0))
-        assert doubled.n == 4
-        assert doubled.ancilla0[0] == 1.0
+        assert doubled.shape == (16,)
+        assert doubled[0] == 1.0
 
     def test_uniform(self):
-        doubled = tensor_square(statevec.uniform_state(1))
-        assert np.allclose(doubled.ancilla0, np.full(4, 0.5))
+        doubled = tensor_square(init_from_amplitudes(np.ones(2)))
+        assert np.allclose(doubled, np.full(4, 0.5))
 
     def test_product_weights(self):
-        r = init_from_amplitudes(np.array([0.6, 0.8]))
-        doubled = tensor_square(r)
-        weights = np.abs(doubled.ancilla0) ** 2
+        doubled = tensor_square(init_from_amplitudes(np.array([0.6, 0.8])))
+        weights = np.abs(doubled) ** 2
         assert weights == pytest.approx([0.1296, 0.2304, 0.2304, 0.4096])
 
     def test_memory_bound(self, rng):
         with pytest.raises(ValueError, match="bound"):
-            tensor_square(random_register(rng, 3), max_result_qubits=6)
-
-    def test_requires_clean_ancilla(self, rng):
-        r = random_register(rng, 2)
-        statevec.apply_mcx_k(r, 0)
-        with pytest.raises(ValueError, match="ancilla not clean"):
-            tensor_square(r)
+            tensor_square(random_state(rng, 3), max_result_qubits=6)
 
 
 class TestGateSequence:
@@ -532,10 +524,12 @@ class TestGuards:
                          "rows, cols and vals must be 1-d arrays of one length"),
         "dense-not-square": (lambda: CouplingMatrix.from_dense(np.ones((2, 4))),
                              r"must be square, got \(2, 4\)"),
-        "execute-other-n": (lambda: execute(compile_w(zero_coupling(4), 0.1), basis_state(3, 0)),
-                            "sequence is for n=2, register has n=3"),
+        "execute-other-n": (
+            lambda: execute(compile_w(zero_coupling(4), 0.1), clean_register(basis_state(3, 0))),
+            "sequence is for n=2, register has n=3",
+        ),
         "direct-other-dim": (lambda: apply_w_direct(basis_state(3, 0), zero_coupling(4), 0.1),
-                             "coupling is 4-dimensional, register has 8"),
+                             "coupling is 4-dimensional, the state has 8 amplitudes"),
         "resources-no-qubit": (lambda: estimate_resources(0, 1), "need n >= 1"),
         "resources-negative-steps": (lambda: estimate_resources(1, -1), "need n_steps >= 0"),
     }

@@ -412,12 +412,6 @@ class TestMadelung:
         assert fields.rho.shape == (8, 8)
         assert fields.u.shape == (2, 8, 8)
 
-    def test_requires_clean_ancilla(self, grid16):
-        r = statevec.init_from_amplitudes(uniform_amplitudes(grid16))
-        statevec.apply_mcx_k(r, 0)
-        with pytest.raises(ValueError, match="ancilla not clean"):
-            madelung_fields(r, grid16)
-
 
 class TestTripletCsv:
     def test_round_trip(self, tmp_path, grid16):

@@ -16,35 +16,42 @@ from nlqsim.statevec import (
     apply_principal_axes,
     apply_principal_diagonal,
     branch_weights,
+    clean_register,
     dft_principal,
     init_from_amplitudes,
-    uniform_state,
 )
 
-from conftest import random_register
+from conftest import random_register, random_state
 from support import basis_state, fidelity
 
 
 class TestInit:
     def test_basis_state(self):
-        r = init_from_amplitudes(np.array([1.0, 0.0]))
-        assert r.ancilla0[0] == 1.0
-        assert r.ancilla0[1] == 0.0
-        assert np.all(r.ancilla1 == 0.0)
+        psi = init_from_amplitudes(np.array([1.0, 0.0]))
+        assert psi.shape == (2,) and psi.dtype == np.complex128
+        assert psi[0] == 1.0
+        assert psi[1] == 0.0
 
     def test_normalization(self):
-        r = init_from_amplitudes(np.array([1.0, 1.0]))
-        assert r.ancilla0[0] == pytest.approx(1 / np.sqrt(2))
-        assert r.ancilla0[1] == pytest.approx(1 / np.sqrt(2))
+        psi = init_from_amplitudes(np.array([1.0, 1.0]))
+        assert psi[0] == pytest.approx(1 / np.sqrt(2))
+        assert psi[1] == pytest.approx(1 / np.sqrt(2))
 
     def test_three_four_five(self):
-        r = init_from_amplitudes(np.array([3.0, 4.0j]))
-        assert r.ancilla0[0] == pytest.approx(0.6)
-        assert r.ancilla0[1] == pytest.approx(0.8j)
+        psi = init_from_amplitudes(np.array([3.0, 4.0j]))
+        assert psi[0] == pytest.approx(0.6)
+        assert psi[1] == pytest.approx(0.8j)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError, match="unnormalizable"):
+        with pytest.raises(ValueError, match="^unnormalizable: the norm is 0$"):
             init_from_amplitudes(np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e300])
+    def test_non_finite_norm_rejected(self, bad):
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^unnormalizable: the norm is not finite$"
+        ):
+            init_from_amplitudes(np.array([1.0, bad, bad, 0.0]))
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
@@ -57,6 +64,13 @@ class TestInit:
     def test_ancilla_starts_clean(self, rng):
         r = random_register(rng, 3)
         assert r.ancilla_is_clean()
+
+    def test_clean_register_holds_a_copy(self, rng):
+        psi = random_state(rng, 3)
+        r = clean_register(psi)
+        assert r.n == 3
+        assert np.array_equal(r.ancilla0, psi) and not r.ancilla1.any()
+        assert not np.shares_memory(r.amps, psi)
 
     @pytest.mark.parametrize("factor, clean", [(1 - 1e-6, True), (1 + 1e-6, False)])
     def test_clean_ancilla_threshold(self, factor, clean):
@@ -105,8 +119,8 @@ class TestFixedViews:
     cannot be rebound; the weight buffer exists only once weights are taken."""
 
     BUILDERS = {
-        "init_from_amplitudes": lambda rng: init_from_amplitudes(rng.normal(size=8)),
-        "basis_state": lambda rng: basis_state(3, 5),
+        "init_from_amplitudes": lambda rng: clean_register(init_from_amplitudes(rng.normal(size=8))),
+        "basis_state": lambda rng: clean_register(basis_state(3, 5)),
         "Register": lambda rng: Register(3, rng.normal(size=16) + 1j * rng.normal(size=16)),
         "copy": lambda rng: random_register(rng, 3).copy(),
         "deepcopy": lambda rng: copy.deepcopy(random_register(rng, 3)),
@@ -128,7 +142,7 @@ class TestFixedViews:
         apply_mcx_k(r, 2)
         apply_nonlinear(r, 0.3)
         apply_ancilla_phase(r, 0.2)
-        dft_principal(r)
+        dft_principal(r.ancilla0)
         assert r.ancilla0 is a0 and r.ancilla1 is a1
 
     def test_amps_cannot_be_rebound(self, rng):
@@ -158,10 +172,9 @@ class TestFixedViews:
         r = random_register(rng, 3)
         apply_mcx_k(r, 1)
         apply_ancilla_phase(r, 0.4)
-        apply_principal_diagonal(r, np.linspace(0.0, 1.0, 8))
-        dft_principal(r)
-        apply_principal_axes(r, (np.eye(8),))
-        r.principal_probabilities()
+        apply_principal_diagonal(r.ancilla0, np.linspace(0.0, 1.0, 8))
+        dft_principal(r.ancilla0)
+        apply_principal_axes(r.ancilla0, (np.eye(8),))
         r.ancilla_is_clean()
         assert r._mags is None
         assert r.copy()._mags is None
@@ -181,7 +194,7 @@ class TestFixedViews:
 
 class TestBranchWeights:
     def test_basis(self):
-        p0, p1 = branch_weights(basis_state(1, 0))
+        p0, p1 = branch_weights(clean_register(basis_state(1, 0)))
         assert (p0, p1) == (1.0, 0.0)
 
     def test_bell_like(self):
@@ -211,12 +224,12 @@ class TestBranchWeights:
 
 class TestMcx:
     def test_flips_target(self):
-        r = apply_mcx_k(basis_state(2, 3), 3)
+        r = apply_mcx_k(clean_register(basis_state(2, 3)), 3)
         assert r.ancilla1[3] == 1.0
         assert r.ancilla0[3] == 0.0
 
     def test_other_indices_untouched(self):
-        r = apply_mcx_k(basis_state(2, 1), 3)
+        r = apply_mcx_k(clean_register(basis_state(2, 1)), 3)
         assert r.ancilla0[1] == 1.0
 
     def test_involution(self, rng):
@@ -227,7 +240,7 @@ class TestMcx:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            apply_mcx_k(basis_state(2, 0), 4)
+            apply_mcx_k(clean_register(basis_state(2, 0)), 4)
 
 
 class TestNonlinear:
@@ -241,7 +254,7 @@ class TestNonlinear:
         r = random_register(rng, 2)
         ref = r.copy()
         apply_nonlinear(r, 1.3)
-        assert fidelity(ref, r) == pytest.approx(1.0, abs=1e-14)
+        assert fidelity(ref.amps, r.amps) == pytest.approx(1.0, abs=1e-14)
         assert np.allclose(r.amps, np.exp(1.3j) * ref.amps)
 
     def test_split_branch_phases(self):
@@ -274,33 +287,33 @@ class TestAncillaPhase:
         assert np.max(np.abs(r.amps - before)) < 1e-15
 
     def test_quarter_turn(self):
-        r = apply_mcx_k(basis_state(2, 3), 3)  # |3>|1>_a
+        r = apply_mcx_k(clean_register(basis_state(2, 3)), 3)  # |3>|1>_a
         apply_ancilla_phase(r, np.pi / 2)
         assert r.ancilla1[3] == pytest.approx(1j)
 
 
 class TestPrincipalDiagonal:
     def test_zero_phases(self, rng):
-        r = random_register(rng, 2)
-        before = r.amps.copy()
-        apply_principal_diagonal(r, np.zeros(4))
-        assert np.array_equal(r.amps, before)
+        psi = random_state(rng, 2)
+        before = psi.copy()
+        apply_principal_diagonal(psi, np.zeros(4))
+        assert np.array_equal(psi, before)
 
     def test_constant_phases_global(self, rng):
-        r = random_register(rng, 2)
-        ref = r.copy()
-        apply_principal_diagonal(r, np.full(4, 0.7))
-        assert fidelity(ref, r) == pytest.approx(1.0, abs=1e-14)
+        psi = random_state(rng, 2)
+        ref = psi.copy()
+        apply_principal_diagonal(psi, np.full(4, 0.7))
+        assert fidelity(ref, psi) == pytest.approx(1.0, abs=1e-14)
 
     def test_z_action(self):
-        r = init_from_amplitudes(np.array([1.0, 1.0]))
-        apply_principal_diagonal(r, np.array([0.0, np.pi]))
-        assert r.ancilla0[0] == pytest.approx(1 / np.sqrt(2))
-        assert r.ancilla0[1] == pytest.approx(-1 / np.sqrt(2))
+        psi = init_from_amplitudes(np.array([1.0, 1.0]))
+        apply_principal_diagonal(psi, np.array([0.0, np.pi]))
+        assert psi[0] == pytest.approx(1 / np.sqrt(2))
+        assert psi[1] == pytest.approx(-1 / np.sqrt(2))
 
     def test_length_mismatch(self, rng):
         with pytest.raises(ValueError):
-            apply_principal_diagonal(random_register(rng, 2), np.zeros(3))
+            apply_principal_diagonal(random_state(rng, 2), np.zeros(3))
 
 
 class TestPhaseFactorBits:
@@ -357,74 +370,72 @@ class TestPrincipalAxes:
 
     @pytest.mark.parametrize("shape", [(2,), (64,), (2, 8), (8, 2), (16, 16)])
     def test_matches_kronecker_product(self, rng, shape):
-        size = int(np.prod(shape))
-        amps = rng.normal(size=2 * size) + 1j * rng.normal(size=2 * size)
-        r = Register(size.bit_length() - 1, amps / np.linalg.norm(amps))
+        psi = random_state(rng, int(np.prod(shape)).bit_length() - 1)
         mats = tuple(self.random_unitary(rng, m) for m in shape)
         full = mats[0] if len(mats) == 1 else np.kron(mats[0], mats[1])
-        expected = r.copy()
-        for branch in (expected.ancilla0, expected.ancilla1):
-            branch[:] = full @ branch
-        apply_principal_axes(r, mats)
-        assert np.max(np.abs(r.amps - expected.amps)) < 1e-13
-        assert abs(r.norm() - 1.0) < 1e-12
+        expected = full @ psi
+        apply_principal_axes(psi, mats)
+        assert np.max(np.abs(psi - expected)) < 1e-13
+        assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
 
     def test_clean_ancilla_stays_exactly_zero(self, rng):
+        # applied to the ancilla-|0> branch view, as in a compiled run, the
+        # map writes nothing into the other half of the register
         r = random_register(rng, 4)
-        apply_principal_axes(r, (self.random_unitary(rng, 4), self.random_unitary(rng, 4)))
+        apply_principal_axes(r.ancilla0, (self.random_unitary(rng, 4), self.random_unitary(rng, 4)))
         assert not r.ancilla1.any()
 
     def test_zero_ancilla0_branch(self, rng):
+        # applied to the ancilla-|1> branch view, it maps that half in place
         r = Register(3, np.zeros(16))
         r.ancilla1[:] = rng.normal(size=8) / np.sqrt(8)
         u = self.random_unitary(rng, 8)
         expected = u @ r.ancilla1
-        apply_principal_axes(r, (u,))
+        apply_principal_axes(r.ancilla1, (u,))
         assert np.max(np.abs(r.ancilla1 - expected)) < 1e-14
         assert not r.ancilla0.any()
 
     def test_identity_leaves_register(self, rng):
-        r = random_register(rng, 5)
-        before = r.amps.copy()
-        apply_principal_axes(r, (np.eye(4), np.eye(8)))
-        assert np.array_equal(r.amps, before)
+        psi = random_state(rng, 5)
+        before = psi.copy()
+        apply_principal_axes(psi, (np.eye(4), np.eye(8)))
+        assert np.array_equal(psi, before)
 
     def test_bad_shapes(self, rng):
-        r = random_register(rng, 4)
+        psi = random_state(rng, 4)
         with pytest.raises(ValueError, match="cover"):
-            apply_principal_axes(r, (np.eye(8),))
+            apply_principal_axes(psi, (np.eye(8),))
         with pytest.raises(ValueError, match="one or two"):
-            apply_principal_axes(r, (np.eye(2),) * 4)
+            apply_principal_axes(psi, (np.eye(2),) * 4)
 
 
 class TestDft:
     def test_uniform_to_origin(self):
-        r = dft_principal(uniform_state(3))
-        assert abs(r.ancilla0[0]) == pytest.approx(1.0)
-        assert np.max(np.abs(r.ancilla0[1:])) < 1e-14
-        assert not r.ancilla1.any()
+        psi = dft_principal(init_from_amplitudes(np.ones(8)))
+        assert abs(psi[0]) == pytest.approx(1.0)
+        assert np.max(np.abs(psi[1:])) < 1e-14
 
     def test_origin_to_uniform(self):
-        r = dft_principal(basis_state(3, 0))
-        assert np.allclose(r.ancilla0, np.full(8, 1 / np.sqrt(8)))
+        psi = dft_principal(basis_state(3, 0))
+        assert np.allclose(psi, np.full(8, 1 / np.sqrt(8)))
 
     @pytest.mark.parametrize("n", [1, 4, 10])
     def test_round_trip(self, rng, n):
-        r = random_register(rng, n)
-        before = r.amps.copy()
-        dft_principal(dft_principal(r), inverse=True)
-        assert np.max(np.abs(r.amps - before)) < 1e-12
+        psi = random_state(rng, n)
+        before = psi.copy()
+        dft_principal(dft_principal(psi), inverse=True)
+        assert np.max(np.abs(psi - before)) < 1e-12
 
     def test_axes_shape_round_trip(self, rng):
-        r = random_register(rng, 6)
-        before = r.amps.copy()
-        dft_principal(r, axes_shape=(8, 8))
-        dft_principal(r, inverse=True, axes_shape=(8, 8))
-        assert np.max(np.abs(r.amps - before)) < 1e-12
+        psi = random_state(rng, 6)
+        before = psi.copy()
+        dft_principal(psi, axes_shape=(8, 8))
+        dft_principal(psi, inverse=True, axes_shape=(8, 8))
+        assert np.max(np.abs(psi - before)) < 1e-12
 
     def test_bad_axes_shape(self, rng):
         with pytest.raises(ValueError):
-            dft_principal(random_register(rng, 3), axes_shape=(4, 4))
+            dft_principal(random_state(rng, 3), axes_shape=(4, 4))
 
     SHAPES = [(64,), (1024,), (32, 32), (8, 16)]
 
@@ -440,45 +451,50 @@ class TestDft:
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("inverse", [False, True])
     def test_clean_register_bit_equal_to_block_transform(self, rng, shape, inverse):
+        # the transform of the ancilla-|0> branch view, as in a compiled run,
+        # has the bits of the stacked transform and leaves the other half zero
         r = random_register(rng, int(np.log2(np.prod(shape))))
         expected0, expected1 = self.block_transform(r, shape, inverse)
-        dft_principal(r, inverse=inverse, axes_shape=shape)
+        dft_principal(r.ancilla0, inverse=inverse, axes_shape=shape)
         assert np.array_equal(r.ancilla0, expected0)
         assert np.array_equal(r.ancilla1, expected1)
         assert not r.ancilla1.any()
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_live_ancilla_branch(self, rng, shape):
+        # each branch view of a live register is transformed in place
         size = int(np.prod(shape))
         amps = rng.normal(size=2 * size) + 1j * rng.normal(size=2 * size)
         r = Register(int(np.log2(size)), amps / np.linalg.norm(amps))
         before = r.amps.copy()
         expected0, expected1 = self.block_transform(r, shape, inverse=False)
-        dft_principal(r, axes_shape=shape)
+        for branch in (r.ancilla0, r.ancilla1):
+            dft_principal(branch, axes_shape=shape)
         assert np.max(np.abs(r.ancilla0 - expected0)) < 1e-14
         assert np.max(np.abs(r.ancilla1 - expected1)) < 1e-14
-        dft_principal(r, inverse=True, axes_shape=shape)
+        for branch in (r.ancilla0, r.ancilla1):
+            dft_principal(branch, inverse=True, axes_shape=shape)
         assert np.max(np.abs(r.amps - before)) < 1e-12
 
     def test_zero_ancilla0_branch(self, rng):
-        # only the ancilla-|1> branch is live: it alone is transformed
+        # the ancilla-|1> branch view alone is transformed; the other half
+        # is not written
         r = Register(3, np.zeros(16))
         r.ancilla1[:] = rng.normal(size=8) / np.sqrt(8)
         _, expected1 = self.block_transform(r, (8,), inverse=False)
-        dft_principal(r)
+        dft_principal(r.ancilla1)
         assert np.max(np.abs(r.ancilla1 - expected1)) < 1e-14
         assert not r.ancilla0.any()
 
 
 class TestFidelity:
     def test_self(self, rng):
-        r = random_register(rng, 3)
-        assert fidelity(r, r) == pytest.approx(1.0)
+        psi = random_state(rng, 3)
+        assert fidelity(psi, psi) == pytest.approx(1.0)
 
     def test_global_phase_invariant(self, rng):
-        r = random_register(rng, 3)
-        r2 = Register(3, np.exp(0.9j) * r.amps)
-        assert fidelity(r, r2) == pytest.approx(1.0)
+        psi = random_state(rng, 3)
+        assert fidelity(psi, np.exp(0.9j) * psi) == pytest.approx(1.0)
 
     def test_orthogonal(self):
         assert fidelity(basis_state(2, 0), basis_state(2, 1)) == 0.0
@@ -501,10 +517,14 @@ class TestNormPreservation:
             elif pick == 2:
                 apply_ancilla_phase(r, float(rng.normal()))
             elif pick == 3:
-                apply_principal_diagonal(r, rng.normal(size=16))
+                phases = rng.normal(size=16)
+                for branch in (r.ancilla0, r.ancilla1):
+                    apply_principal_diagonal(branch, phases)
             else:
-                dft_principal(r, inverse=bool(rng.integers(2)))
-            assert abs(r.norm() - 1.0) < 1e-12
+                inverse = bool(rng.integers(2))
+                for branch in (r.ancilla0, r.ancilla1):
+                    dft_principal(branch, inverse=inverse)
+            assert abs(np.linalg.norm(r.amps) - 1.0) < 1e-12
 
     def test_magnitudes_invariant_under_phase_gates(self, rng):
         r = random_register(rng, 3)
@@ -514,7 +534,8 @@ class TestNormPreservation:
         mags = np.abs(r.amps)
         apply_nonlinear(r, 0.8)
         apply_ancilla_phase(r, -1.1)
-        apply_principal_diagonal(r, np.linspace(0, 1, 8))
+        for branch in (r.ancilla0, r.ancilla1):
+            apply_principal_diagonal(branch, np.linspace(0, 1, 8))
         assert np.max(np.abs(np.abs(r.amps) - mags)) < 1e-14
 
 
