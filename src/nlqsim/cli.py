@@ -431,7 +431,7 @@ def run_compare(cfg: ExperimentConfig, out_dir: str, halvings: int = 0) -> dict:
         raise ConfigError(f"halvings must be >= 0, got {halvings}")
     if halvings and evolution.n_steps_for(cfg.t, cfg.eps) == 0:
         # every row must take a step: a zero-step row has zero error and
-        # the ratio over it would divide by zero
+        # no ratio could be taken over it
         raise ConfigError(f"halvings need t >= eps, got t {cfg.t}, eps {cfg.eps}")
     row_eps = [cfg.eps]
     for i in range(1, halvings + 1):
@@ -491,10 +491,12 @@ def run_compare(cfg: ExperimentConfig, out_dir: str, halvings: int = 0) -> dict:
         }
 
     rows = [one_comparison(*row) for row in zip(row_eps, row_steps, t_runs)]
-    for i in range(len(rows) - 1):
-        nxt = rows[i + 1]
-        rows[i]["l2_ratio"] = rows[i]["l2_error"] / nxt["l2_error"]
-        rows[i]["infidelity_ratio"] = rows[i]["infidelity"] / nxt["infidelity"]
+    for row, nxt in zip(rows, rows[1:]):
+        # a finer row that matches its reference to the last bit has no
+        # ratio over it: the key is left out, as for the finest row
+        for error, ratio in (("l2_error", "l2_ratio"), ("infidelity", "infidelity_ratio")):
+            if nxt[error] != 0.0:
+                row[ratio] = row[error] / nxt[error]
     report = {"config": config_to_dict(cfg), "comparisons": rows}
     os.makedirs(out_dir, exist_ok=True)
     _write_json(os.path.join(out_dir, "compare.json"), report)

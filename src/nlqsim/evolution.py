@@ -14,11 +14,12 @@ m <= M/2 and 2*pi*(m-M)/(M*dx) above (Nyquist assigned to -M/2; only p^2
 enters, so the sign choice is immaterial). On 2-d grids each axis is
 transformed and the ladders add, so U_eps is also the product over the axes
 of the circulant unitaries U_a = DFT^-1 . exp(-i*eps*c_T*p_a^2) . DFT.
-`KineticSpec.operator(eps)` builds one of the two forms, once per step
-size: grids whose axis lengths sum to at most KINETIC_MATRIX_MAX_POINTS get
-those per-axis matrices (applied by `statevec.apply_principal_axes`),
-larger grids the factors exp(-i*eps*c_T*p^2), applied between a transform
-(`statevec.dft_principal`) and its inverse.
+`KineticSpec.operator(eps)` builds one of the two forms, and `evolve` builds
+it once per run, before the first step: grids whose axis lengths sum to at
+most KINETIC_MATRIX_MAX_POINTS get those per-axis matrices (applied by
+`statevec.apply_principal_axes`), larger grids the factors
+exp(-i*eps*c_T*p^2) shaped like the grid, applied between a transform
+(`statevec.dft_principal`) over its axes and the inverse.
 
 The splitting is first order in eps by construction; halving eps halves the
 state error against a converged reference. Gate counts for the potential
@@ -66,29 +67,22 @@ class KineticSpec:
 
     c_T: float
     grid: GridSpec
-    _operator: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.c_T):
             raise ValueError("kinetic prefactor must be finite")
 
     def operator(self, eps: float) -> tuple[np.ndarray, ...] | np.ndarray:
-        """The kinetic step of size eps, read-only and built on first use: a
-        tuple of per-axis unitaries (`axis_unitary`) when the axis lengths sum
-        to at most KINETIC_MATRIX_MAX_POINTS, else the flat factors
-        exp(i * kinetic_phases(self, eps)). Only the latest step size is
-        kept: a run steps at one eps, and each row of a step-halving
-        comparison at its own."""
-        op = self._operator.get(eps)
-        if op is None:
-            if sum(self.grid.points) <= KINETIC_MATRIX_MAX_POINTS:
-                op = tuple(axis_unitary(p_sq, self.c_T, eps) for p_sq in self.axis_momentum_sq())
-            else:
-                op = _unit_factors(kinetic_phases(self, eps), eps)
-                op.flags.writeable = False
-            self._operator.clear()
-            self._operator[eps] = op
-        return op
+        """The kinetic step of size eps, read-only and built anew on each
+        call: a tuple of per-axis unitaries (`axis_unitary`) when the axis
+        lengths sum to at most KINETIC_MATRIX_MAX_POINTS, else the factors
+        exp(i * kinetic_phases(self, eps)) shaped like the grid. Either form
+        carries the grid's axes, so `apply_kinetic` needs nothing else."""
+        if sum(self.grid.points) <= KINETIC_MATRIX_MAX_POINTS:
+            return tuple(axis_unitary(p_sq, self.c_T, eps) for p_sq in self.axis_momentum_sq())
+        factors = _unit_factors(kinetic_phases(self, eps), eps).reshape(self.grid.points)
+        factors.flags.writeable = False
+        return factors
 
     def axis_momentum_sq(self) -> list[np.ndarray]:
         """p_a^2 on each grid axis, over the wrapped ladder of that axis."""
@@ -171,27 +165,25 @@ def axis_unitary(p_sq: np.ndarray, c_T: float, eps: float) -> np.ndarray:
     return u
 
 
-def apply_kinetic(psi: np.ndarray, spec: KineticSpec, eps: float) -> np.ndarray:
+def apply_kinetic(psi: np.ndarray, op: tuple[np.ndarray, ...] | np.ndarray) -> np.ndarray:
     """Kinetic propagator exp(-i*eps*c_T*p^2), in place on the principal
-    vector psi, in the form `spec.operator` built for the grid: per-axis
-    unitaries multiply along their axes; flat factors multiply between a
-    transform and its inverse.
+    vector psi, given as the operator `KineticSpec.operator(eps)` built:
+    per-axis unitaries multiply along their axes; factors shaped like the
+    grid multiply between a transform over those axes and its inverse.
     """
-    op = spec.operator(eps)
     if isinstance(op, tuple):
         return statevec.apply_principal_axes(psi, op)
-    shape = spec.grid.points
-    statevec.dft_principal(psi, inverse=False, axes_shape=shape)
-    statevec.apply_principal_factors(psi, op)
-    statevec.dft_principal(psi, inverse=True, axes_shape=shape)
+    statevec.dft_principal(psi, inverse=False, axes_shape=op.shape)
+    statevec.apply_principal_factors(psi, op.reshape(-1))
+    statevec.dft_principal(psi, inverse=True, axes_shape=op.shape)
     return psi
 
 
 def trotter_step(
     psi: np.ndarray,
     f: CouplingMatrix,
-    spec: KineticSpec,
     eps: float,
+    kinetic: tuple[np.ndarray, ...] | np.ndarray,
     sequence: GateSequence | None = None,
     register: statevec.Register | None = None,
 ) -> np.ndarray:
@@ -200,13 +192,14 @@ def trotter_step(
 
     The potential step applies the direct diagonal, or, given a compiled
     sequence (it must match (f, eps)), executes it gate by gate on
-    `register`, whose ancilla-|0> branch must be psi.
+    `register`, whose ancilla-|0> branch must be psi. The kinetic step
+    applies `kinetic`, the operator `KineticSpec.operator(eps)` built.
     """
     if sequence is None:
         nlcompiler.apply_w_direct(psi, f, eps)
     else:
         nlcompiler.execute(sequence, register)
-    return apply_kinetic(psi, spec, eps)
+    return apply_kinetic(psi, kinetic)
 
 
 def evolve(
@@ -227,10 +220,11 @@ def evolve(
     records the first and last states only); record_stride = 0 records
     none. The tally is the closed form on the schedule's nonzero angles,
     the gates a compiled step executes; direct mode counts them without
-    building the gate list. Compiled mode keeps the vector as the
-    ancilla-|0> branch of the register the gates run on, so weight a block
-    leaves in the ancilla-|1> branch is missing from the vector's final
-    norm.
+    building the gate list. The kinetic operator is built once, before
+    the first step; a zero-step run builds none. Compiled mode keeps the
+    vector as the ancilla-|0> branch of the register the gates run on, so
+    weight a block leaves in the ancilla-|1> branch is missing from the
+    vector's final norm.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -246,6 +240,7 @@ def evolve(
     else:
         sequence = register = None
         psi = np.array(psi0, dtype=np.complex128)
+    kinetic = spec.operator(eps) if n_steps else None
     snapshots: list[Snapshot] = []
 
     def record(step: int):
@@ -254,7 +249,7 @@ def evolve(
     if record_stride > 0:
         record(0)
     for step in range(1, n_steps + 1):
-        trotter_step(psi, f, spec, eps, sequence, register)
+        trotter_step(psi, f, eps, kinetic, sequence, register)
         if record_stride > 0 and (step % record_stride == 0 or step == n_steps):
             record(step)
     drift = abs(float(np.linalg.norm(psi)) - 1.0)

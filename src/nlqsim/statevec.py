@@ -25,9 +25,8 @@ precision. Both branch weights come from one function, `branch_weights`: one
 ``np.add.reduce`` over the rows of the squared magnitudes, numpy's pairwise
 summation of each row, which is deterministic for a fixed length; the
 feedback phases of the nonlinear gate are therefore bit-reproducible. The
-squared magnitudes go into one float64 buffer per register, allocated by the
-first weight computation, so a compiled step allocates no array per gate and
-a register that never needs the weights never holds the buffer.
+squared magnitudes go into one float64 buffer per register, allocated with
+the register, so a compiled step allocates no array per gate.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 
-#: tolerance for exactness checks (normalization, clean-ancilla tests)
+#: weight the ancilla-|1> branch may hold in `Register.ancilla_is_clean`
 NORM_TOL = 1e-12
 
 
@@ -50,9 +49,8 @@ class Register:
     rebound behind the views: assigning one raises ``FrozenInstanceError``,
     except the self-assignment an in-place operator makes
     (``r.amps *= c``). The gates update ``amps`` in place. The float64
-    buffer the branch weights are computed in is allocated on first use, by
-    `branch_weights` or `apply_nonlinear`, so a register that never needs
-    the weights never holds it. Registers compare by identity.
+    buffer the branch weights are computed in is allocated here too.
+    Registers compare by identity.
     """
 
     def __init__(self, n: int, amps: np.ndarray):
@@ -69,9 +67,9 @@ class Register:
         #: views of the ancilla-|0> and ancilla-|1> branch amplitudes (2**n each)
         self.ancilla0 = amps[:size]
         self.ancilla1 = amps[size:]
-        #: squared-magnitude buffer (length 2**(n+1)) and its (2, 2**n) row
-        #: view; None until the first weight computation
-        self._mags = None
+        #: squared-magnitude buffer (length 2**(n+1)) and its (2, 2**n) row view
+        mags = np.empty(amps.shape[0])
+        self._mags = (mags, mags.reshape(2, -1))
 
     def __setattr__(self, name, value):
         # frozen by hand, so the self-assignment of ``r.amps *= c`` passes
@@ -125,9 +123,6 @@ def branch_weights(r: Register) -> list[float]:
     """[p0, p1], the ancilla branch probabilities (p0 + p1 = 1 for a
     normalized state): both branch rows summed in one deterministic
     reduction over the register's weight buffer."""
-    if r._mags is None:
-        mags = np.empty(r.amps.shape[0])
-        object.__setattr__(r, "_mags", (mags, mags.reshape(2, -1)))
     mags, rows = r._mags
     np.abs(r.amps, out=mags)
     mags *= mags

@@ -213,8 +213,8 @@ def leak_norm(monkeypatch, factor: float = 1 + 1e-9) -> None:
     """Make every kinetic step of `evolution` also scale the state by factor."""
     kinetic = evolution.apply_kinetic
 
-    def leaky(psi, spec, eps):
-        kinetic(psi, spec, eps)
+    def leaky(psi, op):
+        kinetic(psi, op)
         psi *= factor
         return psi
 

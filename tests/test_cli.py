@@ -517,6 +517,42 @@ class TestCompare:
         for line, row in zip(table[:-1], rows):
             assert float(line["l2_ratio"]) == row["l2_ratio"]
 
+    EXACT_ROWS = {
+        # the eps 0.05 row's infidelity is exactly 0
+        "gp-4x4-g0": {
+            "problem": "gross-pitaevskii", "g": 0.0, "grid": {"points": [4, 4], "dx": 0.5},
+            "t": 0.4, "eps": 0.1, "initial_state": {"preset": "uniform"},
+        },
+        "hartree-8-c0": {
+            "problem": "hartree", "grid": {"points": [8], "dx": 0.5},
+            "kernel": {"form": "constant", "c": 0.0},
+            "t": 0.4, "eps": 0.1, "initial_state": {"preset": "uniform"},
+        },
+    }
+
+    @pytest.mark.parametrize("case", sorted(EXACT_ROWS))
+    def test_no_ratio_over_an_exact_row(self, tmp_path, case):
+        """A row that matches its reference to the last bit has no ratio
+        over it: the key is absent and the CSV cell empty."""
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(self.EXACT_ROWS[case]))
+        rc = cli.main([
+            "compare", "--config", str(cfg_path), "--out", str(tmp_path),
+            "--halvings", "2",
+        ])
+        assert rc == 0
+        rows = json.loads((tmp_path / "compare.json").read_text())["comparisons"]
+        with open(tmp_path / "convergence.csv", newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert len(table) == len(rows) == 3
+        if case == "gp-4x4-g0":
+            assert rows[1]["infidelity"] == 0.0
+            assert "l2_ratio" in rows[0] and "infidelity_ratio" not in rows[0]
+        for row, nxt, line in zip(rows, rows[1:], table):
+            for error, ratio in (("l2_error", "l2_ratio"), ("infidelity", "infidelity_ratio")):
+                assert (ratio in row) == (nxt[error] != 0.0)
+            assert line["l2_ratio"] == ("" if nxt["l2_error"] == 0.0 else repr(row["l2_ratio"]))
+
     @pytest.mark.parametrize(
         "payload, halvings, t_runs, ref_steps",
         [

@@ -86,7 +86,7 @@ class TestKineticPhases:
         a = np.exp(2j * np.pi * mode * np.arange(16) / 16)
         psi = init_from_amplitudes(a)
         eps = 0.07
-        apply_kinetic(psi, spec, eps)
+        apply_kinetic(psi, spec.operator(eps))
         expected = init_from_amplitudes(a * np.exp(-1j * eps * kappa**2))
         assert np.max(np.abs(psi - expected)) < 1e-12
 
@@ -105,8 +105,14 @@ class TestKineticPropagator:
         factors = fft_spec.operator(0.1)
         assert np.array_equal(factors, np.exp(1j * kinetic_phases(fft_spec, 0.1)))
         assert not factors.flags.writeable
-        assert fft_spec.operator(0.1) is factors
         assert fft_spec == KineticSpec(fft_spec.c_T, fft_spec.grid)
+
+    def test_factors_shaped_like_the_grid(self):
+        # the operator carries the axes its transform runs over
+        spec = KineticSpec(1.0, GridSpec(points=(2, 256), dx=0.5))
+        factors = spec.operator(0.1)
+        assert factors.shape == (2, 256)
+        assert np.array_equal(factors.reshape(-1), np.exp(1j * kinetic_phases(spec, 0.1)))
 
     def test_non_finite_factors_are_a_simulation_error(self, grid):
         # eps * c_T * p^2 overflows to inf, whose phase factor is NaN
@@ -126,26 +132,14 @@ class TestKineticPropagator:
         evolve(random_state(rng, 5), zero_coupling(32), spec, n_steps_for(1.0, 0.1), 0.1)
         assert [(args[0].size,) + args[1:] for args in calls] == [(4, 0.5, 0.1), (8, 0.5, 0.1)]
 
-    def test_keeps_the_latest_step_size(self, spec, monkeypatch):
-        # a step-halving comparison runs each step size once, so only the
-        # latest step size's matrices are kept
-        calls = count_axis_builds(monkeypatch)
-        first = spec.operator(0.05)
-        assert spec.operator(0.05) is first
-        spec.operator(0.1)
-        again = spec.operator(0.05)
-        assert [args[2] for args in calls] == [0.05, 0.1, 0.05]
-        assert np.array_equal(again[0], first[0])
-
     @pytest.mark.parametrize("route", ["axes", "dft"])
     def test_one_operator_on_both_routes(self, spec, fft_spec, route):
-        # one cache serves both routes and keeps only the latest step size
+        # either route builds the same operator for a step size, whatever
+        # was built in between
         spec = spec if route == "axes" else fft_spec
         first = spec.operator(0.1)
         spec.operator(0.05)
         again = spec.operator(0.1)
-        assert len(spec._operator) == 1
-        assert again is not first
         assert isinstance(again, tuple) == (route == "axes")
         assert np.array_equal(np.asarray(again), np.asarray(first))
 
@@ -163,15 +157,74 @@ class TestKineticPropagator:
         assert calls == [(fft_spec, 0.1)]
 
     def test_matches_per_step_phases(self, fft_spec, rng):
-        # on a grid past the per-axis threshold, the kinetic step with cached
+        # on a grid past the per-axis threshold, the kinetic step with prebuilt
         # factors equals transform, exp of the phases, inverse transform
         psi = random_state(rng, 9)
         expected = psi.copy()
         statevec.dft_principal(expected)
         statevec.apply_principal_diagonal(expected, kinetic_phases(fft_spec, 0.05))
         statevec.dft_principal(expected, inverse=True)
-        apply_kinetic(psi, fft_spec, 0.05)
+        apply_kinetic(psi, fft_spec.operator(0.05))
         assert np.array_equal(psi, expected)
+
+
+class TestOperatorLifetime:
+    """`evolve` builds the kinetic operator once per run, before the first
+    step, and holds it itself: the spec stays a plain description."""
+
+    ACCEPTANCE_HARTREE = {
+        "problem": "hartree",
+        "grid": {"points": [64], "dx": 0.25, "x0": -8.0},
+        "kernel": {"form": "gaussian", "sigma": 1.0, "amplitude": 2.0},
+        "initial_state": {"preset": "gaussian", "center": -2.0, "sigma": 1.0, "kappa": -1.0},
+        "t": 1.6,
+        "eps": 0.08,
+        "mode": "direct",
+    }
+
+    @staticmethod
+    def log_builds_and_steps(monkeypatch) -> list:
+        """The step size of every axis unitary build and a "step" for every
+        kinetic step, in the order they happen."""
+        calls = count_axis_builds(monkeypatch)
+        kinetic = evolution.apply_kinetic
+
+        def stepping(psi, op):
+            calls.append("step")
+            return kinetic(psi, op)
+
+        monkeypatch.setattr(evolution, "apply_kinetic", stepping)
+        return calls
+
+    @pytest.mark.parametrize("mode", evolution.MODES)
+    @pytest.mark.parametrize("route", ["axes", "dft"])
+    def test_spec_holds_only_its_description(self, spec, fft_spec, rng, mode, route):
+        spec = spec if route == "axes" else fft_spec
+        n = spec.grid.size.bit_length() - 1
+        evolve(random_state(rng, n), random_coupling(rng, n, scale=0.3), spec, 2, 0.05,
+               mode=mode)
+        assert vars(spec) == {"c_T": 1.0, "grid": spec.grid}
+
+    def test_each_compare_row_builds_its_own_before_its_steps(self, tmp_path, monkeypatch):
+        calls = self.log_builds_and_steps(monkeypatch)
+        cfg = cli.config_from_dict(self.ACCEPTANCE_HARTREE)
+        cli.run_compare(cfg, str(tmp_path), halvings=3)
+        row_eps = [0.08, 0.04, 0.02, 0.01]
+        assert [args[2] for args in calls if args != "step"] == row_eps
+        expected = []
+        for i, eps in enumerate(row_eps):
+            expected += [eps] + ["step"] * (20 * 2**i)
+        assert [args if args == "step" else args[2] for args in calls] == expected
+
+    def test_zero_step_simulate_builds_none(self, tmp_path, monkeypatch):
+        # phases of this c_T overflow, so a build would fail the run
+        calls = self.log_builds_and_steps(monkeypatch)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**self.ACCEPTANCE_HARTREE, "t": 0.0, "c_T": 1e308}))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert calls == []
+        assert (out / "trajectory.csv").exists()
 
 
 class TestPerAxisRoute:
@@ -200,7 +253,7 @@ class TestPerAxisRoute:
         monkeypatch.setattr(statevec, "dft_principal", lambda r, **kw: calls.append("dft") or r)
         monkeypatch.setattr(statevec, "apply_principal_axes", lambda r, m: calls.append("axes") or r)
         spec = KineticSpec(1.0, GridSpec(points=points, dx=0.1))
-        apply_kinetic(init_from_amplitudes(np.ones(spec.grid.size)), spec, 0.01)
+        apply_kinetic(init_from_amplitudes(np.ones(spec.grid.size)), spec.operator(0.01))
         assert calls == (["axes"] if route == "axes" else ["dft", "dft"])
 
     @pytest.mark.parametrize("points", POINTS)
@@ -211,12 +264,13 @@ class TestPerAxisRoute:
         spec = KineticSpec(0.7, GridSpec(points=points, dx=0.3))
         r = self.register(rng, spec.grid.size, live_ancilla)
         expected = r.copy()
+        op = spec.operator(0.01)
         for _ in range(100):
-            apply_kinetic(r.ancilla0, spec, 0.01)
+            apply_kinetic(r.ancilla0, op)
         monkeypatch.setattr(evolution, "KINETIC_MATRIX_MAX_POINTS", 0)
-        spec = KineticSpec(spec.c_T, spec.grid)  # the route is picked when the operator is built
+        op = spec.operator(0.01)  # the route is picked when the operator is built
         for _ in range(100):
-            apply_kinetic(expected.ancilla0, spec, 0.01)
+            apply_kinetic(expected.ancilla0, op)
         assert np.max(np.abs(r.amps - expected.amps)) <= 1e-12
         assert r.ancilla1.any() == live_ancilla
 
@@ -231,7 +285,7 @@ class TestPerAxisRoute:
         expected = r.ancilla1.copy()
         if route == "dft":
             monkeypatch.setattr(evolution, "KINETIC_MATRIX_MAX_POINTS", 0)
-        apply_kinetic(r.ancilla1, spec, 0.01)
+        apply_kinetic(r.ancilla1, spec.operator(0.01))
         assert not r.ancilla0.any()
         expected = np.fft.ifftn(
             np.exp(1j * kinetic_phases(spec, 0.01)).reshape(points)
@@ -246,7 +300,7 @@ class TestPerAxisRoute:
         (u,) = spec.operator(0.05)
         assert np.linalg.norm(u.conj().T @ u - np.eye(m), 2) <= 1e-14
         assert not u.flags.writeable
-        assert spec.operator(0.05)[0] is u
+        assert np.array_equal(spec.operator(0.05)[0], u)
 
     def test_circulant_of_the_factors(self):
         # U = DFT^-1 . diag(factors) . DFT, with the unitary DFT matrix
@@ -260,8 +314,9 @@ class TestPerAxisRoute:
         grid = GridSpec(points=(64,), dx=0.25, x0=-8.0)
         spec = KineticSpec(1.0, grid)
         psi = init_from_amplitudes(gaussian_packet(grid, 0.0, 1.0, 0.5))
+        op = spec.operator(0.01)
         for _ in range(20000):
-            apply_kinetic(psi, spec, 0.01)
+            apply_kinetic(psi, op)
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("points", [(16,), (8, 8), (512,)])
@@ -271,7 +326,7 @@ class TestPerAxisRoute:
         psi = random_state(rng, spec.grid.size.bit_length() - 1)
         message = r"^non-finite kinetic phase for step size eps = 0\.1; lower c_T or eps$"
         with np.errstate(all="ignore"), pytest.raises(SimulationError, match=message):
-            apply_kinetic(psi, spec, 0.1)
+            apply_kinetic(psi, spec.operator(0.1))
 
 
 class TestTracerSeams:
@@ -348,8 +403,9 @@ class TestTrotterStep:
         a = np.exp(-1j * kappa * grid.coords(0))
         psi = init_from_amplitudes(a)
         f = zero_coupling(16)
+        op = spec.operator(0.05)
         for _ in range(5):
-            trotter_step(psi, f, spec, 0.05)
+            trotter_step(psi, f, 0.05, op)
         expected = init_from_amplitudes(a * np.exp(-1j * 0.25 * kappa**2))
         assert fidelity(psi, expected) > 1 - 1e-12
 
@@ -362,8 +418,9 @@ class TestTrotterStep:
         psi = random_state(rng, 4)
         dens0 = np.abs(psi) ** 2
         psi2 = psi.copy()
+        op = spec0.operator(0.1)
         for _ in range(3):
-            trotter_step(psi2, f, spec0, 0.1)
+            trotter_step(psi2, f, 0.1, op)
         assert np.abs(np.abs(psi2) ** 2 - dens0).max() < 1e-14
         expected = psi * np.exp(-1j * 3 * 0.1 * diag * dens0)
         assert np.max(np.abs(psi2 - expected)) < 1e-12
@@ -371,16 +428,26 @@ class TestTrotterStep:
     def test_compiled_matches_direct(self, grid, spec, rng):
         f = random_coupling(rng, 4, scale=0.5)
         psi = random_state(rng, 4)
-        direct = trotter_step(psi.copy(), f, spec, 0.08)
+        op = spec.operator(0.08)
+        direct = trotter_step(psi.copy(), f, 0.08, op)
         r = clean_register(psi)
-        compiled = trotter_step(r.ancilla0, f, spec, 0.08, compile_w(f, 0.08), r)
+        compiled = trotter_step(r.ancilla0, f, 0.08, op, compile_w(f, 0.08), r)
         assert compiled is r.ancilla0
         assert fidelity(direct, compiled) > 1 - 1e-12
+
+    def test_register_keeps_its_weight_buffer(self, spec, rng):
+        f = random_coupling(rng, 4)
+        r = clean_register(random_state(rng, 4))
+        buffer, rows = r._mags
+        assert buffer.shape == (32,) and rows.shape == (2, 16)
+        assert np.shares_memory(rows, buffer)
+        trotter_step(r.ancilla0, f, 0.05, spec.operator(0.05), compile_w(f, 0.05), r)
+        assert r._mags[0] is buffer and r._mags[1] is rows
 
     def test_ancilla_clean_after_step(self, grid, spec, rng):
         f = random_coupling(rng, 4)
         r = random_register(rng, 4)
-        trotter_step(r.ancilla0, f, spec, 0.05, compile_w(f, 0.05), r)
+        trotter_step(r.ancilla0, f, 0.05, spec.operator(0.05), compile_w(f, 0.05), r)
         assert r.ancilla_is_clean()
 
 

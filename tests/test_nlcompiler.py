@@ -326,16 +326,17 @@ class TestExecuteBits:
         result = evolution.evolve(psi0, f, spec, steps, eps, mode="compiled")
         seq = compile_w(f, eps)
         r = clean_register(psi0)
+        op = spec.operator(eps)
         for _ in range(steps):
             r = statevec.Register(n, reference_execute(seq, r.amps))
-            evolution.apply_kinetic(r.ancilla0, spec, eps)
+            evolution.apply_kinetic(r.ancilla0, op)
         assert not r.ancilla1.any()
         assert np.array_equal(result.final, r.ancilla0)
 
 
 class TestExecuteAllocation:
-    """A compiled step allocates no array per gate: past the first weight
-    computation, the traced peak of a block does not grow with n."""
+    """A compiled step allocates no array per gate: the weight buffer comes
+    with the register, and the traced peak of a block does not grow with n."""
 
     BLOCK_OPS = 600
     PEAK_MAX_BYTES = 2048
@@ -344,7 +345,7 @@ class TestExecuteAllocation:
         seq = compile_w(random_coupling(rng, n), 0.05)
         block = GateSequence(n, seq.ops[: self.BLOCK_OPS])
         r = random_register(rng, n)
-        execute(block, r)  # warm-up: allocates the weight buffer
+        execute(block, r)  # warm-up: one-time costs of the first calls
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
